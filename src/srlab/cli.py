@@ -18,6 +18,7 @@ Exit codes: 0 success / verified, 1 failed check or computation,
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -69,10 +70,9 @@ from .operators import (
 )
 from .spectrum import (
     SpectrumError,
-    dense_spectrum,
     epsilon_sweep,
     kernel_check,
-    lanczos_smallest,
+    solve_weak_form,
 )
 
 
@@ -177,11 +177,32 @@ def default_lattice(s):
 
 
 def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """Print text, or replace out_path with it atomically.
+
+    The text goes to a temporary file in the target's directory, which is
+    then renamed over the target, so a failed write leaves any existing
+    file untouched.
+    """
+    if not out_path:
         sys.stdout.write(text)
+        return
+    tmp = "%s.%d.tmp" % (out_path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, out_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _require(ok, message):
+    """Reject a bad flag value as a usage error, before any work starts."""
+    if not ok:
+        raise ConfigError(message)
 
 
 def _json_text(obj):
@@ -192,9 +213,13 @@ def _json_text(obj):
 
 
 def cmd_check(args):
+    _require(
+        args.lattice is None or args.lattice >= 1, "--lattice must be at least 1"
+    )
+    _require(args.samples >= 0, "--samples must not be negative")
     cfg = load_config(args.config)
     s, _density = build_structure(cfg)
-    lattice = args.lattice or default_lattice(s)
+    lattice = default_lattice(s) if args.lattice is None else args.lattice
     points = s.sample_lattice(lattice)
     s.validate(points)
     if args.samples:
@@ -287,6 +312,9 @@ def _spectrum_rows_csv(rows):
 
 
 def cmd_spectrum(args):
+    _require(args.count >= 1, "--count must be at least 1")
+    _require(args.tol > 0, "--tol must be positive")
+    eps_values = _parse_eps_list(args.eps)
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
     ac = canonical_complement(s)
@@ -297,7 +325,6 @@ def cmd_spectrum(args):
         return CHECK_FAILED
     adapted = ac.as_structure()
     grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
-    eps_values = _parse_eps_list(args.eps)
     meta = {
         "name": s.name or None,
         "grid": list(grid.shape),
@@ -306,27 +333,12 @@ def cmd_spectrum(args):
         "solver": args.solver,
     }
 
-    def solve(wf):
-        if args.solver == "dense":
-            return dense_spectrum(wf.operator, wf.mass, count=args.count)
-        return lanczos_smallest(
-            wf.operator, wf.mass, args.count, tol=args.tol, seed=args.seed
-        )
-
     if eps_values is None:
         wf = assemble_weak_laplacian(adapted, grid, eps=None, density=density)
-        rep = solve(wf)
-        labels = rep.cluster_index()
-        rows = [
-            {
-                "eps": "inf",
-                "i": i,
-                "lambda": float(lam),
-                "residual": float(rep.residuals[i]),
-                "multiplicity_cluster": int(labels[i]),
-            }
-            for i, lam in enumerate(rep.eigenvalues)
-        ]
+        rep = solve_weak_form(
+            wf, args.count, args.solver, args.tol, args.seed
+        )
+        rows = rep.rows("inf")
         summary = None
     else:
         sweep = epsilon_sweep(
@@ -648,6 +660,8 @@ def _coefficient_distance(ext, eps, horizontal_op, pts):
 
 
 def cmd_verify(args):
+    _require(args.samples >= 1, "--samples must be at least 1")
+    _require(args.n >= 0, "-n must not be negative")
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
     failures = 0

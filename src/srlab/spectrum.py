@@ -1,15 +1,15 @@
-"""Eigensolvers for the discretized forms, written against the matrices.
+"""Generalized eigensolvers for the discretized forms.
 
 Both solvers work on the symmetrically scaled standard problem
-A~ = D M^{-1/2} L M^{-1/2}: the dense path runs Householder
-tridiagonalization, implicit-shift QL for eigenvalues, and inverse
-iteration for eigenvectors; the iterative path is a Lanczos process with
-full reorthogonalization on a spectral shift of A~.  Reported residuals
-are always the generalized ones, || L v - lambda M v || / || M v ||,
-computed from the original matrices.
+A~ = M^{-1/2} L M^{-1/2}.  The dense path hands A~ to LAPACK
+(``scipy.linalg.eigh`` with the ``evr`` driver, restricted to the wanted
+index range); the iterative path is a shift-invert block Lanczos process
+with full reorthogonalization whose small projected eigenproblem goes
+through the same LAPACK call.  Reported residuals are always the
+generalized ones, || L v - lambda M v || / || M v ||, computed from the
+original matrices.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,236 +105,43 @@ class SpectrumReport:
                 labels[i] = label
         return labels
 
+    def rows(self, eps):
+        """One output row per eigenvalue, tagged with the penalty ``eps``."""
+        labels = self.cluster_index()
+        return [
+            {
+                "eps": eps,
+                "i": i,
+                "lambda": float(lam),
+                "residual": float(self.residuals[i]),
+                "multiplicity_cluster": int(labels[i]),
+            }
+            for i, lam in enumerate(self.eigenvalues)
+        ]
+
 
 # ---------------------------------------------------------------------------
 # dense path
 
 
-def householder_tridiagonalize(A):
-    """(d, e, Q) with A = Q T Q^T, T tridiagonal (e[0] unused)."""
-    A = np.array(A, dtype=float, copy=True)
-    n = A.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)
-    reflectors = []
-    for i in range(n - 1, 1, -1):
-        v = A[i, :i].copy()
-        scale = float(np.sum(np.abs(v)))
-        if scale == 0.0:
-            e[i] = 0.0
-            continue
-        v /= scale
-        h = float(v @ v)
-        f = v[-1]
-        g = -math.copysign(math.sqrt(h), f)
-        e[i] = scale * g
-        h -= f * g
-        v[-1] = f - g
-        p = (A[:i, :i] @ v) / h
-        K = float(v @ p) / (2.0 * h)
-        q = p - K * v
-        A[:i, :i] -= np.outer(q, v) + np.outer(v, q)
-        A[i, :i] = 0.0
-        A[:i, i] = 0.0
-        reflectors.append((i, v, h))
-    if n > 1:
-        e[1] = A[1, 0]
-    d[:] = np.diag(A)
-    Q = np.zeros((n, n), order="F")
-    np.fill_diagonal(Q, 1.0)
-    for i, v, h in reflectors:
-        g = Q[:, :i] @ v
-        Q[:, :i] -= np.outer(g, v / h)
-    return d, e, Q
+def _symmetric_eig(A, lo, hi):
+    """Eigenpairs lo..hi (0-based, inclusive, ascending) of symmetric A.
 
-
-def tridiagonal_eigenvalues(d, e):
-    """Eigenvalues of the symmetric tridiagonal (d, e), ascending."""
-    d = np.asarray(d, dtype=float).copy()
-    n = d.size
-    if n == 1:
-        return d
-    off = np.empty(n)
-    off[: n - 1] = np.asarray(e, dtype=float)[1:]
-    off[n - 1] = 0.0
-    eps = np.finfo(float).eps
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(off[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iters += 1
-            if iters > 64:
-                raise SpectrumError("QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * off[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + off[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            broke = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * off[i]
-                b = c * off[i]
-                r = math.hypot(f, g)
-                off[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    off[m] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if not broke:
-                d[l] -= p
-                off[l] = g
-                off[m] = 0.0
-    return np.sort(d)
-
-
-def tridiagonal_eigenvectors(d, e, values, rng=None, block=1024):
-    """Inverse-iteration eigenvectors of (d, e) for the given eigenvalues.
-
-    Shifts inside a numerical cluster are spread apart by a few ulps and
-    the resulting vectors re-orthogonalized within the cluster, the
-    standard safeguard for tight groups.
+    LAPACK ``?syevr`` computes only the requested index range, with
+    orthonormal vectors inside clusters of repeated eigenvalues.
     """
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    d = np.asarray(d, dtype=float)
-    n = d.size
-    sub = np.zeros(n)
-    if n > 1:
-        sub[1:] = np.asarray(e, dtype=float)[1:]
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    J = values.size
-    tnorm = float(np.max(np.abs(d))) if n else 0.0
-    if n > 1:
-        tnorm = max(tnorm, float(np.max(np.abs(sub[1:]))))
-    tnorm = max(tnorm, 1.0)
-    sep = 10.0 * np.finfo(float).eps * tnorm
-    shifts = values.copy()
-    for j in range(1, J):
-        if shifts[j] <= shifts[j - 1] + sep:
-            shifts[j] = shifts[j - 1] + sep
-    clusters = []
-    for j in range(J):
-        if clusters and values[j] - values[clusters[-1][-1]] <= 100.0 * sep:
-            clusters[-1].append(j)
-        else:
-            clusters.append([j])
+    from scipy.linalg import eigh
 
-    out = np.empty((n, J))
-    if n == 1:
-        out[:] = 1.0
-        return out
-    block = max(1, min(block, J))
-    for start in range(0, J, block):
-        sel = slice(start, min(start + block, J))
-        out[:, sel] = _inverse_iteration_block(d, sub, shifts[sel], rng)
-    for members in clusters:
-        if len(members) > 1:
-            _orthonormalize_columns(out, members)
-            # polish once after the in-cluster rotation
-            cols = np.array(members)
-            out[:, cols] = _inverse_iteration_block(
-                d, sub, shifts[cols], rng, start=out[:, cols]
-            )
-            _orthonormalize_columns(out, members)
-    unperm = np.empty_like(order)
-    unperm[order] = np.arange(J)
-    return out[:, unperm]
-
-
-def _inverse_iteration_block(d, sub, shifts, rng, start=None, sweeps=3):
-    n = d.size
-    J = shifts.size
-    tiny = math.sqrt(np.finfo(float).tiny)
-    if start is None:
-        x = rng.standard_normal((n, J))
-    else:
-        x = start.copy()
-    x /= np.linalg.norm(x, axis=0, keepdims=True)
-    u = np.empty((n, J))
-    v = np.empty((n, J))
-    w = np.empty((n, J))
-    lower = np.empty((n - 1, J))
-    swap = np.empty((n - 1, J), dtype=bool)
-    for _ in range(sweeps):
-        # forward elimination with partial pivoting (keeps two superdiags)
-        u[0] = d[0] - shifts
-        v[0] = sub[1] if n > 1 else 0.0
-        w[0] = 0.0
-        y = x.copy()
-        for i in range(n - 1):
-            a_in = sub[i + 1]
-            b_in = d[i + 1] - shifts
-            c_in = sub[i + 2] if i + 2 < n else 0.0
-            do_swap = np.abs(u[i]) < abs(a_in)
-            swap[i] = do_swap
-            u_p = np.where(do_swap, a_in, u[i])
-            v_p = np.where(do_swap, b_in, v[i])
-            w_p = np.where(do_swap, c_in, w[i])
-            r_u = np.where(do_swap, u[i], a_in)
-            r_v = np.where(do_swap, v[i], b_in)
-            r_w = np.where(do_swap, w[i], c_in)
-            safe = np.where(np.abs(u_p) < tiny, tiny, u_p)
-            mult = r_u / safe
-            lower[i] = mult
-            u[i] = u_p
-            v[i] = v_p
-            w[i] = w_p
-            u[i + 1] = r_v - mult * v_p
-            v[i + 1] = r_w - mult * w_p
-            w[i + 1] = 0.0
-            y_p = np.where(do_swap, y[i + 1], y[i])
-            y_r = np.where(do_swap, y[i], y[i + 1])
-            y[i] = y_p
-            y[i + 1] = y_r - mult * y_p
-        # back substitution
-        z = np.empty((n, J))
-        un = np.where(np.abs(u[n - 1]) < tiny, tiny, u[n - 1])
-        z[n - 1] = y[n - 1] / un
-        if n > 1:
-            un = np.where(np.abs(u[n - 2]) < tiny, tiny, u[n - 2])
-            z[n - 2] = (y[n - 2] - v[n - 2] * z[n - 1]) / un
-        for i in range(n - 3, -1, -1):
-            un = np.where(np.abs(u[i]) < tiny, tiny, u[i])
-            z[i] = (y[i] - v[i] * z[i + 1] - w[i] * z[i + 2]) / un
-        peak = np.max(np.abs(z), axis=0, keepdims=True)
-        peak[peak == 0.0] = 1.0
-        z = z / peak
-        norms = np.linalg.norm(z, axis=0, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        x = z / norms
-    return x
-
-
-def _orthonormalize_columns(out, members):
-    for idx, j in enumerate(members):
-        col = out[:, j]
-        for prev in members[:idx]:
-            col -= (out[:, prev] @ col) * out[:, prev]
-        norm = np.linalg.norm(col)
-        if norm > 0:
-            col /= norm
-        out[:, j] = col
+    return eigh(A, subset_by_index=[lo, hi], driver="evr")
 
 
 def dense_spectrum(L, M, count=None):
-    """Smallest generalized eigenpairs by full tridiagonal reduction."""
+    """Smallest generalized eigenpairs by a dense LAPACK solve.
+
+    The wanted eigenpairs of the scaled matrix A~ come from one
+    ``scipy.linalg.eigh`` call restricted to indices 0..count-1; the
+    vectors are mapped back to generalized eigenvectors v = M^{-1/2} z.
+    """
     mat = _operator_matrix(L)
     N = mat.shape[0]
     if N > DENSE_LIMIT:
@@ -349,12 +156,8 @@ def dense_spectrum(L, M, count=None):
     scaled, s = scaled_standard_form(L, M)
     A = scaled.toarray()
     A = 0.5 * (A + A.T)
-    d, e, Q = householder_tridiagonalize(A)
-    lams = tridiagonal_eigenvalues(d, e)
-    wanted = lams[:count]
-    Z = tridiagonal_eigenvectors(d, e, wanted)
-    V = Q @ Z
-    V = s[:, None] * V
+    wanted, Z = _symmetric_eig(A, 0, count - 1)
+    V = s[:, None] * Z
     V /= np.linalg.norm(V, axis=0, keepdims=True)
     diag = _mass_diagonal(M)
     res = _generalized_residuals(mat, diag, wanted, V)
@@ -376,28 +179,17 @@ def _generalized_residuals(mat, diag, lams, V):
 # Lanczos path
 
 
-def _small_symmetric_eig(T, count):
-    """Largest ``count`` eigenpairs of a small dense symmetric matrix."""
-    T = 0.5 * (T + T.T)
-    d, e, Qs = householder_tridiagonalize(T)
-    lams = tridiagonal_eigenvalues(d, e)
-    wanted = lams[-count:]
-    Z = tridiagonal_eigenvectors(d, e, wanted)
-    return wanted, Qs @ Z
-
-
-def lanczos_smallest(
-    L, M, count, tol=1e-10, max_iter=None, seed=0, block=None, sigma=0.1
-):
+def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     """Smallest generalized eigenpairs by shift-invert block Lanczos.
 
     Iterates with G = (A~ + sigma I)^{-1} (sparse LU for the inner
     solves), whose largest eigenvalues are the wanted smallest ones of
-    A~, well separated.  The block recurrence (block size defaulting to
-    min(count, 6)) resolves eigenvalue multiplicities up to the block
-    size, which a single-vector Krylov process cannot see; full
-    reorthogonalization keeps the basis numerically orthonormal and
-    rank-deficient steps are refilled with random directions.
+    A~, well separated.  The block recurrence (block size min(count, 6))
+    resolves eigenvalue multiplicities up to the block size, which a
+    single-vector Krylov process cannot see; full reorthogonalization
+    keeps the basis numerically orthonormal and rank-deficient steps are
+    refilled with random directions.  The basis is capped at
+    min(N, max(360, 12 * count)) columns.
     """
     from scipy.sparse.linalg import splu
 
@@ -412,8 +204,7 @@ def lanczos_smallest(
         raise SpectrumError("count must be between 1 and N-1")
     if not sigma > 0:
         raise SpectrumError("sigma must be positive")
-    p = int(block) if block else min(count, 6)
-    p = max(1, min(p, N - 1))
+    p = min(count, 6)
     scaled, s = scaled_standard_form(L, M)
     diag = _mass_diagonal(M)
     absrow = np.asarray(np.abs(scaled).sum(axis=1)).ravel()
@@ -422,10 +213,7 @@ def lanczos_smallest(
     solver = splu(
         (scaled + sigma * sp.identity(N, format="csr")).tocsc()
     )
-    if max_iter is None:
-        max_cols = min(N, max(360, 12 * count))
-    else:
-        max_cols = min(N, int(max_iter))
+    max_cols = min(N, max(360, 12 * count))
 
     rng = np.random.default_rng(seed)
     Q = np.zeros((N, max_cols + p))
@@ -489,7 +277,7 @@ def lanczos_smallest(
         last = cols + p > max_cols
         if cols >= count and (block_index % 3 == 0 or last):
             T = _assemble_block_tridiagonal(diag_blocks, sub_blocks, cols, p)
-            theta, S = _small_symmetric_eig(T, count)
+            theta, S = _symmetric_eig(T, cols - count, cols - 1)
             bound = np.linalg.norm(Bblk @ S[-p:, :], axis=0)
             # Ritz residual on the G side maps to roughly (cA+sigma)/theta
             # times larger on the A~ side
@@ -549,35 +337,20 @@ class SweepReport:
     floor: float = 1e-12
 
     def rows(self):
-        out = []
-        labels = self.horizontal.cluster_index()
-        for i, lam in enumerate(self.horizontal.eigenvalues):
-            out.append(
-                {
-                    "eps": "inf",
-                    "i": i,
-                    "lambda": float(lam),
-                    "residual": float(self.horizontal.residuals[i]),
-                    "multiplicity_cluster": int(labels[i]),
-                }
-            )
+        out = self.horizontal.rows("inf")
         for eps, rep in zip(self.eps_values, self.penalized):
-            labels = rep.cluster_index()
-            for i, lam in enumerate(rep.eigenvalues):
-                out.append(
-                    {
-                        "eps": float(eps),
-                        "i": i,
-                        "lambda": float(lam),
-                        "residual": float(rep.residuals[i]),
-                        "multiplicity_cluster": int(labels[i]),
-                    }
-                )
+            out.extend(rep.rows(float(eps)))
         return out
 
 
-def _solve(wf, count, solver, tol, seed):
-    if solver == "dense" or (solver == "auto" and wf.grid.size <= 1024):
+def solve_weak_form(wf, count, solver, tol, seed):
+    """Smallest ``count`` eigenpairs of a weak form with the named solver.
+
+    A dense result whose residuals exceed max(tol, 1e-8) raises
+    SpectrumError; the Lanczos path checks its residuals against ``tol``
+    itself.
+    """
+    if solver == "dense":
         rep = dense_spectrum(wf.operator, wf.mass, count=count)
         if np.any(rep.residuals > max(tol, 1e-8)):
             raise SpectrumError(
@@ -610,12 +383,12 @@ def epsilon_sweep(
     if sorted(eps_values) != eps_values:
         raise SpectrumError("eps values must be increasing")
     wfH = assemble_weak_laplacian(structure, grid, eps=None, density=density)
-    base = _solve(wfH, count, solver, tol, seed)
+    base = solve_weak_form(wfH, count, solver, tol, seed)
     reports = []
     gaps = np.empty((len(eps_values), count))
     for row, eps in enumerate(eps_values):
         wfe = assemble_weak_laplacian(structure, grid, eps=eps, density=density)
-        rep = _solve(wfe, count, solver, tol, seed)
+        rep = solve_weak_form(wfe, count, solver, tol, seed)
         reports.append(rep)
         gaps[row] = np.abs(rep.eigenvalues - base.eigenvalues)
     floor = 1e-12

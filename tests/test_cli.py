@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
 from srlab.cli import main
 from srlab.complement import canonical_complement, verify_flat_complement
@@ -86,6 +88,22 @@ def test_check_out_flag_writes_file(capsys, tmp_path):
     assert record["Q"] == 7
     # the witness is a horizontal covector, one entry per horizontal field
     assert len(record["witness"]) == 2
+
+
+def test_out_flag_keeps_old_file_when_replace_fails(
+    capsys, tmp_path, monkeypatch
+):
+    target = tmp_path / "verdict.json"
+    target.write_bytes(b"old verdict\n")
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="simulated"):
+        main(["check", "heisenberg", "--out", str(target)])
+    assert target.read_bytes() == b"old verdict\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
 
 
 def test_check_martinet_irregular(capsys):
@@ -306,6 +324,37 @@ def test_verify_detects_tilted_complement(capsys, tmp_path):
     # the non-canonical complement shows up in the curvature item
     assert "detects-tilted-complement" in out
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# numeric flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "heisenberg", "--lattice", "-1"),
+        ("check", "heisenberg", "--lattice", "0"),
+        ("check", "heisenberg", "--samples", "-1"),
+        ("verify", "heisenberg", "--samples", "0"),
+        ("verify", "heisenberg", "--samples", "-3"),
+        ("verify", "contact3torus", "-n", "-2"),
+        ("spectrum", "contact3torus", "-n", "6", "--count", "0"),
+        ("spectrum", "contact3torus", "-n", "6", "--tol", "0"),
+        ("spectrum", "contact3torus", "-n", "6", "--tol", "-0.5"),
+        ("spectrum", "contact3torus", "-n", "6", "--tol", "nan"),
+    ],
+)
+def test_bad_numeric_flag_is_usage_error(capsys, monkeypatch, argv):
+    def no_work(spec_arg):
+        raise AssertionError("config loaded before the flags were checked")
+
+    monkeypatch.setattr("srlab.cli.load_config", no_work)
+    flag = argv[-2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: %s " % flag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Eigensolver tests.
 
-The in-repo dense pipeline (Householder reduction, QL eigenvalues,
-inverse-iteration vectors) is cross-checked against numpy.linalg.eigh,
-which serves ONLY as an independent reference here and is never used by
-the library itself.  Closed-form flat-torus eigenvalues pin down the
-whole weak-form-to-spectrum chain.
+The library's dense path is one LAPACK call (scipy.linalg.eigh); here
+numpy.linalg.eigvalsh of the scaled matrix serves only as an independent
+reference for it.  Closed-form flat-torus eigenvalues pin down the whole
+weak-form-to-spectrum chain, and the block Lanczos is checked against
+the dense path, multiplicities included.
 """
 
 import math
@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.spectrum import (
@@ -21,13 +23,10 @@ from srlab.spectrum import (
     cluster_eigenvalues,
     dense_spectrum,
     epsilon_sweep,
-    householder_tridiagonalize,
     kernel_check,
     lanczos_smallest,
     rayleigh,
     scaled_standard_form,
-    tridiagonal_eigenvalues,
-    tridiagonal_eigenvectors,
 )
 
 
@@ -37,45 +36,44 @@ def random_symmetric(n, seed):
     return 0.5 * (A + A.T)
 
 
-def tridiag_dense(d, e):
-    T = np.diag(d)
-    for i in range(1, d.size):
-        T[i, i - 1] = T[i - 1, i] = e[i]
-    return T
+@st.composite
+def psd_problems(draw):
+    """(A, mass) with A = P (I_r kron G G^T) P^T and a matching mass.
+
+    The Kronecker block repeats every generalized eigenvalue exactly r
+    times, and the symmetric permutation P hides the blocks.  A
+    rank-deficient G adds a repeated zero eigenvalue.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(1, 8))
+    rank = draw(st.integers(1, size))
+    repeats = draw(st.sampled_from([1, 2, 3]))
+    G = rng.standard_normal((size, rank))
+    A = np.kron(np.eye(repeats), G @ G.T)
+    mass = np.tile(rng.uniform(0.5, 2.0, size), repeats)
+    perm = rng.permutation(A.shape[0])
+    return A[np.ix_(perm, perm)], mass[perm]
 
 
 # ---------------------------------------------------------------------------
-# dense pipeline against the external reference
+# dense path against the external reference
 
 
-def test_householder_reduction_reconstructs_matrix():
-    A = random_symmetric(24, seed=0)
-    d, e, Q = householder_tridiagonalize(A)
-    T = tridiag_dense(d, e)
-    assert np.max(np.abs(Q @ Q.T - np.eye(24))) < 1e-12
-    assert np.max(np.abs(Q @ T @ Q.T - A)) < 1e-11
-
-
-def test_tridiagonal_eigenvalues_match_reference():
-    A = random_symmetric(30, seed=1)
-    d, e, _ = householder_tridiagonalize(A)
-    lams = tridiagonal_eigenvalues(d, e)
-    ref = np.linalg.eigvalsh(A)  # reference only
-    assert np.all(np.diff(lams) >= -1e-12)
-    assert np.max(np.abs(np.sort(lams) - ref)) < 1e-10
-
-
-def test_tridiagonal_eigenvectors_satisfy_residual():
-    A = random_symmetric(20, seed=2)
-    d, e, Q = householder_tridiagonalize(A)
-    lams = tridiagonal_eigenvalues(d, e)
-    Z = tridiagonal_eigenvectors(d, e, lams[:5])
-    T = tridiag_dense(d, e)
-    for j in range(5):
-        r = T @ Z[:, j] - lams[j] * Z[:, j]
-        assert np.linalg.norm(r) < 1e-10
-    G = Z.T @ Z
-    assert np.max(np.abs(G - np.eye(5))) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(problem=psd_problems(), data=st.data())
+def test_dense_spectrum_property_against_reference(problem, data):
+    A, mass = problem
+    count = data.draw(st.integers(1, A.shape[0]))
+    rep = dense_spectrum(sp.csr_matrix(A), mass, count=count)
+    s = 1.0 / np.sqrt(mass)
+    ref = np.linalg.eigvalsh((s[:, None] * A) * s[None, :])  # reference only
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(rep.eigenvalues - ref[:count])) < 1e-10 * scale
+    assert np.max(rep.residuals) < 1e-10
+    # M-orthonormal vectors keep singular values >= sqrt(min/max mass) = 0.5
+    for members in cluster_eigenvalues(ref[:count]):
+        sv = np.linalg.svd(rep.vectors[:, members], compute_uv=False)
+        assert sv[-1] > 0.1
 
 
 def test_dense_spectrum_matches_reference_generalized():
