@@ -69,6 +69,7 @@ from .operators import (
     sublaplacian,
 )
 from .spectrum import (
+    LANCZOS_MAX_COUNT,
     SpectrumError,
     epsilon_sweep,
     kernel_check,
@@ -228,11 +229,8 @@ def cmd_check(args):
 
     base = np.zeros(s.dim)
     flag = hormander_flag(s, base)
-    degrees = []
-    for p in points:
-        degrees.append(hormander_flag(s, p).degree)
-    generating = all(d is not None for d in degrees)
     reg = is_regular(s, points)
+    generating = all(dims[-1] == s.dim for dims in reg.dims)
     fat = is_fat(s, base, rng=np.random.default_rng(args.seed))
     record = {
         "name": s.name or None,
@@ -313,10 +311,15 @@ def _spectrum_rows_csv(rows):
 
 def cmd_spectrum(args):
     _require(args.count >= 1, "--count must be at least 1")
+    _require(
+        args.solver != "lanczos" or args.count <= LANCZOS_MAX_COUNT,
+        "--count must be at most %d with the lanczos solver" % LANCZOS_MAX_COUNT,
+    )
     _require(args.tol > 0, "--tol must be positive")
     eps_values = _parse_eps_list(args.eps)
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
+    grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":
         sys.stderr.write(
@@ -324,7 +327,6 @@ def cmd_spectrum(args):
         )
         return CHECK_FAILED
     adapted = ac.as_structure()
-    grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
     meta = {
         "name": s.name or None,
         "grid": list(grid.shape),
@@ -379,8 +381,11 @@ def _sample_points(s, count, seed):
     return s.sample_points(count, rng=rng)
 
 
-def _verify_items(s, density, args):
-    """Yield (name, status, detail) for every identity in the suite."""
+def _verify_items(s, density, grid, args):
+    """Yield (name, status, detail) for every identity in the suite.
+
+    ``grid`` is None when no grid items were asked for.
+    """
     seed = args.seed
     pts = _sample_points(s, args.samples, seed)
     m, k = s.dim, s.k
@@ -411,18 +416,15 @@ def _verify_items(s, density, args):
             )
             for j in range(m)
         ]
-        for p in pts[:10]:
-            worst = max(
-                worst, max(abs(float(ex.evaluate(e, p))) for e in jac)
-            )
+        for e in jac:
+            worst = max(worst, float(np.max(np.abs(ex.evaluate(e, pts[:10])))))
     yield "jacobi-identity", worst <= 1e-9, "max residual = %.3e" % worst
 
     # 3. flag dims monotone and bounded
-    ok = True
-    for p in pts[:10]:
-        dims = hormander_flag(s, p).dims
-        if any(b < a for a, b in zip(dims, dims[1:])) or dims[-1] > m:
-            ok = False
+    ok = all(
+        all(b >= a for a, b in zip(f.dims, f.dims[1:])) and f.dims[-1] <= m
+        for f in hormander_flag(s, pts[:10])
+    )
     yield "flag-monotone", ok, "dims at base %s" % (
         list(hormander_flag(s, np.zeros(m)).dims),
     )
@@ -440,21 +442,10 @@ def _verify_items(s, density, args):
     ext = MetricExtension(adapted)
 
     # 5-6. connection axioms, pointwise from the frame brackets
-    compat = 0.0
-    torsion = 0.0
-    gammas = []
-    for p in pts[:10]:
-        table = structure_constants(adapted, p).table
-        gamma = connection_coefficients(table)
-        gammas.append(gamma)
-        compat = max(
-            compat,
-            float(np.max(np.abs(gamma + np.transpose(gamma, (0, 2, 1))))),
-        )
-        torsion = max(
-            torsion,
-            float(np.max(np.abs(gamma - np.transpose(gamma, (1, 0, 2)) - table))),
-        )
+    table = structure_constants(adapted, pts[:10]).table
+    gamma = connection_coefficients(table)
+    compat = float(np.max(np.abs(gamma + gamma.swapaxes(-1, -2))))
+    torsion = float(np.max(np.abs(gamma - gamma.swapaxes(-3, -2) - table)))
     yield "connection-compatible", compat <= 1e-10, "max defect = %.3e" % compat
     yield "connection-torsion", torsion <= 1e-10, "max defect = %.3e" % torsion
 
@@ -473,9 +464,8 @@ def _verify_items(s, density, args):
         lhs = op.apply(f)
         grad_field, grad_comps = horizontal_gradient(adapted, f)
         rhs = horizontal_divergence(adapted, grad_comps)
-        worst = max(
-            abs(float(ex.evaluate(lhs, p)) - float(ex.evaluate(rhs, p)))
-            for p in pts[:20]
+        worst = float(
+            np.max(np.abs(ex.evaluate(lhs, pts[:20]) - ex.evaluate(rhs, pts[:20])))
         )
         yield "laplacian-divgrad", worst <= 1e-9, "max defect = %.3e" % worst
 
@@ -485,23 +475,19 @@ def _verify_items(s, density, args):
 
     # 9. divergence via density vs connection sums: div E_v = sum_u Gamma_uvu
     worst = 0.0
+    gamma_div = gamma.trace(axis1=-3, axis2=-1)
     for v in range(m):
         div_expr = riemannian_divergence(ext, adapted.frame[v])
-        for p, gamma in zip(pts[:10], gammas):
-            gamma_div = float(gamma.trace(axis1=0, axis2=2)[v])
-            worst = max(
-                worst, abs(float(ex.evaluate(div_expr, p)) - gamma_div)
-            )
+        defect = np.abs(ex.evaluate(div_expr, pts[:10]) - gamma_div[:, v])
+        worst = max(worst, float(np.max(defect)))
     yield "divergence-density-vs-frame", worst <= 1e-9, "max defect = %.3e" % worst
 
     # 10. Cartan formula for a sample 1-form
     omega = [ex.parse("sin(x1)", dim=m), ex.ZERO, ex.parse("x0", dim=m)][:m]
     while len(omega) < m:
         omega.append(ex.ZERO)
-    worst = max(
-        cartan_residual(omega, s.horizontal[0], s.horizontal[min(1, k - 1)], p)
-        for p in pts[:10]
-    )
+    X, Y = s.horizontal[0], s.horizontal[min(1, k - 1)]
+    worst = float(np.max(cartan_residual(omega, X, Y, pts[:10])))
     yield "cartan-formula", worst <= 1e-9, "max residual = %.3e" % worst
 
     # 11. flat complement means constant potentials solve the gradient system
@@ -527,10 +513,9 @@ def _verify_items(s, density, args):
     worst = 0.0
     for eps in (2.0, 10.0):
         exte = MetricExtension(adapted, epsilon=eps)
-        for p in pts[:10]:
-            lhs = exte.volume_density(p)
-            rhs = eps ** (m - k) * ext.volume_density(p)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        lhs = exte.volume_density(pts[:10])
+        rhs = eps ** (m - k) * ext.volume_density(pts[:10])
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield "density-scaling", worst <= 1e-12, "max relative defect = %.3e" % worst
 
     # 14. tilt detection (negative control); needs vertical brackets
@@ -568,11 +553,10 @@ def _verify_items(s, density, args):
             "no vertical brackets; every complement is flat"
         )
 
-    # grid items; an unusable grid request (odd resolution, coefficients that
-    # cannot be sampled periodically) is a usage error, not a failed identity,
-    # so let it propagate to the usage-error exit like the spectrum command
-    if args.n:
-        grid = Grid(shape=(args.n,) * m, periods=s.periods)
+    # grid items; coefficients that cannot be sampled periodically are a
+    # usage error, not a failed identity, so let it propagate to the
+    # usage-error exit like the spectrum command
+    if grid is not None:
         wf = assemble_weak_laplacian(adapted, grid, eps=None, density=density)
         sym = exact_symmetry_defect(wf.operator)
         yield "weak-exact-symmetry", sym == 0.0, "max |L - L^T| = %r" % sym
@@ -644,19 +628,9 @@ def _periodic_test_function(s):
 
 def _coefficient_distance(ext, eps, horizontal_op, pts):
     pl = penalty_laplacian(MetricExtension(ext.structure, epsilon=eps))
-    worst = 0.0
-    m = ext.dim
-    for p in pts:
-        a_e = pl.principal_symbol(p)
-        a_h = horizontal_op.principal_symbol(p)
-        b_e = pl.drift(p)
-        b_h = horizontal_op.drift(p)
-        worst = max(
-            worst,
-            float(np.max(np.abs(a_e - a_h))),
-            float(np.max(np.abs(b_e - b_h))),
-        )
-    return worst
+    a = pl.principal_symbol(pts) - horizontal_op.principal_symbol(pts)
+    b = pl.drift(pts) - horizontal_op.drift(pts)
+    return max(0.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
 
 
 def cmd_verify(args):
@@ -664,8 +638,10 @@ def cmd_verify(args):
     _require(args.n >= 0, "-n must not be negative")
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
+    # an unusable grid request (odd resolution) fails before any item runs
+    grid = Grid(shape=(args.n,) * s.dim, periods=s.periods) if args.n else None
     failures = 0
-    for name, ok, detail in _verify_items(s, density, args):
+    for name, ok, detail in _verify_items(s, density, grid, args):
         if ok is None:
             status = "SKIP"
         elif ok:

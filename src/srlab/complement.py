@@ -8,9 +8,11 @@ linear system
     sum_j C_ij^b A^j_b = -gbar(T_b, [X_i, T_b]),   i = 1..k,
 
 solved exactly when the vertical bracket matrix C^b is invertible and in
-the minimum-norm least-squares sense otherwise.  Solving is pointwise
-numeric; when the data is constant over the sample set the solution is
-promoted to exact symbolic coefficients.
+the minimum-norm least-squares sense otherwise.  Solving is numeric and
+batched: one table of structure constants and one stacked SVD cover the
+whole sample set, and the reference curvature is read off that table.
+When the data is constant over the sample set the solution is promoted
+to exact symbolic coefficients.
 """
 
 from dataclasses import dataclass
@@ -36,26 +38,34 @@ CONDITION_WARN = 1e8
 
 
 def reference_mean_curvature(s, point):
-    """Matrix F[b, i] = gbar(T_b, [X_i, T_b]) at ``point``.
+    """Matrix F[..., b, i] = gbar(T_b, [X_i, T_b]) at one point or a batch.
 
     Row b collects the horizontal-frame components of the projected
     acceleration of the reference field T_b, so the mean curvature of the
     reference complement is sum_b F[b, i] X_i.
     """
-    k, m = s.k, s.dim
-    point = np.asarray(point, dtype=float)
-    F = s.frame_matrix(point)
-    out = np.empty((m - k, k))
-    for b in range(m - k):
-        for i in range(k):
-            w = s.frame_bracket(i, k + b).evaluate(point)
-            out[b, i] = np.linalg.solve(F, w)[k + b]
-    return out
+    return _mean_curvature(structure_constants(s, point).table, s.k)
+
+
+def _mean_curvature(table, k):
+    """F[..., b, i] read off the structure constants: table[..., i, k+b, k+b]."""
+    diag = k + np.arange(table.shape[-1] - k)
+    return table[..., :k, diag, diag].swapaxes(-1, -2)
+
+
+def _norms(r):
+    """Euclidean norms of the last axis, each the dot product a lone vector gets."""
+    return np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
 
 
 @dataclass
 class PointSolve:
-    """Per-point solution of the flatness system."""
+    """Solution of the flatness system at one point or a batch.
+
+    A batch of n points puts its axis first on ``point``, ``A``,
+    ``residuals`` and ``condition_numbers``, and ``modes`` holds one list
+    per point; ``warnings`` runs over the points in order.
+    """
 
     point: np.ndarray
     A: np.ndarray  # (m-k, k)
@@ -66,47 +76,46 @@ class PointSolve:
 
 
 def solve_canonical_complement(s, point, rank_tol=1e-10, residual_tol=1e-8):
-    """Solve the flatness system at one point.
+    """Solve the flatness system at one point (m,) or a batch (n, m).
 
     Singular C^b falls back to the minimum-norm least-squares solution;
     if even that leaves a residual beyond tolerance the system is
-    infeasible and a ComplementError is raised.
+    infeasible and a ComplementError is raised for the first such point.
     """
     point = np.asarray(point, dtype=float)
-    k, m = s.k, s.dim
+    k = s.k
     data = structure_constants(s, point)
-    Fbar = reference_mean_curvature(s, point)
-    A = np.zeros((m - k, k))
-    modes, warnings = [], []
-    residuals = np.zeros(m - k)
-    conds = np.zeros(m - k)
-    for b in range(m - k):
-        C = data.C_vertical[:, :, b]
-        rhs = -Fbar[b]
-        U, sv, Vt = np.linalg.svd(C)
-        smax = sv[0] if sv.size else 0.0
-        rank = int(np.sum(sv > rank_tol * max(smax, 1e-300)))
-        if rank == k:
-            modes.append("unique")
-            conds[b] = smax / sv[-1]
-            if conds[b] > CONDITION_WARN:
-                warnings.append(
-                    "complement %d: condition number %.3e exceeds %.0e"
-                    % (b, conds[b], CONDITION_WARN)
-                )
-        else:
-            modes.append("least-squares")
-            conds[b] = np.inf
-        inv = np.zeros_like(sv)
-        inv[:rank] = 1.0 / sv[:rank]
-        A[b] = Vt.T @ (inv * (U.T @ rhs))
-        residuals[b] = np.linalg.norm(C @ A[b] - rhs)
-        scale = max(1.0, float(np.linalg.norm(Fbar[b])))
-        if residuals[b] > residual_tol * scale:
-            raise ComplementError(
-                "no flat complement for T_%d at %s: least-squares residual %.3e"
-                % (b, np.array2string(point, precision=6), residuals[b])
+    C = np.moveaxis(data.C_vertical, -1, -3)  # C[..., b] is the matrix C^b
+    Fbar = _mean_curvature(data.table, k)
+    rhs = -Fbar
+    U, sv, Vt = np.linalg.svd(C)
+    smax = sv[..., :1]
+    rank = np.sum(sv > rank_tol * np.maximum(smax, 1e-300), axis=-1)
+    unique = rank == k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.where(unique, smax[..., 0] / sv[..., -1], np.inf)
+    inv = np.zeros_like(sv)
+    np.divide(1.0, sv, out=inv, where=np.arange(k) < rank[..., None])
+    Urhs = (U.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    A = (Vt.swapaxes(-1, -2) @ (inv * Urhs)[..., None])[..., 0]
+    residuals = _norms((C @ A[..., None])[..., 0] - rhs)
+    bad = residuals > residual_tol * np.maximum(1.0, _norms(Fbar))
+    if np.any(bad):
+        where = tuple(np.argwhere(bad)[0])
+        raise ComplementError(
+            "no flat complement for T_%d at %s: least-squares residual %.3e"
+            % (
+                where[-1],
+                np.array2string(point[where[:-1]], precision=6),
+                residuals[where],
             )
+        )
+    warnings = [
+        "complement %d: condition number %.3e exceeds %.0e"
+        % (where[-1], conds[tuple(where)], CONDITION_WARN)
+        for where in np.argwhere(unique & (conds > CONDITION_WARN))
+    ]
+    modes = np.where(unique, "unique", "least-squares").tolist()
     return PointSolve(
         point=point,
         A=A,
@@ -130,24 +139,26 @@ class AdaptedComplement:
     warnings: list
 
     def coefficients_at(self, point):
-        """The tilt matrix A at a point, from exprs or a fresh solve."""
+        """The tilt matrix A at one point or a batch, from exprs or a fresh solve."""
         if self.mode == "exact-symbolic":
-            k = self.structure.k
-            out = np.empty((self.structure.dim - k, k))
-            for b, row in enumerate(self.A_exprs):
-                for i, e in enumerate(row):
-                    out[b, i] = ex.evaluate(e, np.asarray(point, dtype=float))
-            return out
+            point = np.asarray(point, dtype=float)
+            return np.stack(
+                [
+                    np.stack([ex.evaluate(e, point) for e in row], axis=-1)
+                    for row in self.A_exprs
+                ],
+                axis=-2,
+            )
         return solve_canonical_complement(self.structure, point).A
 
     def adapted_values(self, point):
-        """Coordinate components of the adapted fields at a point, (m-k, m)."""
+        """Coordinate components of the adapted fields, (..., m-k, m)."""
         point = np.asarray(point, dtype=float)
         if self.mode == "exact-symbolic":
-            return np.stack([f.evaluate(point) for f in self.adapted_fields])
+            return np.stack([f.evaluate(point) for f in self.adapted_fields], axis=-2)
         A = self.coefficients_at(point)
-        X = np.stack([f.evaluate(point) for f in self.structure.horizontal])
-        T = np.stack([f.evaluate(point) for f in self.structure.complement])
+        X = np.stack([f.evaluate(point) for f in self.structure.horizontal], axis=-2)
+        T = np.stack([f.evaluate(point) for f in self.structure.complement], axis=-2)
         return A @ X + T
 
     def as_structure(self):
@@ -176,13 +187,13 @@ def canonical_complement(s, points=None, promote_tol=1e-11):
     if points is None:
         points = _default_samples(s)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    solves = [solve_canonical_complement(s, p) for p in points]
-    A0 = solves[0].A
-    spread = max(float(np.max(np.abs(sv.A - A0))) for sv in solves)
+    solve = solve_canonical_complement(s, points)
+    A0 = solve.A[0]
+    spread = float(np.max(np.abs(solve.A - A0)))
     scale = max(1.0, float(np.max(np.abs(A0))))
-    warnings = sorted({w for sv in solves for w in sv.warnings})
-    conds = np.max(np.stack([sv.condition_numbers for sv in solves]), axis=0)
-    solvability = solves[0].modes
+    warnings = sorted(set(solve.warnings))
+    conds = np.max(solve.condition_numbers, axis=0)
+    solvability = solve.modes[0]
     if spread <= promote_tol * scale:
         A_exprs = tuple(
             tuple(ex.Const(_clean(v)) for v in row) for row in A0
@@ -238,17 +249,11 @@ def verify_flat_complement(s, ac, points=None):
     if points is None:
         points = _default_samples(s)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    k = s.k
-    worst = 0.0
-    for p in points:
-        data = structure_constants(s, p)
-        Fbar = reference_mean_curvature(s, p)
-        A = ac.coefficients_at(p)
-        for b in range(s.dim - k):
-            C = data.C_vertical[:, :, b]
-            r = C @ A[b] + Fbar[b]
-            worst = max(worst, float(np.linalg.norm(r)))
-    return worst
+    data = structure_constants(s, points)
+    C = np.moveaxis(data.C_vertical, -1, -3)
+    A = ac.coefficients_at(points)
+    r = (C @ A[..., None])[..., 0] + _mean_curvature(data.table, s.k)
+    return float(np.max(_norms(r), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ complement fields T_b completing them to a frame declared orthonormal for
 a reference extension.  Everything metric is therefore read off from
 frame expansion coefficients: expanding a vector in the frame at a point
 is one dense m-by-m solve.
+
+Frame evaluation is batch-first: structure constants and Hörmander flags
+take one point (m,) or a batch (n, m) and evaluate each bracket once over
+the batch; the stacked solves and SVDs give every point the arithmetic it
+would get alone.
 """
 
 from dataclasses import dataclass, field
@@ -157,7 +162,7 @@ class SubRiemannianStructure:
     def frame(self):
         return self.horizontal + self.complement
 
-    # -- pointwise frame algebra ------------------------------------------
+    # -- frame algebra at one point or a batch ----------------------------
 
     def frame_matrix(self, point):
         """Columns are the frame fields' coordinate components at ``point``."""
@@ -168,11 +173,6 @@ class SubRiemannianStructure:
         for u, f in enumerate(self.frame):
             F[:, :, u] = f.evaluate(pts)
         return F[0] if single else F
-
-    def expand_in_frame(self, point, vectors):
-        """Frame coefficients of coordinate ``vectors`` at ``point``."""
-        F = self.frame_matrix(point)
-        return np.linalg.solve(F, np.asarray(vectors, dtype=float))
 
     def sample_lattice(self, per_axis=5):
         """Uniform lattice i * L_j / per_axis including the origin."""
@@ -222,9 +222,10 @@ class SubRiemannianStructure:
 
 @dataclass
 class StructureData:
-    """Frame expansion of all pairwise frame brackets at one point.
+    """Frame expansion of all pairwise frame brackets at one point or a batch.
 
-    table[u, v, w] is the E_w coefficient of [E_u, E_v].
+    table[..., u, v, w] is the E_w coefficient of [E_u, E_v]; a batch of n
+    points puts its axis first, table (n, m, m, m).
     """
 
     point: np.ndarray
@@ -235,27 +236,31 @@ class StructureData:
     def C_horizontal(self):
         """C_ij^a for horizontal i, j, a."""
         k = self.k
-        return self.table[:k, :k, :k]
+        return self.table[..., :k, :k, :k]
 
     @property
     def C_vertical(self):
         """C_ij^b: complement components of horizontal brackets."""
         k = self.k
-        return self.table[:k, :k, k:]
+        return self.table[..., :k, :k, k:]
 
 
 def structure_constants(s, point):
-    """Expand every [E_u, E_v] in the frame at ``point``."""
+    """Expand every [E_u, E_v] in the frame at one point (m,) or a batch (n, m).
+
+    Each bracket is its own batched solve against the frame matrices, so
+    every point gets the same LAPACK call as a lone point would.
+    """
     m = s.dim
     point = np.asarray(point, dtype=float)
     F = s.frame_matrix(point)
-    table = np.zeros((m, m, m))
+    table = np.zeros(point.shape[:-1] + (m, m, m))
     for u in range(m):
         for v in range(u + 1, m):
             w = s.frame_bracket(u, v).evaluate(point)
-            c = np.linalg.solve(F, w)
-            table[u, v] = c
-            table[v, u] = -c
+            c = np.linalg.solve(F, w[..., None])[..., 0]
+            table[..., u, v, :] = c
+            table[..., v, u, :] = -c
     return StructureData(point=point, k=s.k, table=table)
 
 
@@ -283,40 +288,46 @@ def _flag_layer(s, depth):
     return layers[depth - 1]
 
 
-def _rank(values, m):
-    if values.size == 0:
-        return 0
-    sv = np.linalg.svd(values, compute_uv=False)
-    if sv.size == 0:
-        return 0
-    cutoff = max(sv[0], 1.0) * 1e-10
-    return int(np.sum(sv > cutoff))
+# points per block of the flag sweep; bounds the stacked bracket rows
+_FLAG_BLOCK = 1024
 
 
 def hormander_flag(s, point, max_depth=6):
-    """Dimensions of Sigma_1 <= Sigma_2 <= ... at ``point``.
+    """Dimensions of Sigma_1 <= Sigma_2 <= ... at one point or a batch.
 
     Sigma_d is spanned by brackets of the horizontal fields of order up
     to d.  Returns the dims and the degree (first d with full rank), or
-    degree None when the flag stalls below the manifold dimension.
+    degree None when the flag stalls below the manifold dimension.  A
+    batch (n, m) returns a list of n results; each layer is evaluated
+    once per block of points and every point keeps its own rank cutoff.
     """
     point = np.asarray(point, dtype=float)
-    rows = []
-    dims = []
-    degree = None
-    for depth in range(1, max_depth + 1):
-        for f in _flag_layer(s, depth):
-            rows.append(f.evaluate(point))
-        r = _rank(np.array(rows), s.dim)
-        dims.append(r)
-        if r == s.dim:
-            degree = depth
-            break
-        if depth > 1 and r == dims[-2]:
-            # the flag can still grow later (coefficients vary), so only
-            # a full sweep to max_depth settles non-generation
-            pass
-    return FlagResult(dims=tuple(dims), degree=degree)
+    pts = np.atleast_2d(point)
+    m = s.dim
+    ranks = np.zeros((len(pts), max_depth), dtype=int)
+    for start in range(0, len(pts), _FLAG_BLOCK):
+        block = pts[start : start + _FLAG_BLOCK]
+        block_ranks = ranks[start : start + len(block)]
+        rows = np.empty((len(block), 0, m))
+        for depth in range(1, max_depth + 1):
+            layer = _flag_layer(s, depth)
+            grown = np.empty((len(block), rows.shape[1] + len(layer), m))
+            grown[:, : rows.shape[1]] = rows
+            for r, f in enumerate(layer, start=rows.shape[1]):
+                grown[:, r] = f.evaluate(block)
+            rows = grown
+            sv = np.linalg.svd(rows, compute_uv=False)
+            cutoff = np.maximum(sv[:, :1], 1.0) * 1e-10
+            block_ranks[:, depth - 1] = np.sum(sv > cutoff, axis=1)
+            if np.all(np.any(block_ranks[:, :depth] == m, axis=1)):
+                break
+    full = ranks == m
+    degrees = np.where(full.any(axis=1), full.argmax(axis=1) + 1, 0).tolist()
+    results = [
+        FlagResult(dims=tuple(r[: d or max_depth]), degree=d or None)
+        for r, d in zip(ranks.tolist(), degrees)
+    ]
+    return results[0] if point.ndim == 1 else results
 
 
 def hausdorff_dimension(dims):
@@ -337,17 +348,18 @@ class RegularityReport:
 
 
 def is_regular(s, points=None, max_depth=6):
-    """Same flag dimensions at every sample point."""
+    """Same flag dimensions at every sample point.
+
+    Each point's dims are padded with the manifold dimension up to
+    ``max_depth`` once the flag is full.
+    """
     if points is None:
         points = s.sample_lattice()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    seen = []
-    for p in points:
-        res = hormander_flag(s, p, max_depth=max_depth)
-        dims = list(res.dims)
-        while len(dims) < max_depth and dims and dims[-1] == s.dim:
-            dims.append(s.dim)
-        seen.append(tuple(dims[:max_depth]))
+    seen = [
+        res.dims + (s.dim,) * (max_depth - len(res.dims))
+        for res in hormander_flag(s, points, max_depth=max_depth)
+    ]
     regular = len(set(seen)) == 1
     return RegularityReport(regular=regular, points=points, dims=seen)
 
@@ -398,6 +410,7 @@ def cartan_residual(omega, X, Y, point):
     ``omega`` is a covector field given by coordinate coefficients, so
     both sides are computable independently: the left through coefficient
     partials, the right through directional derivatives and the bracket.
+    A batch of points (n, m) gives one residual per point.
     """
     omega = [c if isinstance(c, Expr) else ex.Const(c) for c in omega]
     m = X.dim

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .expr import differentiate, simplify
 from .geometry import SubRiemannianStructure, VectorField, structure_constants
-from .complement import MetricExtension, reference_mean_curvature
+from .complement import MetricExtension, _norms, reference_mean_curvature
 
 
 class FrameError(ValueError):
@@ -66,8 +66,7 @@ def _promote_constants(samples, what, tol, snap):
 
 def promoted_structure_constants(s, points=None, tol=1e-9, snap=1e-12):
     """The full table of frame structure constants, verified constant."""
-    points = _default_frame_samples(s, points)
-    tables = np.stack([structure_constants(s, p).table for p in points])
+    tables = structure_constants(s, _default_frame_samples(s, points)).table
     return _promote_constants(tables, "frame structure constants", tol, snap)
 
 
@@ -80,29 +79,24 @@ def connection_sums(frame_structure, use, project, points=None, tol=1e-9, snap=1
     while its diagonal traces are fixed).
     """
     points = _default_frame_samples(frame_structure, points)
-    rows = []
-    for p in points:
-        gamma = connection_coefficients(
-            structure_constants(frame_structure, p).table
-        )
-        rows.append([float(sum(gamma[u, u, w] for u in use)) for w in project])
-    return _promote_constants(np.asarray(rows), "connection sums", tol, snap)
+    gamma = connection_coefficients(structure_constants(frame_structure, points).table)
+    rows = np.stack([sum(gamma[:, u, u, w] for u in use) for w in project], axis=-1)
+    return _promote_constants(rows, "connection sums", tol, snap)
 
 
 def connection_coefficients(table):
-    """Gamma[u, v, w] of the Levi-Civita connection in an orthonormal frame.
+    """Gamma[..., u, v, w] of the Levi-Civita connection in an orthonormal frame.
 
-    Gamma_uvw = (c_uv^w - c_vw^u + c_wu^v) / 2; the transposes below read
-    c_vw^u as c.transpose(2, 0, 1) and c_wu^v as c.transpose(1, 2, 0).
+    Gamma_uvw = (c_uv^w - c_vw^u + c_wu^v) / 2; on the last three axes
+    the moves below read c_vw^u as c.transpose(2, 0, 1) and c_wu^v as
+    c.transpose(1, 2, 0), so a leading batch axis passes through.
     """
     c = np.asarray(table, dtype=float)
-    return 0.5 * (
-        c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0))
-    )
+    return 0.5 * (c - np.moveaxis(c, -1, -3) + np.moveaxis(c, -3, -1))
 
 
 def horizontal_connection(ext, point):
-    """Gamma[i, j, a] = g(D_{X_i} X_j, X_a) at a point, shape (k, k, k).
+    """Gamma[..., i, j, a] = g(D_{X_i} X_j, X_a) at one point or a batch.
 
     The horizontal connection is the horizontal block of the
     orthonormal-frame Levi-Civita coefficients of the adapted metric.
@@ -111,7 +105,7 @@ def horizontal_connection(ext, point):
     table = structure_constants(s, np.asarray(point, dtype=float)).table
     gamma = connection_coefficients(table)
     k = s.k
-    return gamma[:k, :k, :k]
+    return gamma[..., :k, :k, :k]
 
 
 def _as_const(v):
@@ -149,15 +143,17 @@ class OperatorSpec:
         return simplify(total)
 
     def principal_symbol(self, point):
-        """The matrix a^{jl}(p)."""
+        """The matrix a^{jl}(p) at one point, or one per point of a batch."""
         p = np.asarray(point, dtype=float)
-        return np.array(
-            [[ex.evaluate(e, p) for e in row] for row in self.a]
+        return np.stack(
+            [np.stack([ex.evaluate(e, p) for e in row], axis=-1) for row in self.a],
+            axis=-2,
         )
 
     def drift(self, point):
+        """The vector b^j(p) at one point, or one per point of a batch."""
         p = np.asarray(point, dtype=float)
-        return np.array([ex.evaluate(e, p) for e in self.b])
+        return np.stack([ex.evaluate(e, p) for e in self.b], axis=-1)
 
     def to_dict(self):
         d = {
@@ -328,20 +324,22 @@ class HorizontalField:
     """A field given by horizontal-frame components, pointwise or symbolic."""
 
     structure: SubRiemannianStructure
-    components_fn: object  # point -> (k,) array
+    components_fn: object  # points (..., m) -> (..., k) array
     exprs: object = None  # tuple of Expr when components are symbolic
 
     def components_at(self, point):
+        """Horizontal-frame components, (k,) at a point or (n, k) for a batch."""
+        p = np.asarray(point, dtype=float)
         if self.exprs is not None:
-            p = np.asarray(point, dtype=float)
-            return np.array([ex.evaluate(e, p) for e in self.exprs])
-        return np.asarray(self.components_fn(np.asarray(point, dtype=float)))
+            return np.stack([ex.evaluate(e, p) for e in self.exprs], axis=-1)
+        return np.asarray(self.components_fn(p))
 
     def vector_at(self, point):
+        """Coordinate components, (m,) at a point or (n, m) for a batch."""
         p = np.asarray(point, dtype=float)
         comp = self.components_at(p)
-        X = np.stack([f.evaluate(p) for f in self.structure.horizontal])
-        return comp @ X
+        X = np.stack([f.evaluate(p) for f in self.structure.horizontal], axis=-2)
+        return (comp[..., None, :] @ X)[..., 0, :]
 
 
 def mean_curvature_field(s, samples=None):
@@ -355,14 +353,14 @@ def mean_curvature_field(s, samples=None):
         s = s.frame_structure
 
     def comps(p):
-        return reference_mean_curvature(s, p).sum(axis=0)
+        return reference_mean_curvature(s, p).sum(axis=-2)
 
     exprs = None
     if samples is None:
         pts = [np.zeros(s.dim)]
         pts.extend(s.sample_points(6, rng=np.random.default_rng(5)))
         samples = np.stack(pts)
-    vals = np.stack([comps(p) for p in np.atleast_2d(samples)])
+    vals = comps(np.atleast_2d(np.asarray(samples, dtype=float)))
     if float(np.max(np.abs(vals - vals[0][None]))) <= 1e-10 * max(
         1.0, float(np.max(np.abs(vals[0])))
     ):
@@ -378,13 +376,10 @@ def product_rule_residual(op, fields, u, points):
     lhs = op.apply(simplify(ex.Mul(u, u)))
     lu = op.apply(u)
     grads = [f.apply(u) for f in fields]
-    worst = 0.0
-    for p in points:
-        left = ex.evaluate(lhs, p)
-        right = 2.0 * ex.evaluate(u, p) * ex.evaluate(lu, p)
-        right += 2.0 * sum(ex.evaluate(g, p) ** 2 for g in grads)
-        worst = max(worst, abs(left - right))
-    return worst
+    left = ex.evaluate(lhs, points)
+    right = 2.0 * ex.evaluate(u, points) * ex.evaluate(lu, points)
+    right += 2.0 * sum(ex.evaluate(g, points) ** 2 for g in grads)
+    return float(np.max(np.abs(left - right), initial=0.0))
 
 
 def potential_residual(s, curvature, u, points):
@@ -399,15 +394,12 @@ def potential_residual(s, curvature, u, points):
     quotients = [
         simplify(ex.Div(s.horizontal[i].apply(u), u)) for i in range(s.k)
     ]
-    worst = 0.0
-    for p in points:
-        up = ex.evaluate(u, p)
-        if up <= 0:
-            raise ValueError(
-                "potential must be positive on the sample set; got %r at %s"
-                % (up, np.array2string(p, precision=6))
-            )
-        q = np.array([ex.evaluate(e, p) for e in quotients])
-        h = curvature.components_at(p)
-        worst = max(worst, float(np.linalg.norm(q - h)))
-    return worst
+    up = ex.evaluate(u, points)
+    if np.any(up <= 0):
+        first = int(np.argmax(up <= 0))
+        raise ValueError(
+            "potential must be positive on the sample set; got %r at %s"
+            % (float(up[first]), np.array2string(points[first], precision=6))
+        )
+    q = np.stack([ex.evaluate(e, points) for e in quotients], axis=-1)
+    return float(np.max(_norms(q - curvature.components_at(points)), initial=0.0))

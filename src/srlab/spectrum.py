@@ -3,9 +3,10 @@
 Both solvers work on the symmetrically scaled standard problem
 A~ = M^{-1/2} L M^{-1/2}.  The dense path hands A~ to LAPACK
 (``scipy.linalg.eigh`` with the ``evr`` driver, restricted to the wanted
-index range); the iterative path is a shift-invert block Lanczos process
-with full reorthogonalization whose small projected eigenproblem goes
-through the same LAPACK call.  Reported residuals are always the
+index range, and the full ``evd`` solve where ``evr`` fails); the
+iterative path is a shift-invert block Lanczos process with full
+reorthogonalization whose small projected eigenproblem goes through the
+same LAPACK call.  Reported residuals are always the
 generalized ones, || L v - lambda M v || / || M v ||, computed from the
 original matrices.
 """
@@ -128,11 +129,17 @@ def _symmetric_eig(A, lo, hi):
     """Eigenpairs lo..hi (0-based, inclusive, ascending) of symmetric A.
 
     LAPACK ``?syevr`` computes only the requested index range, with
-    orthonormal vectors inside clusters of repeated eigenvalues.
+    orthonormal vectors inside clusters of repeated eigenvalues.  Where
+    it fails (seen on a cluster of zero eigenvalues), ``?syevd`` solves
+    in full and the range is sliced out.
     """
     from scipy.linalg import eigh
 
-    return eigh(A, subset_by_index=[lo, hi], driver="evr")
+    try:
+        return eigh(A, subset_by_index=[lo, hi], driver="evr")
+    except np.linalg.LinAlgError:
+        w, Z = eigh(A, driver="evd")
+        return w[lo : hi + 1], Z[:, lo : hi + 1]
 
 
 def dense_spectrum(L, M, count=None):

@@ -1,7 +1,9 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from srlab.cli import build_structure, load_config
 
@@ -58,6 +60,37 @@ def trivial():
 @pytest.fixture(scope="session")
 def integrable():
     return structure("integrable")
+
+
+@lru_cache(maxsize=None)
+def cached_structure(name):
+    """One structure per fixture name, shared so its bracket caches fill once."""
+    return structure(name)
+
+
+# coordinates as fractions of the period; the fixed values put points on and
+# next to the singular sets where the flag degree changes
+_FRACTIONS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 4e-11, 1e-10, 0.5]),
+)
+
+
+def batch_cases():
+    """Hypothesis cases (fixture name, rows of six period fractions)."""
+    return st.tuples(
+        st.sampled_from(FIXTURE_NAMES),
+        st.lists(
+            st.lists(_FRACTIONS, min_size=6, max_size=6), min_size=1, max_size=8
+        ),
+    )
+
+
+def batch_points(case):
+    """The structure and the (n, m) points in its period box for a case."""
+    name, fractions = case
+    s = cached_structure(name)
+    return s, np.asarray(fractions)[:, : s.dim] * np.asarray(s.periods)
 
 
 def sample_points(s, count=30, seed=11):

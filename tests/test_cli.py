@@ -269,9 +269,26 @@ def test_spectrum_rejects_bad_eps_list(capsys):
 
 
 def test_spectrum_rejects_odd_grid(capsys):
-    code, _, err = run(capsys, "spectrum", "contact3torus", "-n", "7")
+    code, out, err = run(capsys, "spectrum", "contact3torus", "-n", "7")
     assert code == 2
+    assert out == ""
     assert "even" in err
+
+
+def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
+    code, out, _ = run(
+        capsys,
+        "spectrum",
+        "contact3torus",
+        "-n",
+        "4",
+        "--solver",
+        "dense",
+        "--count",
+        "40",
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 41
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +331,9 @@ def test_verify_grid_on_nonperiodic_coefficients_is_usage_error(capsys):
 
 
 def test_verify_odd_grid_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "contact3torus", "-n", "5")
+    code, out, err = run(capsys, "verify", "contact3torus", "-n", "5")
     assert code == 2
+    assert out == ""
     assert "even" in err
 
 
@@ -345,6 +363,7 @@ def test_verify_detects_tilted_complement(capsys, tmp_path):
         ("spectrum", "contact3torus", "-n", "6", "--tol", "0"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "-0.5"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "nan"),
+        ("spectrum", "contact3torus", "-n", "6", "--count", "40"),
     ],
 )
 def test_bad_numeric_flag_is_usage_error(capsys, monkeypatch, argv):
@@ -418,3 +437,33 @@ def test_installed_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fat"] is True
+
+
+def test_output_is_identical_across_thread_counts(tmp_path):
+    """SRLAB_THREADS sets the BLAS thread count; stdout must not depend on it."""
+    for argv in (
+        ("check", "carnot-step2", "--lattice", "3"),
+        ("verify", "contact3torus"),
+    ):
+        outs = []
+        for threads in ("1", "2"):
+            env = _subprocess_env()
+            env["SRLAB_THREADS"] = threads
+            # srlab only fills in the BLAS variables that are unset
+            for var in (
+                "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS",
+            ):
+                env.pop(var, None)
+            proc = subprocess.run(
+                [sys.executable, "-m", "srlab", *argv],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlab import expr as ex
 from srlab.complement import (
@@ -14,7 +16,7 @@ from srlab.complement import (
 )
 from srlab.geometry import SubRiemannianStructure, VectorField, linear_combination
 
-from conftest import sample_points, structure
+from conftest import batch_cases, batch_points, sample_points, structure
 
 
 def _vf(*texts):
@@ -89,6 +91,41 @@ def test_tilted_reference_has_nonzero_curvature(heisenberg):
     for p in sample_points(tilted, 5):
         worst = max(worst, np.max(np.abs(reference_mean_curvature(tilted, p))))
     assert worst > 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batch_cases(), tilt=st.sampled_from(["0", "3/10", "sin(x0)/4 + x1/5"]))
+def test_batched_complement_solve_equals_pointwise(case, tilt):
+    s, pts = batch_points(case)
+    if tilt != "0":
+        s = _tilt(s, [ex.parse(tilt, dim=s.dim)] + [ex.ZERO] * (s.k - 1))
+    k = s.k
+    curvature = reference_mean_curvature(s, pts)
+    assert curvature.shape == (len(pts), s.dim - k, k)
+    for p, F in zip(pts, curvature):
+        frame = s.frame_matrix(p)
+        for b in range(s.dim - k):
+            for i in range(k):
+                w = s.frame_bracket(i, k + b).evaluate(p)
+                assert F[b, i] == np.linalg.solve(frame, w)[k + b]
+    try:
+        batch = solve_canonical_complement(s, pts)
+    except ComplementError as err:
+        # the batch reports the first point that fails on its own
+        with pytest.raises(ComplementError) as first:
+            for p in pts:
+                solve_canonical_complement(s, p)
+        assert str(err) == str(first.value)
+        return
+    warnings = []
+    for i, p in enumerate(pts):
+        single = solve_canonical_complement(s, p)
+        assert np.array_equal(batch.A[i], single.A)
+        assert batch.modes[i] == single.modes
+        assert np.array_equal(batch.residuals[i], single.residuals)
+        assert np.array_equal(batch.condition_numbers[i], single.condition_numbers)
+        warnings.extend(single.warnings)
+    assert batch.warnings == warnings
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from srlab import expr as ex
 from srlab.geometry import (
@@ -18,7 +19,7 @@ from srlab.geometry import (
     structure_constants,
 )
 
-from conftest import sample_points
+from conftest import batch_cases, batch_points, sample_points
 
 
 def _vf(*texts):
@@ -188,6 +189,33 @@ def test_hausdorff_dimension_formula():
     assert hausdorff_dimension((3, 6)) == 9
     assert hausdorff_dimension((2, 3, 4)) == 7
     assert hausdorff_dimension((2, 2, 3)) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batch_cases())
+@example(
+    case=(
+        "martinet",
+        [[4e-11, 0.3, 0.6, 0, 0, 0], [0.9, 0.2, 0.1, 0, 0, 0], [0.0] * 6],
+    )
+)
+@example(case=("contact3torus", [[0.11, 0.37, 0.62, 0, 0, 0], [0.8, 0.05, 0.93, 0, 0, 0]]))
+def test_batched_flag_and_constants_equal_pointwise(case):
+    s, pts = batch_points(case)
+    flags = hormander_flag(s, pts)
+    tables = structure_constants(s, pts).table
+    assert len(flags) == len(pts)
+    assert tables.shape == (len(pts),) + (s.dim,) * 3
+    for p, flag, table in zip(pts, flags, tables):
+        assert flag == hormander_flag(s, p)
+        assert np.array_equal(table, structure_constants(s, p).table)
+        F = s.frame_matrix(p)
+        for u in range(s.dim):
+            assert not np.any(table[u, u])
+            for v in range(u + 1, s.dim):
+                want = np.linalg.solve(F, s.frame_bracket(u, v).evaluate(p))
+                assert np.array_equal(table[u, v], want)
+                assert np.array_equal(table[v, u], -want)
 
 
 # ---------------------------------------------------------------------------

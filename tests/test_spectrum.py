@@ -64,6 +64,21 @@ def psd_problems(draw):
 def test_dense_spectrum_property_against_reference(problem, data):
     A, mass = problem
     count = data.draw(st.integers(1, A.shape[0]))
+    _check_dense_against_reference(A, mass, count)
+
+
+def test_dense_spectrum_survives_mrrr_failure():
+    # a hidden 3-fold zero cluster on which LAPACK ?syevr (and ?syevx) can
+    # fail outright for the lowest 7 pairs; psd_problems drew it as well
+    rng = np.random.default_rng(80)
+    G = rng.standard_normal((3, 2))
+    A = np.kron(np.eye(3), G @ G.T)
+    mass = np.tile(rng.uniform(0.5, 2.0, 3), 3)
+    perm = rng.permutation(9)
+    _check_dense_against_reference(A[np.ix_(perm, perm)], mass[perm], 7)
+
+
+def _check_dense_against_reference(A, mass, count):
     rep = dense_spectrum(sp.csr_matrix(A), mass, count=count)
     s = 1.0 / np.sqrt(mass)
     ref = np.linalg.eigvalsh((s[:, None] * A) * s[None, :])  # reference only
