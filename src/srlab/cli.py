@@ -320,6 +320,12 @@ def cmd_spectrum(args):
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
     grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
+    limit = grid.size if args.solver == "dense" else grid.size - 1
+    _require(
+        args.count <= limit,
+        "--count must be at most %d on a grid of %d nodes with the %s solver"
+        % (limit, grid.size, args.solver),
+    )
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":
         sys.stderr.write(

@@ -6,12 +6,15 @@ per corner, each row holding the one-sided edge differences leaving that
 corner weighted by the field coefficients at the corner node and by
 cellvolume / 2^m of the measure density there.  Summing B^T W B over
 the declared-orthonormal fields gives a positive semidefinite operator
-whose entries are computed in exact dyadic-rational arithmetic, so
-symmetry, the vanishing image of constants, and the match between the
-assembled matrix and its quadrature factors are exact statements about
-the stored floats, not approximate ones.
+whose entries are exact sums of float products (Dekker's error-free
+product over a fixed node stencil), each rounded once by ``math.fsum``,
+so symmetry, the vanishing image of constants, and the match between
+the assembled matrix and its quadrature factors are exact statements
+about the stored floats, not approximate ones.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,35 +36,41 @@ _PAIR_BUDGET = 50_000_000
 
 
 # ---------------------------------------------------------------------------
-# exact dyadic-rational arithmetic on (numerator, exponent) pairs, num / 2^e
+# error-free float products (Dekker 1971, Veltkamp splitting)
+
+_SPLITTER = 134217729.0  # 2^27 + 1
 
 
-def _dy(x):
-    num, den = float(x).as_integer_ratio()
-    return num, den.bit_length() - 1
+def _exact_product(a, b):
+    """(p, err) with p + err == a * b exactly, elementwise.
+
+    Exactness fails if a product of nonzero values falls below 2^-969 or
+    a value overflows (beyond about 2^996 in the split, leaving err not
+    finite); both raise GridError instead of returning an inexact part.
+    """
+    p = a * b
+    t = _SPLITTER * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLITTER * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    if not np.all(np.isfinite(err)) or np.any(
+        (np.abs(p) < 2.0**-969) & (a != 0) & (b != 0)
+    ):
+        raise GridError("values out of the range of exact float products")
+    return p, err
 
 
-def _dy_mul(a, b):
-    return a[0] * b[0], a[1] + b[1]
+def _times(parts, x):
+    """Exact products of every part with x: twice as many parts."""
+    return [q for part in parts for q in _exact_product(part, x)]
 
 
-def _dy_add(a, b):
-    ea, eb = a[1], b[1]
-    if ea == eb:
-        return a[0] + b[0], ea
-    if ea < eb:
-        return (a[0] << (eb - ea)) + b[0], eb
-    return a[0] + (b[0] << (ea - eb)), ea
-
-
-def _dy_float(a):
-    num, e = a
-    if e >= 0:
-        return num / (1 << e)
-    return float(num * (1 << -e))
-
-
-_DY_ZERO = (0, 0)
+def _fsum_rows(parts):
+    """Correctly rounded exact sum of each row of a 2-D array, as a list."""
+    return [math.fsum(row) for row in parts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +133,6 @@ class Grid:
         return float(np.prod(self.h))
 
 
-def _uniform_field(value, grid):
-    return np.full(grid.size, float(value))
-
-
 def evaluate_on_grid(e, grid):
     """Node values of an expression, checked for declared periodicity."""
     pts = grid.points()
@@ -167,11 +172,13 @@ def check_periodicity(e, grid, tol=1e-8):
 
 @dataclass
 class SparseOperator:
-    """CSR operator, optionally carrying its exact dyadic entries."""
+    """CSR operator, optionally carrying its exact entries."""
 
     matrix: object  # scipy CSR
     symmetric: bool = False
-    exact: object = None  # dict[(i, j)] -> (num, exp), or None
+    # {offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None; entry
+    # (i, cols[i]) is exactly the sum of the floats parts[i]
+    exact: object = None
 
     @property
     def shape(self):
@@ -277,9 +284,6 @@ def assemble_field(X, grid):
     m = grid.dim
     if X.dim != m:
         raise GridError("field dimension %d does not match grid %d" % (X.dim, m))
-    for c in X.coefficients:
-        check_periodicity(c, grid)
-    pts = grid.points()
     multi = grid.multi_indices()
     N = grid.size
     rows, cols, data = [], [], []
@@ -288,24 +292,15 @@ def assemble_field(X, grid):
         coeff = X.coefficients[j]
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        vals = np.asarray(ex.evaluate(coeff, pts), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(N, float(vals))
-        vals = vals / (2.0 * grid.h[j])
+        vals = evaluate_on_grid(coeff, grid) / (2.0 * grid.h[j])
         up = grid.ravel(grid.shifted(multi, j, +1))
         dn = grid.ravel(grid.shifted(multi, j, -1))
         rows.extend([np.arange(N), np.arange(N)])
         cols.extend([up, dn])
         data.extend([vals, -vals])
-        for p in range(N):
-            v = vals[p]
-            if v == 0.0:
-                continue
-            d = _dy(v)
-            key = (p, int(up[p]))
-            exact[key] = _dy_add(exact.get(key, _DY_ZERO), d)
-            key = (p, int(dn[p]))
-            exact[key] = _dy_add(exact.get(key, _DY_ZERO), (-d[0], d[1]))
+        step = tuple(int(a == j) for a in range(m))
+        exact[step] = (up, vals[:, None])
+        exact[tuple(-a for a in step)] = (dn, -vals[:, None])
     mat = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
@@ -325,7 +320,6 @@ def assemble_strong(spec, grid):
     if spec.dim != m:
         raise GridError("operator dimension mismatch")
     N = grid.size
-    pts = grid.points()
     total = sp.csr_matrix((N, N))
     firsts = {}
 
@@ -339,11 +333,7 @@ def assemble_strong(spec, grid):
             coeff = spec.a[j][l]
             if isinstance(coeff, ex.Const) and coeff.value == 0:
                 continue
-            check_periodicity(coeff, grid)
-            vals = np.asarray(ex.evaluate(coeff, pts), dtype=float)
-            if vals.ndim == 0:
-                vals = np.full(N, float(vals))
-            diag = sp.diags(vals)
+            diag = sp.diags(evaluate_on_grid(coeff, grid))
             if j == l:
                 total = total + diag @ _second_difference(grid, j)
             else:
@@ -352,11 +342,7 @@ def assemble_strong(spec, grid):
         coeff = spec.b[j]
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        check_periodicity(coeff, grid)
-        vals = np.asarray(ex.evaluate(coeff, pts), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(N, float(vals))
-        total = total + sp.diags(vals) @ first(j)
+        total = total + sp.diags(evaluate_on_grid(coeff, grid)) @ first(j)
     return SparseOperator(matrix=sp.csr_matrix(total), symmetric=False)
 
 
@@ -378,6 +364,35 @@ def node_mass(grid, density):
     if np.any(diag <= 0):
         raise GridError("mass density must be positive on all nodes")
     return DiagonalMass(diagonal=diag)
+
+
+def _weak_stencil(m):
+    """The node stencil of the corner quadrature in m dimensions.
+
+    {offset: [(shift, l, l2, coef), ...]}, l <= l2: entry L[i, i + offset]
+    sums coef * w * v_l * v_l2 at node i + shift over the fields and terms
+    (w the node's quadrature weight, v_l a field's scaled coefficient).
+    It merges the edge-coefficient products of the 2^m rows at a corner,
+    which difference each axis forward or backward.  The 1 + 2m + 4 C(m, 2)
+    offsets lie in {-1, 0, 1}^m, on distinct columns since Grid has n >= 4,
+    and every coef is +-2^k, so scaling an exact product by it is exact.
+    """
+    unit = np.eye(m, dtype=np.int64)
+    terms = {}
+    for sigma in itertools.product((0, 1), repeat=m):
+        sigma = np.array(sigma)
+        # (edge endpoint relative to the corner, axis, sign) of this row
+        ends = [(d, l, -1) for l, d in enumerate(-sigma[:, None] * unit)]
+        ends += [(d, l, 1) for l, d in enumerate((1 - sigma)[:, None] * unit)]
+        for (oa, l, sa), (ob, l2, sb) in itertools.product(ends, repeat=2):
+            offset, shift = tuple((ob - oa).tolist()), tuple((-oa).tolist())
+            key = (offset, shift, min(l, l2), max(l, l2))
+            terms[key] = terms.get(key, 0) + sa * sb
+    stencil = {}
+    for (offset, shift, l, l2), coef in sorted(terms.items()):
+        if coef:
+            stencil.setdefault(offset, []).append((shift, l, l2, float(coef)))
+    return stencil
 
 
 def assemble_weak_laplacian(structure, grid, eps=None, density=None):
@@ -423,75 +438,63 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     mass = node_mass(grid, rho)
 
     multi = grid.multi_indices()
-    h = np.asarray(grid.h)
-    corner_weight = grid.cell_volume() / (1 << m)
+    node_weight = rho * (grid.cell_volume() / (1 << m))
 
-    # rows: cell p, corner sigma; corner node index and edge endpoints
-    corners = []
-    for sigma_bits in range(1 << m):
-        sigma = np.array([(sigma_bits >> ax) & 1 for ax in range(m)])
-        corner_multi = (multi + sigma) % np.array(grid.shape)
-        corner_idx = grid.ravel(corner_multi)
-        lo = np.empty((N, m), dtype=np.int64)
-        hi = np.empty((N, m), dtype=np.int64)
-        for ax in range(m):
-            # lower endpoint: sigma with axis bit cleared; upper: bit set
-            lo_multi = corner_multi.copy()
-            hi_multi = corner_multi.copy()
-            if sigma[ax] == 0:
-                hi_multi[:, ax] = (hi_multi[:, ax] + 1) % grid.shape[ax]
-            else:
-                lo_multi[:, ax] = (lo_multi[:, ax] - 1) % grid.shape[ax]
-            lo[:, ax] = grid.ravel(lo_multi)
-            hi[:, ax] = grid.ravel(hi_multi)
-        corners.append((corner_idx, lo, hi))
+    def node(offset):
+        return grid.ravel(multi + offset)
 
-    corner_idx_all = np.concatenate([c[0] for c in corners])
-    lo_all = np.concatenate([c[1] for c in corners], axis=0)
-    hi_all = np.concatenate([c[2] for c in corners], axis=0)
-    weights = rho[corner_idx_all] * corner_weight
+    # rows: corner sigma of every cell; axis l runs forward from the corner
+    # when sigma_l = 0 and backward into it when sigma_l = 1
+    unit = np.eye(m, dtype=np.int64)
+    corner, lo, hi = [], [], []
+    for bits in range(1 << m):
+        sigma = np.array([(bits >> l) & 1 for l in range(m)])
+        corner.append(node(sigma))
+        lo.append(np.stack([node(d) for d in sigma - sigma[:, None] * unit], 1))
+        hi.append(np.stack([node(d) for d in sigma + (1 - sigma)[:, None] * unit], 1))
+    corner, lo, hi = (np.concatenate(x) for x in (corner, lo, hi))
 
     factors = []
-    exact = {}
-    w_dy = [_dy(w) for w in weights]
+    products = {}  # (l, l2) -> per field, (N, 4) exact parts of w v_l v_l2
     for f, scale in zip(fields, scales):
-        V = f.evaluate(pts)  # (N, m)
-        vals = (V[corner_idx_all] * (scale / h)[None, :]).astype(float)
-        factors.append(FieldFactor(lo=lo_all, hi=hi_all, values=vals))
-        for r in range(R):
-            wr = w_dy[r]
-            entries = []
-            row_lo = lo_all[r]
-            row_hi = hi_all[r]
-            row_v = vals[r]
-            for l in range(m):
-                v = row_v[l]
-                if v == 0.0:
-                    continue
-                d = _dy(v)
-                entries.append((int(row_lo[l]), (-d[0], d[1])))
-                entries.append((int(row_hi[l]), d))
-            for ca, va in entries:
-                wa = _dy_mul(wr, va)
-                for cb, vb in entries:
-                    key = (ca, cb)
-                    exact[key] = _dy_add(
-                        exact.get(key, _DY_ZERO), _dy_mul(wa, vb)
-                    )
+        V = (f.evaluate(pts) * (scale / np.asarray(grid.h))).astype(float)
+        factors.append(FieldFactor(lo=lo, hi=hi, values=V[corner]))
+        live = [l for l in range(m) if np.any(V[:, l])]
+        for l, l2 in itertools.combinations_with_replacement(live, 2):
+            parts = _times(_exact_product(V[:, l], V[:, l2]), node_weight)
+            products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
 
-    keys = sorted(exact)
-    rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    data = np.array([_dy_float(exact[k]) for k in keys])
-    keep = data != 0.0
-    mat = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(N, N))
+    rows, cols, data = [], [], []
+    exact = {}
+    for offset, terms in _weak_stencil(m).items():
+        blocks = [
+            coef * P[node(shift)]
+            for shift, l, l2, coef in terms
+            for P in products.get((l, l2), ())
+        ]
+        if not blocks:
+            continue
+        parts = np.hstack(blocks)
+        if not np.all(np.isfinite(parts)):
+            raise GridError("values out of the range of exact float products")
+        col = node(offset)
+        exact[offset] = (col, parts)
+        vals = np.array(_fsum_rows(parts))
+        keep = vals != 0.0
+        rows.append(np.flatnonzero(keep))
+        cols.append(col[keep])
+        data.append(vals[keep])
+    mat = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+    )
     op = SparseOperator(matrix=mat, symmetric=True, exact=exact)
     return WeakForm(
         grid=grid,
         operator=op,
         mass=mass,
         factors=factors,
-        weights=weights,
+        weights=node_weight[corner],
         eps=eps,
     )
 
@@ -505,10 +508,12 @@ def exact_symmetry_defect(op):
     if op.exact is None:
         raise GridError("operator carries no exact entries")
     worst = 0.0
-    for (i, j), v in op.exact.items():
-        w = op.exact.get((j, i), _DY_ZERO)
-        diff = _dy_add(v, (-w[0], w[1]))
-        worst = max(worst, abs(_dy_float(diff)))
+    for offset, (cols, parts) in op.exact.items():
+        mirror = op.exact.get(tuple(-d for d in offset))
+        if mirror is not None:
+            # entry (cols[i], i) sits at the mirrored offset in row cols[i]
+            parts = np.hstack([parts, -mirror[1][cols]])
+        worst = max(worst, *map(abs, _fsum_rows(parts)))
     return worst
 
 
@@ -516,47 +521,42 @@ def exact_constant_image(op):
     """max_i |sum_j L_ij| in exact arithmetic, as a float."""
     if op.exact is None:
         raise GridError("operator carries no exact entries")
-    sums = {}
-    for (i, _j), v in op.exact.items():
-        sums[i] = _dy_add(sums.get(i, _DY_ZERO), v)
-    if not sums:
-        return 0.0
-    return max(abs(_dy_float(v)) for v in sums.values())
+    sums = _fsum_rows(np.hstack([parts for _, parts in op.exact.values()]))
+    return max(map(abs, sums))
 
 
 def exact_green_defect(weak, e, f):
     """|f^T L e - sum_fields <B e, B f>_W| in exact arithmetic, as a float.
 
-    Both sides are evaluated over the rationals from the stored float
-    entries, so agreement is exact, not merely to round-off.
+    The left side comes from the exact entry parts, the right side from
+    the quadrature rows of the field factors, w * c_a * c_b * f[col_a] *
+    e[col_b] over each row's pairs of edge endpoints.  Every product is
+    split exactly and one ``math.fsum`` rounds the whole difference, so
+    agreement is exact, not merely to round-off.
     """
     op = weak.operator
     if op.exact is None:
         raise GridError("operator carries no exact entries")
-    e_dy = [_dy(x) for x in np.asarray(e, dtype=float)]
-    f_dy = [_dy(x) for x in np.asarray(f, dtype=float)]
-    lhs = _DY_ZERO
-    for (i, j), v in op.exact.items():
-        lhs = _dy_add(lhs, _dy_mul(v, _dy_mul(f_dy[i], e_dy[j])))
-    rhs = _DY_ZERO
-    w_dy = [_dy(w) for w in weak.weights]
-    for fac in weak.factors:
-        R, m = fac.values.shape
-        for r in range(R):
-            ge = _DY_ZERO
-            gf = _DY_ZERO
-            for l in range(m):
-                v = fac.values[r, l]
-                if v == 0.0:
-                    continue
-                d = _dy(v)
-                de = _dy_add(e_dy[fac.hi[r, l]], (-e_dy[fac.lo[r, l]][0], e_dy[fac.lo[r, l]][1]))
-                df = _dy_add(f_dy[fac.hi[r, l]], (-f_dy[fac.lo[r, l]][0], f_dy[fac.lo[r, l]][1]))
-                ge = _dy_add(ge, _dy_mul(d, de))
-                gf = _dy_add(gf, _dy_mul(d, df))
-            rhs = _dy_add(rhs, _dy_mul(w_dy[r], _dy_mul(ge, gf)))
-    diff = _dy_add(lhs, (-rhs[0], rhs[1]))
-    return abs(_dy_float(diff))
+    e = np.asarray(e, dtype=float)
+    f = np.asarray(f, dtype=float)
+
+    def lhs():
+        for cols, parts in op.exact.values():
+            yield from _times(_times([parts], f[:, None]), e[cols][:, None])
+
+    def rhs():
+        w = -weak.weights[:, None, None]
+        for fac in weak.factors:
+            ends = np.stack([fac.lo, fac.hi], axis=2)  # (R, m, 2)
+            coef = fac.values[:, :, None] * np.array([-1.0, 1.0])
+            live = np.flatnonzero(np.any(fac.values, axis=0))
+            for l, l2 in itertools.product(live, repeat=2):
+                parts = _times(_times([w], coef[:, l, :, None]), coef[:, l2, None, :])
+                parts = _times(parts, f[ends[:, l, :, None]])
+                yield from _times(parts, e[ends[:, l2, None, :]])
+
+    parts = (p.ravel().tolist() for p in itertools.chain(lhs(), rhs()))
+    return abs(math.fsum(itertools.chain.from_iterable(parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -341,15 +341,6 @@ def equivalent(e1, e2, dim, rng=None, samples=30, tol=1e-9, box=None):
 # simplification
 
 
-def _fold_value(c):
-    """The exact value of a Const (Fraction stays exact, float stays float)."""
-    return c.value
-
-
-def _mk_const(v):
-    return Const(v)
-
-
 def _is_const(e, value=None):
     if not isinstance(e, Const):
         return False
@@ -370,14 +361,14 @@ def simplify(expr):
         if isinstance(a, Neg):
             return a.arg
         if isinstance(a, Const):
-            return _mk_const(-a.value)
+            return Const(-a.value)
         return Neg(a)
 
     if isinstance(expr, Add):
         l = simplify(expr.left)
         r = simplify(expr.right)
         if isinstance(l, Const) and isinstance(r, Const):
-            return _mk_const(l.value + r.value)
+            return Const(l.value + r.value)
         if _is_const(l, 0):
             return r
         if _is_const(r, 0):
@@ -388,7 +379,7 @@ def simplify(expr):
         l = simplify(expr.left)
         r = simplify(expr.right)
         if isinstance(l, Const) and isinstance(r, Const):
-            return _mk_const(l.value * r.value)
+            return Const(l.value * r.value)
         if _is_const(l, 0) or _is_const(r, 0):
             return Const(Fraction(0))
         if _is_const(l, 1):
@@ -403,8 +394,8 @@ def simplify(expr):
         if isinstance(r, Const) and r.value != 0:
             if isinstance(l, Const):
                 if isinstance(l.value, Fraction) and isinstance(r.value, Fraction):
-                    return _mk_const(l.value / r.value)
-                return _mk_const(float(l.value) / float(r.value))
+                    return Const(l.value / r.value)
+                return Const(float(l.value) / float(r.value))
             if r.value == 1:
                 return l
         if _is_const(l, 0):
@@ -421,10 +412,10 @@ def simplify(expr):
         if isinstance(b, Const):
             if isinstance(b.value, Fraction):
                 if b.value != 0 or n > 0:
-                    return _mk_const(b.value ** n)
+                    return Const(b.value ** n)
             else:
                 if b.value != 0 or n > 0:
-                    return _mk_const(float(b.value) ** n)
+                    return Const(float(b.value) ** n)
         return Pow(b, n)
 
     if isinstance(expr, Sin):

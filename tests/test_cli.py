@@ -291,6 +291,33 @@ def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
     assert len(out.splitlines()) == 41
 
 
+@pytest.mark.parametrize(
+    "argv, code, limit",
+    [
+        (("contact3torus", "--solver", "dense", "--count", "100"), 2, "64"),
+        (("trivial", "--count", "20"), 2, "15"),
+        (("trivial", "--count", "16", "--solver", "dense"), 0, None),
+    ],
+)
+def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit):
+    # lanczos needs count <= N - 1 and dense count <= N; a count beyond that
+    # is rejected before the complement solve (patched to fail here)
+    import srlab.cli as cli
+
+    if limit is not None:
+        def unreachable(*_):
+            raise AssertionError("complement solved before the count check")
+
+        monkeypatch.setattr(cli, "canonical_complement", unreachable)
+    got, out, err = run(capsys, "spectrum", argv[0], "-n", "4", *argv[1:])
+    assert got == code
+    if limit is None:
+        assert len(out.splitlines()) == 17
+    else:
+        assert out == ""
+        assert err.startswith("error: --count must be at most %s " % limit)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

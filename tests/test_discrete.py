@@ -8,9 +8,13 @@ are derived by direct computation and frozen below.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srlab.expr as ex
 from srlab.discrete import (
@@ -19,6 +23,7 @@ from srlab.discrete import (
     GridError,
     PeriodicityError,
     SparseOperator,
+    _weak_stencil,
     assemble_field,
     assemble_strong,
     assemble_weak_laplacian,
@@ -34,6 +39,8 @@ from srlab.discrete import (
 )
 from srlab.geometry import VectorField
 from srlab.operators import sublaplacian
+
+from conftest import GRID_NAMES, cached_structure
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,6 +302,87 @@ def test_exact_certificates_with_penalty(contact):
     _, wf = contact_weak(contact, eps=4)
     assert exact_symmetry_defect(wf.operator) == 0.0
     assert exact_constant_image(wf.operator) == 0.0
+
+
+def fraction_reference(wf):
+    """The corner quadrature summed over the rationals, each entry rounded once.
+
+    Entry (col_a, col_b) collects w * c_a * c_b over every factor row, where
+    (col, c) runs over the row's edge endpoints (hi, +v) and (lo, -v).
+    """
+    exact = {}
+    for fac in wf.factors:
+        for w, lo, hi, vals in zip(
+            wf.weights.tolist(), fac.lo.tolist(), fac.hi.tolist(), fac.values.tolist()
+        ):
+            ends = []
+            for a, b, v in zip(lo, hi, vals):
+                if v != 0.0:
+                    ends += [(a, -Fraction(v)), (b, Fraction(v))]
+            w = Fraction(w)
+            for ca, va in ends:
+                wa = w * va
+                for cb, vb in ends:
+                    exact[ca, cb] = exact.get((ca, cb), 0) + wa * vb
+    keys = sorted(exact)
+    data = np.array([float(exact[k]) for k in keys])
+    rows = np.array([k[0] for k in keys])
+    cols = np.array([k[1] for k in keys])
+    keep = data != 0.0
+    N = wf.grid.size
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(N, N))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(GRID_NAMES),
+    n=st.sampled_from([4, 6]),
+    eps=st.none() | st.floats(0.3, 40.0),
+    density_seed=st.none() | st.integers(0, 2**32 - 1),
+)
+def test_weak_assembly_matches_fraction_reference(name, n, eps, density_seed):
+    s = cached_structure(name)
+    g = Grid(shape=(n,) * s.dim, periods=s.periods)
+    density = None
+    if density_seed is not None:
+        density = np.random.default_rng(density_seed).uniform(0.05, 20.0, g.size)
+    wf = assemble_weak_laplacian(s, g, eps=eps, density=density)
+    M = wf.operator.matrix
+    ref = fraction_reference(wf)
+    assert M.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(M.indices, ref.indices)
+    assert np.array_equal(M.indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_weak_stencil_shape(m):
+    stencil = _weak_stencil(m)
+    # offsets 0, +-e_l and +-e_l +-e_l2 (l < l2); no +-2 e_l reach
+    assert len(stencil) == 1 + 2 * m + 4 * math.comb(m, 2)
+    assert all(set(offset) <= {-1, 0, 1} for offset in stencil)
+    coefs = [abs(c) for terms in stencil.values() for *_, c in terms]
+    # powers of two, so scaling an exact product by them is exact
+    assert all(math.frexp(c)[0] == 0.5 for c in coefs)
+
+
+def test_green_certificate_rejects_inexact_products(contact):
+    # 1e-300 times any entry part falls below 2^-969, where the error of a
+    # float product is no longer a float: refuse rather than answer inexactly
+    g, wf = contact_weak(contact)
+    rng = np.random.default_rng(5)
+    e = rng.standard_normal(g.size)
+    f = rng.standard_normal(g.size)
+    f[3] = 1e-300
+    with pytest.raises(GridError, match="exact float products"):
+        exact_green_defect(wf, e, f)
+
+
+def test_weak_assembly_rejects_inexact_products(contact):
+    g = Grid(shape=(4, 4, 4), periods=contact.periods)
+    density = np.ones(g.size)
+    density[5] = 1e-300
+    with pytest.raises(GridError, match="exact float products"):
+        assemble_weak_laplacian(contact, g, density=density)
 
 
 def test_quadratic_form_matches_matrix(contact):
