@@ -69,6 +69,7 @@ from .operators import (
     sublaplacian,
 )
 from .spectrum import (
+    DENSE_LIMIT,
     LANCZOS_MAX_COUNT,
     SpectrumError,
     epsilon_sweep,
@@ -644,8 +645,16 @@ def cmd_verify(args):
     _require(args.n >= 0, "-n must not be negative")
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
-    # an unusable grid request (odd resolution) fails before any item runs
-    grid = Grid(shape=(args.n,) * s.dim, periods=s.periods) if args.n else None
+    # an unusable grid request (odd resolution, or more nodes than the
+    # kernel check's dense solve takes) fails before any item runs
+    grid = None
+    if args.n:
+        grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
+        _require(
+            grid.size <= DENSE_LIMIT,
+            "-n %d gives %d grid nodes; the kernel check solves densely, "
+            "up to %d" % (args.n, grid.size, DENSE_LIMIT),
+        )
     failures = 0
     for name, ok, detail in _verify_items(s, density, grid, args):
         if ok is None:

@@ -11,11 +11,17 @@ product over a fixed node stencil), each rounded once by ``math.fsum``,
 so symmetry, the vanishing image of constants, and the match between
 the assembled matrix and its quadrature factors are exact statements
 about the stored floats, not approximate ones.
+
+The match, Green's identity f^T L e = sum_fields <B e, B f>_W, is
+bilinear in (e, f): its defect is |sum_ij f_i e_j D_ij| for the residual
+D between the exact entries and the quadrature rows.  So it holds for
+every pair exactly when every D_ij is zero, which one ``math.fsum`` per
+entry decides once per weak form.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,8 +75,16 @@ def _times(parts, x):
 
 
 def _fsum_rows(parts):
-    """Correctly rounded exact sum of each row of a 2-D array, as a list."""
-    return [math.fsum(row) for row in parts.tolist()]
+    """Correctly rounded exact sum of each row of a 2-D array, as a list.
+
+    Rows go to Python floats a block of about 2^16 values at a time.
+    """
+    chunk = max(1, (1 << 16) // max(1, parts.shape[1]))
+    return [
+        math.fsum(row)
+        for start in range(0, len(parts), chunk)
+        for row in parts[start : start + chunk].tolist()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +252,8 @@ class WeakForm:
     factors: list
     weights: np.ndarray  # (R,) quadrature weights
     eps: object = None
+    # whether the Green residual is exactly zero, decided on first use
+    _green_exact: object = field(default=None, init=False, repr=False)
 
     def quadratic_form(self, f):
         total = 0.0
@@ -528,17 +544,108 @@ def exact_constant_image(op):
 def exact_green_defect(weak, e, f):
     """|f^T L e - sum_fields <B e, B f>_W| in exact arithmetic, as a float.
 
-    The left side comes from the exact entry parts, the right side from
-    the quadrature rows of the field factors, w * c_a * c_b * f[col_a] *
-    e[col_b] over each row's pairs of edge endpoints.  Every product is
-    split exactly and one ``math.fsum`` rounds the whole difference, so
-    agreement is exact, not merely to round-off.
+    The defect is |sum_ij f_i e_j D_ij| for the bilinear Green residual D
+    (``_green_residual_vanishes``), so it is 0 for every pair exactly when
+    D is exactly zero.  That is decided once per weak form, on the first
+    call, and cached on it; a form whose D vanishes answers 0.0 for any
+    pair.  Otherwise the pair's defect is summed in full
+    (``_green_pair_defect``).  Either way the entry parts times f and e
+    are split exactly first, so a pair outside the range of exact float
+    products raises GridError instead of answering.
     """
     op = weak.operator
     if op.exact is None:
         raise GridError("operator carries no exact entries")
     e = np.asarray(e, dtype=float)
     f = np.asarray(f, dtype=float)
+    for cols, parts in op.exact.values():
+        _times(_times([parts], f[:, None]), e[cols][:, None])
+    if weak._green_exact is None:
+        weak._green_exact = _green_residual_vanishes(weak)
+    if weak._green_exact:
+        return 0.0
+    return _green_pair_defect(weak, e, f)
+
+
+def _green_residual_vanishes(weak):
+    """Whether the bilinear Green residual D is exactly zero.
+
+    D_ij is the exact value of L_ij, from its entry parts, minus
+    w * c_a * c_b summed over the quadrature rows of the field factors
+    and the row's pairs of edge endpoints (col_a, c_a), (col_b, c_b) with
+    (col_a, col_b) = (i, j), where c = +v at hi and -v at lo.  It is built
+    from the factor rows, not from the assembly stencil, so it checks the
+    stencil.  Each entry is one ``math.fsum`` of exact parts, and an exact
+    sum of floats that is not zero rounds to a float that is not zero.
+    Terms are grouped by the wrapped offset of their column from their
+    row, one offset at a time, so no array holds every term at once.
+    """
+    grid = weak.grid
+    N = grid.size
+    multi = grid.multi_indices()
+    runs = {}  # offset code -> [(rows, parts, sign)], rows without repeats
+
+    def add(rows, cols, parts, sign):
+        # a corner block of quadrature rows shares one offset: split the
+        # terms where it changes, then into pieces that repeat no row
+        codes = grid.ravel(multi[cols] - multi[rows])
+        cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        for a, b in zip(np.r_[0, cut], np.r_[cut, codes.size]):
+            for piece in _distinct_pieces(rows[a:b], N):
+                piece = slice(a, b) if piece is None else a + piece
+                runs.setdefault(int(codes[a]), []).append(
+                    (rows[piece], parts[piece], sign)
+                )
+
+    for cols, parts in weak.operator.exact.values():
+        add(np.arange(N), cols, parts, 1.0)
+    for fac in weak.factors:
+        v = fac.values
+        ends = ((-1.0, fac.lo), (1.0, fac.hi))
+        live = np.flatnonzero(np.any(v, axis=0))
+        for l, l2 in itertools.combinations_with_replacement(live, 2):
+            P = np.stack(_times(_exact_product(v[:, l], v[:, l2]), weak.weights), 1)
+            for la, lb in {(l, l2), (l2, l)}:
+                for (sa, A), (sb, B) in itertools.product(ends, repeat=2):
+                    add(A[:, la], B[:, lb], P, -sa * sb)
+
+    # one entry per row of a table whose columns hold each piece's parts
+    for pieces in runs.values():
+        table = np.zeros((N, sum(p.shape[1] for _, p, _ in pieces)))
+        at = 0
+        for rows, parts, sign in pieces:
+            table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
+            at += parts.shape[1]
+        if any(_fsum_rows(table)):
+            return False
+    return True
+
+
+def _distinct_pieces(rows, N):
+    """Split rows into pieces that repeat no value.
+
+    [None] stands for all of rows when no value repeats; otherwise each
+    piece is an index array into rows.
+    """
+    seen = np.zeros(N, dtype=bool)
+    seen[rows] = True
+    if np.count_nonzero(seen) == rows.size:
+        return [None]
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    rank = np.arange(rows.size) - np.searchsorted(ranked, ranked)
+    return [order[rank == k] for k in range(rank.max() + 1)]
+
+
+def _green_pair_defect(weak, e, f):
+    """The Green defect of one pair, summed in full.
+
+    The left side comes from the exact entry parts, the right side from
+    the quadrature rows of the field factors, w * c_a * c_b * f[col_a] *
+    e[col_b] over each row's pairs of edge endpoints.  Every product is
+    split exactly and one ``math.fsum`` rounds the whole difference.
+    """
+    op = weak.operator
 
     def lhs():
         for cols, parts in op.exact.values():

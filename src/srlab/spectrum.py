@@ -25,6 +25,10 @@ class SpectrumError(RuntimeError):
     pass
 
 
+class _FullBasis(SpectrumError):
+    """Block Lanczos did not converge with a basis spanning all N columns."""
+
+
 def _mass_diagonal(M):
     if hasattr(M, "diagonal") and not callable(getattr(M, "diagonal", None)):
         diag = np.asarray(M.diagonal, dtype=float)
@@ -196,7 +200,9 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     single-vector Krylov process cannot see; full reorthogonalization
     keeps the basis numerically orthonormal and rank-deficient steps are
     refilled with random directions.  The basis is capped at
-    min(N, max(360, 12 * count)) columns.
+    min(N, max(360, 12 * count)) columns; without convergence there the
+    error reports the best Ritz residual bound reached (scaled to compare
+    with ``tol``) and the fill nnz(L) + nnz(U) of the shift-invert factor.
     """
     from scipy.sparse.linalg import splu
 
@@ -268,6 +274,7 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     prev_Z = None
     prev_B = None
     block_index = 0
+    best = np.inf
     while cols < max_cols:
         Q[:, cols : cols + p] = Z
         cols += p
@@ -286,6 +293,8 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
             T = _assemble_block_tridiagonal(diag_blocks, sub_blocks, cols, p)
             theta, S = _symmetric_eig(T, cols - count, cols - 1)
             bound = np.linalg.norm(Bblk @ S[-p:, :], axis=0)
+            if np.all(theta > 0):
+                best = min(best, float(np.max(2 * (cA + sigma) * bound / theta)))
             # Ritz residual on the G side maps to roughly (cA+sigma)/theta
             # times larger on the A~ side
             if np.all(theta > 0) and np.all(
@@ -310,9 +319,11 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
         prev_Z = Z
         prev_B = Bblk
         Z = Znew
-    raise SpectrumError(
+    error = _FullBasis if max_cols == N else SpectrumError
+    raise error(
         "block Lanczos did not converge to tolerance %.1e within %d basis "
-        "vectors" % (tol, max_cols)
+        "vectors (best Ritz residual bound %.1e, LU fill %d)"
+        % (tol, max_cols, best, solver.L.nnz + solver.U.nnz)
     )
 
 
@@ -355,17 +366,23 @@ def solve_weak_form(wf, count, solver, tol, seed):
 
     A dense result whose residuals exceed max(tol, 1e-8) raises
     SpectrumError; the Lanczos path checks its residuals against ``tol``
-    itself.
+    itself.  A Lanczos run that fails with a basis spanning all N columns
+    has met a problem small enough to solve densely, so it is.
     """
-    if solver == "dense":
-        rep = dense_spectrum(wf.operator, wf.mass, count=count)
-        if np.any(rep.residuals > max(tol, 1e-8)):
-            raise SpectrumError(
-                "dense solve residuals exceed tolerance: %.3e"
-                % float(np.max(rep.residuals))
+    if solver == "lanczos":
+        try:
+            return lanczos_smallest(
+                wf.operator, wf.mass, count, tol=tol, seed=seed
             )
-        return rep
-    return lanczos_smallest(wf.operator, wf.mass, count, tol=tol, seed=seed)
+        except _FullBasis:
+            pass
+    rep = dense_spectrum(wf.operator, wf.mass, count=count)
+    if np.any(rep.residuals > max(tol, 1e-8)):
+        raise SpectrumError(
+            "dense solve residuals exceed tolerance: %.3e"
+            % float(np.max(rep.residuals))
+        )
+    return rep
 
 
 def epsilon_sweep(

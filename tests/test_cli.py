@@ -318,6 +318,34 @@ def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit
         assert err.startswith("error: --count must be at most %s " % limit)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trivial", "-n", "6", "--count", "3", "--eps", "2,8"),
+        ("trivial", "-n", "4", "--count", "6"),
+        ("trivial", "-n", "8", "--count", "6", "--eps", "2"),
+    ],
+)
+def test_spectrum_lanczos_at_full_basis_solves_densely(capsys, argv):
+    # the basis cap min(N, max(360, 12 count)) reaches N here, and the
+    # trivial kernel's multiplicity exceeds the block size, so block
+    # Lanczos cannot converge; the whole space is small enough to solve
+    # densely instead
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 0, err
+    code, ref, _ = run(capsys, "spectrum", *argv, "--solver", "dense")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    ref_rows = list(csv.DictReader(io.StringIO(ref)))
+    assert len(rows) == len(ref_rows) > 0
+    for row, want in zip(rows, ref_rows):
+        for key in ("eps", "i", "multiplicity_cluster"):
+            assert row[key] == want[key]
+        lam, lam_ref = float(row["lambda"]), float(want["lambda"])
+        assert abs(lam - lam_ref) <= 1e-9 * max(1.0, abs(lam_ref))
+        assert float(row["residual"]) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -362,6 +390,21 @@ def test_verify_odd_grid_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "even" in err
+
+
+def test_verify_grid_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
+    # 18^3 nodes exceed the dense kernel check; refuse before any item runs
+    # (the complement solve that the items start with is patched to fail)
+    import srlab.cli as cli
+
+    def unreachable(*_):
+        raise AssertionError("an item ran before the grid size check")
+
+    monkeypatch.setattr(cli, "canonical_complement", unreachable)
+    code, out, err = run(capsys, "verify", "contact3torus", "-n", "18")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: -n 18 gives 5832 grid nodes")
 
 
 def test_verify_detects_tilted_complement(capsys, tmp_path):

@@ -16,9 +16,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srlab.discrete as discrete
 import srlab.expr as ex
 from srlab.discrete import (
     DiagonalMass,
+    FieldFactor,
     Grid,
     GridError,
     PeriodicityError,
@@ -375,6 +377,106 @@ def test_green_certificate_rejects_inexact_products(contact):
     f[3] = 1e-300
     with pytest.raises(GridError, match="exact float products"):
         exact_green_defect(wf, e, f)
+
+
+def _grid_form(name, n, eps, density_seed=None):
+    s = cached_structure(name)
+    g = Grid(shape=(n,) * s.dim, periods=s.periods)
+    density = None
+    if density_seed is not None:
+        density = np.random.default_rng(density_seed).uniform(0.05, 20.0, g.size)
+    return assemble_weak_laplacian(s, g, eps=eps, density=density)
+
+
+@pytest.mark.parametrize("name", GRID_NAMES)
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("eps", [None, 0.7, 25.0])
+@pytest.mark.parametrize("density_seed", [None, 3])
+def test_green_verdict_on_penalized_and_weighted_forms(name, n, eps, density_seed):
+    wf = _grid_form(name, n, eps, density_seed)
+    rng = np.random.default_rng(n)
+    e = rng.standard_normal(wf.grid.size)
+    f = rng.standard_normal(wf.grid.size)
+    assert exact_green_defect(wf, e, f) == 0.0
+    assert wf._green_exact is True
+
+
+def test_green_residual_is_decided_once_per_form(contact, monkeypatch):
+    calls = []
+    decide = discrete._green_residual_vanishes
+
+    def counted(weak):
+        calls.append(weak)
+        return decide(weak)
+
+    monkeypatch.setattr(discrete, "_green_residual_vanishes", counted)
+    g, wf = contact_weak(contact, eps=2)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        e = rng.standard_normal(g.size)
+        f = rng.standard_normal(g.size)
+        assert exact_green_defect(wf, e, f) == 0.0
+    assert calls == [wf]
+    _, other = contact_weak(contact, eps=2)
+    assert exact_green_defect(other, e, f) == 0.0
+    assert calls == [wf, other]
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_green_verdict_reads_rows_in_any_order(contact, doubled):
+    # the residual comes from the factor rows alone: shuffling them and
+    # splitting each into two rows of half the weight keeps it zero, and
+    # a doubled coefficient in one copy still shows
+    g, wf = contact_weak(contact, n=4, eps=2)
+    rng = np.random.default_rng(4)
+    order = np.repeat(rng.permutation(wf.weights.size), 2)
+    wf.weights = wf.weights[order] / 2
+    wf.factors = [
+        FieldFactor(lo=fac.lo[order], hi=fac.hi[order], values=fac.values[order])
+        for fac in wf.factors
+    ]
+    if doubled:
+        wf.factors[1].values[7, 2] *= 2.0
+    e = rng.standard_normal(g.size)
+    f = rng.standard_normal(g.size)
+    assert (exact_green_defect(wf, e, f) > 0.0) == doubled
+    assert wf._green_exact is not doubled
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    name=st.sampled_from(GRID_NAMES),
+    n=st.sampled_from([4, 6]),
+    eps=st.none() | st.floats(0.3, 40.0),
+    mutation=st.sampled_from([None, "entry-ulp", "factor-double"]),
+    data=st.data(),
+)
+def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, data):
+    # both the cached verdict and the full per-pair sum must see a one-ulp
+    # change of one entry part and a doubled quadrature coefficient, and
+    # both must give exactly 0.0 on the form as assembled
+    wf = _grid_form(name, n, eps)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    if mutation == "entry-ulp":
+        offsets = sorted(wf.operator.exact)
+        _, parts = wf.operator.exact[offsets[rng.integers(len(offsets))]]
+        i, j = rng.choice(np.argwhere(parts != 0))
+        parts[i, j] = np.nextafter(parts[i, j], np.inf)
+    elif mutation == "factor-double":
+        values = wf.factors[rng.integers(len(wf.factors))].values
+        i, j = rng.choice(np.argwhere(values != 0))
+        values[i, j] *= 2.0
+    e = rng.standard_normal(wf.grid.size)
+    f = rng.standard_normal(wf.grid.size)
+    cached = exact_green_defect(wf, e, f)
+    full = discrete._green_pair_defect(wf, e, f)
+    if mutation is None:
+        assert cached == full == 0.0
+        assert wf._green_exact is True
+    else:
+        assert cached > 0.0 and full > 0.0
+        assert wf._green_exact is False
 
 
 def test_weak_assembly_rejects_inexact_products(contact):

@@ -8,6 +8,7 @@ the dense path, multiplicities included.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from srlab.spectrum import (
     lanczos_smallest,
     rayleigh,
     scaled_standard_form,
+    solve_weak_form,
 )
 
 
@@ -211,6 +213,37 @@ def test_lanczos_deterministic_for_fixed_seed(contact):
     b = lanczos_smallest(wf.operator, wf.mass, 4, seed=7)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_lanczos_failure_reports_best_bound_and_lu_fill(contact):
+    from scipy.sparse.linalg import splu
+
+    g = Grid(shape=(8, 8, 8), periods=contact.periods)
+    wf = assemble_weak_laplacian(contact, g)
+    with pytest.raises(SpectrumError) as info:
+        lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-300, seed=0)
+    found = re.search(
+        r"within 360 basis vectors \(best Ritz residual bound (\S+), "
+        r"LU fill (\d+)\)$",
+        str(info.value),
+    )
+    assert found, str(info.value)
+    assert 1e-300 < float(found.group(1)) < 1.0
+    scaled, _ = scaled_standard_form(wf.operator, wf.mass)
+    lu = splu((scaled + 0.1 * sp.identity(g.size, format="csr")).tocsc())
+    assert int(found.group(2)) == lu.L.nnz + lu.U.nnz
+
+
+def test_solve_weak_form_at_full_lanczos_basis_solves_densely(trivial):
+    # N = 16 caps the basis at N; the 4-fold kernel exceeds the block size
+    g = Grid(shape=(4, 4), periods=trivial.periods)
+    wf = assemble_weak_laplacian(trivial, g)
+    with pytest.raises(SpectrumError, match="within 16 basis vectors"):
+        lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-9, seed=42)
+    rep = solve_weak_form(wf, 6, "lanczos", 1e-9, 42)
+    assert rep.method == "dense"
+    dense = dense_spectrum(wf.operator, wf.mass, count=6)
+    assert np.array_equal(rep.eigenvalues, dense.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
