@@ -90,7 +90,8 @@ def solve_canonical_complement(s, point, rank_tol=1e-10, residual_tol=1e-8):
     rhs = -Fbar
     U, sv, Vt = np.linalg.svd(C)
     smax = sv[..., :1]
-    rank = np.sum(sv > rank_tol * np.maximum(smax, 1e-300), axis=-1)
+    # singular values below 1e-300 count as zero, so 1/sv stays finite
+    rank = np.sum(sv > np.maximum(rank_tol * smax, 1e-300), axis=-1)
     unique = rank == k
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.where(unique, smax[..., 0] / sv[..., -1], np.inf)

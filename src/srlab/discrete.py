@@ -17,6 +17,8 @@ bilinear in (e, f): its defect is |sum_ij f_i e_j D_ij| for the residual
 D between the exact entries and the quadrature rows.  So it holds for
 every pair exactly when every D_ij is zero, which one ``math.fsum`` per
 entry decides once per weak form.
+
+scipy is imported by the functions that need it, not with the module.
 """
 
 import itertools
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import expr as ex
 from .expr import Expr
@@ -205,9 +206,6 @@ class SparseOperator:
     def matvec(self, v):
         return self.matrix @ v
 
-    def toarray(self):
-        return self.matrix.toarray()
-
 
 @dataclass
 class DiagonalMass:
@@ -266,13 +264,20 @@ class WeakForm:
 # ---------------------------------------------------------------------------
 
 
+def _csr(rows, cols, data, N):
+    """N x N CSR matrix from lists of row, column and value arrays."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+    )
+
+
 def _shift_matrix(grid, axis, step):
     N = grid.size
-    multi = grid.multi_indices()
-    cols = grid.ravel(grid.shifted(multi, axis, step))
-    return sp.csr_matrix(
-        (np.ones(N), (np.arange(N), cols)), shape=(N, N)
-    )
+    cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))
+    return _csr([np.arange(N)], [cols], [np.ones(N)], N)
 
 
 def _central_difference(grid, axis):
@@ -286,7 +291,7 @@ def _second_difference(grid, axis):
     h = grid.h[axis]
     return (
         _shift_matrix(grid, axis, +1)
-        - 2.0 * sp.identity(grid.size, format="csr")
+        - 2.0 * _shift_matrix(grid, axis, 0)
         + _shift_matrix(grid, axis, -1)
     ) * (1.0 / h**2)
 
@@ -317,10 +322,7 @@ def assemble_field(X, grid):
         step = tuple(int(a == j) for a in range(m))
         exact[step] = (up, vals[:, None])
         exact[tuple(-a for a in step)] = (dn, -vals[:, None])
-    mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
+    mat = _csr(rows, cols, data, N)
     return SparseOperator(matrix=mat, symmetric=False, exact=exact)
 
 
@@ -332,6 +334,8 @@ def assemble_strong(spec, grid):
     differences.  Each term is coefficient-at-the-row-node times the
     stencil, so the whole matrix is second-order consistent.
     """
+    import scipy.sparse as sp
+
     m = grid.dim
     if spec.dim != m:
         raise GridError("operator dimension mismatch")
@@ -500,10 +504,7 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         rows.append(np.flatnonzero(keep))
         cols.append(col[keep])
         data.append(vals[keep])
-    mat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
+    mat = _csr(rows, cols, data, N)
     op = SparseOperator(matrix=mat, symmetric=True, exact=exact)
     return WeakForm(
         grid=grid,
@@ -667,49 +668,31 @@ def _green_pair_defect(weak, e, f):
 
 
 # ---------------------------------------------------------------------------
-# Matrix Market coordinate I/O (values round-trip via repr)
+# Matrix Market coordinate I/O (float64 values round-trip bit for bit)
 
 
 def write_matrix_market(path, op, comment=""):
+    import scipy.sparse as sp
+    from scipy.io import mmwrite
+
     if isinstance(op, DiagonalMass):
-        coo = sp.diags(op.diagonal).tocoo()
-        symmetric = True
+        mat, symmetric = sp.diags(op.diagonal), True
     elif isinstance(op, SparseOperator):
-        coo = op.matrix.tocoo()
-        symmetric = op.symmetric
+        mat, symmetric = op.matrix, op.symmetric
     else:
-        coo = sp.coo_matrix(op)
-        symmetric = False
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write("%% %s\n" % line)
-        fh.write("%d %d %d\n" % (coo.shape[0], coo.shape[1], coo.nnz))
-        for idx in order:
-            fh.write(
-                "%d %d %s\n"
-                % (coo.row[idx] + 1, coo.col[idx] + 1, repr(float(coo.data[idx])))
-            )
+        mat, symmetric = sp.coo_matrix(op), False
+    with open(path, "wb") as fh:  # a path would gain a ".mtx" suffix
+        mmwrite(fh, mat, comment=comment, symmetry="general")
     return symmetric
 
 
 def read_matrix_market(path):
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket matrix coordinate real"):
-            raise GridError("unsupported matrix market header: %r" % header)
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        rows, cols, nnz = (int(t) for t in line.split())
-        ri = np.empty(nnz, dtype=np.int64)
-        ci = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for idx in range(nnz):
-            parts = fh.readline().split()
-            ri[idx] = int(parts[0]) - 1
-            ci[idx] = int(parts[1]) - 1
-            vals[idx] = float(parts[2])
-    return sp.csr_matrix((vals, (ri, ci)), shape=(rows, cols))
+    from scipy.io import mminfo, mmread
+
+    try:
+        header = mminfo(path)[3:5]
+    except ValueError as err:
+        raise GridError("unsupported matrix market file: %s" % err)
+    if header != ("coordinate", "real"):
+        raise GridError("unsupported matrix market header: %s %s" % header)
+    return mmread(path).tocsr()

@@ -8,13 +8,13 @@ iterative path is a shift-invert block Lanczos process with full
 reorthogonalization whose small projected eigenproblem goes through the
 same LAPACK call.  Reported residuals are always the
 generalized ones, || L v - lambda M v || / || M v ||, computed from the
-original matrices.
+original matrices.  scipy is imported by the functions that use it, on
+the first solve, not with the module.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 DENSE_LIMIT = 4096
@@ -30,6 +30,8 @@ class _FullBasis(SpectrumError):
 
 
 def _mass_diagonal(M):
+    import scipy.sparse as sp
+
     if hasattr(M, "diagonal") and not callable(getattr(M, "diagonal", None)):
         diag = np.asarray(M.diagonal, dtype=float)
     elif sp.issparse(M):
@@ -46,9 +48,9 @@ def _mass_diagonal(M):
 
 
 def _operator_matrix(L):
-    if hasattr(L, "matrix"):
-        return L.matrix
-    return sp.csr_matrix(L)
+    import scipy.sparse as sp
+
+    return L.matrix if hasattr(L, "matrix") else sp.csr_matrix(L)
 
 
 def scaled_standard_form(L, M):
@@ -57,6 +59,8 @@ def scaled_standard_form(L, M):
     The scale product s_i s_j is formed before touching the data so the
     scaled matrix is bitwise symmetric whenever L is.
     """
+    import scipy.sparse as sp
+
     mat = _operator_matrix(L)
     diag = _mass_diagonal(M)
     s = 1.0 / np.sqrt(diag)
@@ -204,6 +208,7 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     error reports the best Ritz residual bound reached (scaled to compare
     with ``tol``) and the fill nnz(L) + nnz(U) of the shift-invert factor.
     """
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     count = int(count)

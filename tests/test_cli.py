@@ -13,6 +13,7 @@ import pytest
 import srlab
 from srlab.cli import main
 from srlab.complement import canonical_complement, verify_flat_complement
+from srlab.geometry import SubRiemannianStructure
 
 from conftest import write_config
 
@@ -106,6 +107,37 @@ def test_out_flag_keeps_old_file_when_replace_fails(
         main(["check", "heisenberg", "--out", str(target)])
     assert target.read_bytes() == b"old verdict\n"
     assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--lattice", "100"), ("--samples", "1048576"), ("--samples", str(10**30))],
+)
+def test_check_beyond_point_limit_is_usage_error(capsys, monkeypatch, flags):
+    # 100^6 lattice points, or 3^6 + 2^20 with the default lattice, exceed
+    # CHECK_POINT_LIMIT; refuse before any point is sampled
+    def unreachable(*_):
+        raise AssertionError("points sampled before the size check")
+
+    for name in ("sample_lattice", "sample_points"):
+        monkeypatch.setattr(SubRiemannianStructure, name, unreachable)
+    code, out, err = run(capsys, "check", "carnot-step2", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --lattice ")
+
+
+def test_check_point_limit_counts_lattice_and_samples(capsys, monkeypatch):
+    import srlab.cli as cli
+
+    monkeypatch.setattr(cli, "CHECK_POINT_LIMIT", 3**6 + 5)
+    code, out, _ = run(capsys, "check", "carnot-step2", "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["points_checked"] == 3**6 + 5
+    code, out, err = run(capsys, "check", "carnot-step2", "--samples", "6")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --lattice 3 and --samples 6 give 735 points")
 
 
 def test_check_martinet_irregular(capsys):
@@ -507,6 +539,57 @@ def test_installed_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fat"] is True
+
+
+# Runs one CLI invocation (or imports one module) the way ``python -m
+# srlab`` does, then writes the names in sys.modules to the record file.
+_MODULES_PROBE = """
+import json, runpy, sys
+
+record, args = sys.argv[1], sys.argv[2:]
+code = 0
+try:
+    if args[0] == "import":
+        __import__(args[1])
+    else:
+        sys.argv = ["srlab"] + args
+        runpy.run_module("srlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(record, "w") as fh:
+    json.dump(sorted(sys.modules), fh)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, sparse",
+    [
+        (("import", "srlab"), False),
+        (("import", "srlab.cli"), False),
+        (("check", "carnot-step2", "--lattice", "2"), False),
+        (("canonicalize", "heisenberg"), False),
+        (("verify", "heisenberg"), False),
+        (("spectrum", "contact3torus", "-n", "4", "--count", "2"), True),
+    ],
+)
+def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
+    """Start-up without sparse work imports no scipy (a fresh process is
+    needed: this one has scipy loaded already)."""
+    record = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, str(record), *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(record.read_text())
+    if sparse:
+        assert "scipy.sparse" in modules
+    else:
+        assert "scipy" not in modules
 
 
 def test_output_is_identical_across_thread_counts(tmp_path):

@@ -178,6 +178,15 @@ def test_flat_rank_deficient_solve_is_least_squares(trivial):
     assert np.max(np.abs(ps.A)) < 1e-13
 
 
+@pytest.mark.parametrize("x0", [1e-309, 2.225073858507203e-309])
+def test_subnormal_bracket_solve_is_least_squares(x0):
+    # martinet's vertical bracket is 2 x0, subnormal here: 1/sv overflows,
+    # so the solve must count it as rank-deficient instead of returning nan
+    ps = solve_canonical_complement(structure("martinet"), np.array([x0, 0.0, 0.0]))
+    assert list(ps.modes) == ["least-squares"]
+    assert np.all(np.isfinite(ps.A))
+
+
 # ---------------------------------------------------------------------------
 # condition warnings
 
