@@ -143,20 +143,23 @@ class AdaptedComplement:
         """The tilt matrix A at one point or a batch, from exprs or a fresh solve."""
         if self.mode == "exact-symbolic":
             point = np.asarray(point, dtype=float)
-            return np.stack(
-                [
-                    np.stack([ex.evaluate(e, point) for e in row], axis=-1)
-                    for row in self.A_exprs
-                ],
-                axis=-2,
-            )
+            # (..., m-k, k): no rows when the complement is empty (k = m)
+            A = np.empty(point.shape[:-1] + (len(self.A_exprs), self.structure.k))
+            for b, row in enumerate(self.A_exprs):
+                for i, e in enumerate(row):
+                    A[..., b, i] = ex.evaluate(e, point)
+            return A
         return solve_canonical_complement(self.structure, point).A
 
     def adapted_values(self, point):
         """Coordinate components of the adapted fields, (..., m-k, m)."""
         point = np.asarray(point, dtype=float)
         if self.mode == "exact-symbolic":
-            return np.stack([f.evaluate(point) for f in self.adapted_fields], axis=-2)
+            fields = self.adapted_fields
+            values = np.empty(point.shape[:-1] + (len(fields), self.structure.dim))
+            for b, f in enumerate(fields):
+                values[..., b, :] = f.evaluate(point)
+            return values
         A = self.coefficients_at(point)
         X = np.stack([f.evaluate(point) for f in self.structure.horizontal], axis=-2)
         T = np.stack([f.evaluate(point) for f in self.structure.complement], axis=-2)
@@ -190,8 +193,8 @@ def canonical_complement(s, points=None, promote_tol=1e-11):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     solve = solve_canonical_complement(s, points)
     A0 = solve.A[0]
-    spread = float(np.max(np.abs(solve.A - A0)))
-    scale = max(1.0, float(np.max(np.abs(A0))))
+    spread = float(np.max(np.abs(solve.A - A0), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(A0), initial=0.0)))
     warnings = sorted(set(solve.warnings))
     conds = np.max(solve.condition_numbers, axis=0)
     solvability = solve.modes[0]

@@ -16,7 +16,8 @@ The match, Green's identity f^T L e = sum_fields <B e, B f>_W, is
 bilinear in (e, f): its defect is |sum_ij f_i e_j D_ij| for the residual
 D between the exact entries and the quadrature rows.  So it holds for
 every pair exactly when every D_ij is zero, which one ``math.fsum`` per
-entry decides once per weak form.
+entry decides once per weak form; a form whose D is not zero gets each
+pair's defect summed exactly from the same tables of D.
 
 scipy is imported by the functions that need it, not with the module.
 """
@@ -549,7 +550,7 @@ def exact_green_defect(weak, e, f):
     (``_green_residual_vanishes``), so it is 0 for every pair exactly when
     D is exactly zero.  That is decided once per weak form, on the first
     call, and cached on it; a form whose D vanishes answers 0.0 for any
-    pair.  Otherwise the pair's defect is summed in full
+    pair.  Otherwise the pair's defect is summed exactly from D
     (``_green_pair_defect``).  Either way the entry parts times f and e
     are split exactly first, so a pair outside the range of exact float
     products raises GridError instead of answering.
@@ -571,15 +572,22 @@ def exact_green_defect(weak, e, f):
 def _green_residual_vanishes(weak):
     """Whether the bilinear Green residual D is exactly zero.
 
+    Each entry is one ``math.fsum`` of exact parts, and an exact sum of
+    floats that is not zero rounds to a float that is not zero.
+    """
+    return not any(any(_fsum_rows(table)) for _, table in _green_residual(weak))
+
+
+def _green_residual(weak):
+    """Yield (cols, table) for the Green residual D, one wrapped offset at a time.
+
     D_ij is the exact value of L_ij, from its entry parts, minus
     w * c_a * c_b summed over the quadrature rows of the field factors
     and the row's pairs of edge endpoints (col_a, c_a), (col_b, c_b) with
     (col_a, col_b) = (i, j), where c = +v at hi and -v at lo.  It is built
     from the factor rows, not from the assembly stencil, so it checks the
-    stencil.  Each entry is one ``math.fsum`` of exact parts, and an exact
-    sum of floats that is not zero rounds to a float that is not zero.
-    Terms are grouped by the wrapped offset of their column from their
-    row, one offset at a time, so no array holds every term at once.
+    stencil.  Row i of a table holds exact parts that sum to D[i, cols[i]];
+    grouping terms by offset means no array holds every term at once.
     """
     grid = weak.grid
     N = grid.size
@@ -611,15 +619,14 @@ def _green_residual_vanishes(weak):
                     add(A[:, la], B[:, lb], P, -sa * sb)
 
     # one entry per row of a table whose columns hold each piece's parts
-    for pieces in runs.values():
+    for code, pieces in runs.items():
         table = np.zeros((N, sum(p.shape[1] for _, p, _ in pieces)))
         at = 0
         for rows, parts, sign in pieces:
             table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
             at += parts.shape[1]
-        if any(_fsum_rows(table)):
-            return False
-    return True
+        offset = np.array(np.unravel_index(code, grid.shape))
+        yield grid.ravel(multi + offset), table
 
 
 def _distinct_pieces(rows, N):
@@ -639,31 +646,17 @@ def _distinct_pieces(rows, N):
 
 
 def _green_pair_defect(weak, e, f):
-    """The Green defect of one pair, summed in full.
+    """The Green defect of one pair, summed exactly from D.
 
-    The left side comes from the exact entry parts, the right side from
-    the quadrature rows of the field factors, w * c_a * c_b * f[col_a] *
-    e[col_b] over each row's pairs of edge endpoints.  Every product is
-    split exactly and one ``math.fsum`` rounds the whole difference.
+    |sum_i f_i e[cols_i] D[i, cols_i]| over the tables of
+    ``_green_residual``: every product is split exactly and one
+    ``math.fsum`` rounds the whole sum.
     """
-    op = weak.operator
-
-    def lhs():
-        for cols, parts in op.exact.values():
-            yield from _times(_times([parts], f[:, None]), e[cols][:, None])
-
-    def rhs():
-        w = -weak.weights[:, None, None]
-        for fac in weak.factors:
-            ends = np.stack([fac.lo, fac.hi], axis=2)  # (R, m, 2)
-            coef = fac.values[:, :, None] * np.array([-1.0, 1.0])
-            live = np.flatnonzero(np.any(fac.values, axis=0))
-            for l, l2 in itertools.product(live, repeat=2):
-                parts = _times(_times([w], coef[:, l, :, None]), coef[:, l2, None, :])
-                parts = _times(parts, f[ends[:, l, :, None]])
-                yield from _times(parts, e[ends[:, l2, None, :]])
-
-    parts = (p.ravel().tolist() for p in itertools.chain(lhs(), rhs()))
+    parts = (
+        p.ravel().tolist()
+        for cols, table in _green_residual(weak)
+        for p in _times(_times([table], f[:, None]), e[cols][:, None])
+    )
     return abs(math.fsum(itertools.chain.from_iterable(parts)))
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from srlab.cli import main
 from srlab.complement import canonical_complement, verify_flat_complement
 from srlab.geometry import SubRiemannianStructure
 
-from conftest import write_config
+from conftest import FIXTURE_NAMES, GRID_NAMES, write_config
 
 
 def run(capsys, *argv):
@@ -446,6 +447,132 @@ def test_verify_detects_tilted_complement(capsys, tmp_path):
     # the non-canonical complement shows up in the curvature item
     assert "detects-tilted-complement" in out
     assert code == 0
+
+
+VERIFY_ITEMS = (
+    "frame-invertible",
+    "jacobi-identity",
+    "flag-monotone",
+    "canonical-complement-flat",
+    "connection-compatible",
+    "connection-torsion",
+    "laplacian-divgrad",
+    "product-rule",
+    "divergence-density-vs-frame",
+    "cartan-formula",
+    "potential-constant",
+    "penalty-coefficient-decay",
+    "density-scaling",
+    "detects-tilted-complement",
+)
+VERIFY_GRID_ITEMS = (
+    "weak-exact-symmetry",
+    "weak-exact-constants",
+    "weak-exact-green",
+    "weak-two-grid-order",
+    "strong-consistency",
+    "kernel-dimension",
+)
+
+
+def verify_lines(out):
+    """(status, name) per item line, and the summary line."""
+    lines = out.splitlines()
+    return [tuple(line.split()[:2]) for line in lines[:-1]], lines[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [(name,) for name in FIXTURE_NAMES]
+    + [(name, "-n", "4") for name in GRID_NAMES],
+)
+def test_verify_item_sequence_is_frozen(capsys, argv):
+    # names and statuses only, so the numbers in the details may differ
+    # across platforms; trivial and integrable have no vertical brackets
+    code, out, _ = run(capsys, "verify", *argv)
+    names = VERIFY_ITEMS + (VERIFY_GRID_ITEMS if "-n" in argv else ())
+    flat = argv[0] in ("trivial", "integrable")
+    expected = [
+        ("SKIP" if flat and name == "detects-tilted-complement" else "PASS", name)
+        for name in names
+    ]
+    assert verify_lines(out) == (expected, "all items passed")
+    assert code == 0
+
+
+TWO_PI = 2 * math.pi
+# X2 = (2 + sin x0) d1 makes the connection sums vary, so the
+# constant-coefficient sublaplacian does not exist
+VARYING_SUMS = {
+    "dim": 3,
+    "periods": [TWO_PI] * 3,
+    "horizontal": [["1", "0", "0"], ["0", "2+sin(x0)", "0"]],
+    "complement": [["0", "0", "1"]],
+}
+# k = m: the horizontal fields span everything and the complement is empty
+EMPTY_COMPLEMENT = {
+    "plane": {
+        "dim": 2,
+        "periods": [TWO_PI] * 2,
+        "horizontal": [["2+sin(x1)", "0"], ["0", "1"]],
+        "complement": [],
+    },
+    "line": {"dim": 1, "periods": [1.0], "horizontal": [["1"]], "complement": []},
+}
+
+
+def test_verify_grid_items_skip_without_sublaplacian(capsys, tmp_path):
+    path = write_config(tmp_path / "varying.json", VARYING_SUMS)
+    code, out, err = run(capsys, "verify", path, "-n", "4")
+    assert (code, err) == (0, "")
+    items, summary = verify_lines(out)
+    assert summary == "all items passed"
+    assert [name for _, name in items] == list(VERIFY_ITEMS + VERIFY_GRID_ITEMS)
+    skipped = {name for status, name in items if status == "SKIP"}
+    assert skipped == {
+        "laplacian-divgrad",
+        "product-rule",
+        "penalty-coefficient-decay",
+        "detects-tilted-complement",
+        "weak-two-grid-order",
+        "strong-consistency",
+    }
+    details = {
+        line.split()[1]: line.split(" ", 2)[2] for line in out.splitlines()[:-1]
+    }
+    reason = details["laplacian-divgrad"]
+    assert "connection sums vary" in reason
+    assert details["weak-two-grid-order"] == reason
+    assert details["strong-consistency"] == reason
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_COMPLEMENT))
+def test_empty_complement_commands_succeed(capsys, tmp_path, name):
+    path = write_config(tmp_path / ("%s.json" % name), EMPTY_COMPLEMENT[name])
+    code, out, err = run(capsys, "canonicalize", path)
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["complement"] == []
+    assert record["canonicalization"]["mode"] == "exact-symbolic"
+    assert record["canonicalization"]["max_residual"] == 0.0
+    code, out, err = run(capsys, "spectrum", path, "-n", "4", "--count", "2")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 3
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert out.endswith("all items passed\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-n", "4")])
+def test_verify_one_dimensional_line(capsys, tmp_path, flags):
+    path = write_config(tmp_path / "line.json", EMPTY_COMPLEMENT["line"])
+    code, out, err = run(capsys, "verify", path, *flags)
+    assert (code, err) == (0, "")
+    items, summary = verify_lines(out)
+    assert summary == "all items passed"
+    names = VERIFY_ITEMS + (VERIFY_GRID_ITEMS if flags else ())
+    assert [name for _, name in items] == list(names)
+    assert ("PASS", "cartan-formula") in items
 
 
 # ---------------------------------------------------------------------------

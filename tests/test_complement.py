@@ -254,3 +254,21 @@ def test_rescaled_frame_divides_complement(heisenberg):
     T = heisenberg.complement[0].evaluate(p)
     T_eps = ext.frame_structure.complement[0].evaluate(p)
     assert np.allclose(T_eps, T / 4.0, atol=1e-15)
+
+
+def test_empty_complement_has_a_zero_width_tilt():
+    # k = m: the horizontal fields span, so the tilt has no rows
+    s = SubRiemannianStructure(
+        dim=2,
+        periods=(2 * np.pi, 2 * np.pi),
+        horizontal=(_vf("2+sin(x1)", "0"), _vf("0", "1")),
+        complement=(),
+    )
+    ac = canonical_complement(s)
+    assert ac.mode == "exact-symbolic"
+    assert ac.adapted_fields == () and ac.solvability == []
+    p = sample_points(s, count=7)
+    assert ac.coefficients_at(p).shape == (7, 0, 2)
+    assert ac.adapted_values(p).shape == (7, 0, 2)
+    assert ac.adapted_values(p[0]).shape == (0, 2)
+    assert verify_flat_complement(s, ac, p) == 0.0
