@@ -298,8 +298,14 @@ def _parse_eps_list(text):
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError("--eps expects a comma-separated list of numbers")
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("--eps values must be positive")
+    _require(
+        values and all(np.isfinite(v) and v > 0 for v in values),
+        "--eps values must be finite and positive",
+    )
+    _require(
+        all(a < b for a, b in zip(values, values[1:])),
+        "--eps values must be strictly increasing",
+    )
     return values
 
 
@@ -337,6 +343,11 @@ def cmd_spectrum(args):
         args.count <= limit,
         "--count must be at most %d on a grid of %d nodes with the %s solver"
         % (limit, grid.size, args.solver),
+    )
+    _require(
+        args.solver != "dense" or grid.size <= DENSE_LIMIT,
+        "-n %d gives %d grid nodes; the dense solver takes at most %d"
+        % (args.n, grid.size, DENSE_LIMIT),
     )
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":

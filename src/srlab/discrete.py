@@ -56,14 +56,15 @@ def _exact_product(a, b):
     a value overflows (beyond about 2^996 in the split, leaving err not
     finite); both raise GridError instead of returning an inexact part.
     """
-    p = a * b
-    t = _SPLITTER * a
-    a_hi = t - (t - a)
-    a_lo = a - a_hi
-    t = _SPLITTER * b
-    b_hi = t - (t - b)
-    b_lo = b - b_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * b
+        t = _SPLITTER * a
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = _SPLITTER * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+        err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     if not np.all(np.isfinite(err)) or np.any(
         (np.abs(p) < 2.0**-969) & (a != 0) & (b != 0)
     ):

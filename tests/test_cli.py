@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -293,12 +294,34 @@ def test_spectrum_rejects_nonperiodic_fixture(capsys):
     assert "periodic" in err
 
 
-def test_spectrum_rejects_bad_eps_list(capsys):
-    code, _, err = run(
-        capsys, "spectrum", "contact3torus", "-n", "6", "--eps", "2,-4"
+@pytest.mark.parametrize("eps", ["2,-4", "2,2", "4,2", "2,inf", "nan"])
+def test_spectrum_rejects_bad_eps_list(capsys, monkeypatch, eps):
+    def no_work(spec_arg):
+        raise AssertionError("config loaded before --eps was checked")
+
+    monkeypatch.setattr("srlab.cli.load_config", no_work)
+    code, out, err = run(
+        capsys, "spectrum", "contact3torus", "-n", "6", "--eps", eps
     )
     assert code == 2
-    assert "positive" in err
+    assert out == ""
+    assert err.startswith("error: --eps values must be ")
+    assert err.count("\n") == 1
+
+
+def test_spectrum_eps_out_of_float_range_is_one_error_line(capsys):
+    # the exact products overflow; the range check reports it, and numpy
+    # raises no overflow warnings, which would reach stderr before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "spectrum", "contact3torus", "-n", "4", "--count", "2",
+            "--eps", "1e-300",
+        )
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 2
+    assert out == ""
+    assert err == "error: values out of the range of exact float products\n"
 
 
 def test_spectrum_rejects_odd_grid(capsys):
@@ -306,6 +329,23 @@ def test_spectrum_rejects_odd_grid(capsys):
     assert code == 2
     assert out == ""
     assert "even" in err
+
+
+def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
+    # 18^3 nodes exceed the dense solve; refuse before the complement solve
+    import srlab.cli as cli
+
+    def unreachable(*_):
+        raise AssertionError("complement solved before the grid size check")
+
+    monkeypatch.setattr(cli, "canonical_complement", unreachable)
+    code, out, err = run(
+        capsys, "spectrum", "contact3torus", "-n", "18", "--solver", "dense",
+        "--count", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: -n 18 gives 5832 grid nodes")
 
 
 def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):

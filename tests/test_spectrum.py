@@ -9,6 +9,7 @@ the dense path, multiplicities included.
 
 import math
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,11 +17,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GRID_NAMES, cached_structure
 from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.spectrum import (
     LANCZOS_MAX_COUNT,
     KernelReport,
     SpectrumError,
+    _FullBasis,
+    _orthonormalize,
     cluster_eigenvalues,
     dense_spectrum,
     epsilon_sweep,
@@ -169,7 +173,77 @@ def test_flat_torus_spectrum_closed_form(trivial):
 
 
 # ---------------------------------------------------------------------------
+# block orthonormalization against the Krylov basis
+
+
+@st.composite
+def orthonormalize_cases(draw):
+    """(W, basis, refilled): a block, an orthonormal basis, and the columns
+    whose remainder vanishes (zero, repeated, or inside the basis span)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 12))
+    N = k + p + draw(st.integers(1, 20))
+    basis = np.linalg.qr(rng.standard_normal((N, k)))[0]
+    W = rng.standard_normal((N, p))
+    case = draw(st.sampled_from(["random", "zero", "repeated", "in-span"]))
+    j = draw(st.integers(0, p - 1))
+    if case == "zero":
+        W[:, j] = 0.0
+    elif case == "repeated" and j > 0:
+        W[:, j] = W[:, draw(st.integers(0, j - 1))]
+    elif case == "in-span" and k > 0:
+        W[:, j] = basis @ rng.standard_normal(k)
+    else:
+        return W, basis, []
+    return W, basis, [j]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=orthonormalize_cases(), seed=st.integers(0, 2**32 - 1))
+def test_orthonormalize_property(case, seed):
+    W, basis, refilled = case
+    Z, R = _orthonormalize(W.copy(), basis, np.random.default_rng(seed), 1e-9)
+    p = W.shape[1]
+    assert np.max(np.abs(Z.T @ Z - np.eye(p))) < 1e-12
+    if basis.shape[1]:
+        assert np.max(np.abs(Z.T @ basis)) < 1e-12
+    remainder = W - basis @ (basis.T @ W)
+    assert np.max(np.abs(remainder - Z @ R)) < 1e-12
+    assert np.array_equal(np.tril(R, -1), np.zeros((p, p)))
+    assert list(np.flatnonzero(np.diag(R) == 0.0)) == refilled
+
+
+# ---------------------------------------------------------------------------
 # Lanczos against dense, multiplicities included
+
+
+@lru_cache(maxsize=None)
+def _grid_weak_form(name, n, eps):
+    s = cached_structure(name)
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    return assemble_weak_laplacian(s, grid, eps=eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(GRID_NAMES),
+    n=st.sampled_from([4, 6, 8]),
+    eps=st.sampled_from([None, 2.0]),
+    count=st.integers(1, 8),
+)
+def test_lanczos_agrees_with_dense_on_grid_fixtures(name, n, eps, count):
+    wf = _grid_weak_form(name, n, eps)
+    dense = dense_spectrum(wf.operator, wf.mass, count=count)
+    try:
+        lan = lanczos_smallest(wf.operator, wf.mass, count, tol=1e-10, seed=0)
+    except _FullBasis:
+        # only a basis capped at N (N <= 360 here) may end unconverged;
+        # solve_weak_form answers those with the dense solve
+        return
+    assert lan.clusters == dense.clusters
+    scale = np.maximum(1.0, np.abs(dense.eigenvalues))
+    assert np.all(np.abs(lan.eigenvalues - dense.eigenvalues) <= 1e-8 * scale)
 
 
 def test_lanczos_matches_dense_on_curved_frame(contact):
@@ -230,7 +304,10 @@ def test_lanczos_failure_reports_best_bound_and_lu_fill(contact):
     assert found, str(info.value)
     assert 1e-300 < float(found.group(1)) < 1.0
     scaled, _ = scaled_standard_form(wf.operator, wf.mass)
-    lu = splu((scaled + 0.1 * sp.identity(g.size, format="csr")).tocsc())
+    lu = splu(
+        (scaled + 0.1 * sp.identity(g.size, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+    )
     assert int(found.group(2)) == lu.L.nnz + lu.U.nnz
 
 
@@ -295,6 +372,8 @@ def test_epsilon_sweep_requires_ascending_eps(trivial):
     g = Grid(shape=(8, 8), periods=trivial.periods)
     with pytest.raises(SpectrumError, match="increasing"):
         epsilon_sweep(trivial, g, [8, 4, 2], count=2)
+    with pytest.raises(SpectrumError, match="strictly increasing"):
+        epsilon_sweep(trivial, g, [2, 2], count=2)
 
 
 # ---------------------------------------------------------------------------
