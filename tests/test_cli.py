@@ -294,19 +294,30 @@ def test_spectrum_rejects_nonperiodic_fixture(capsys):
     assert "periodic" in err
 
 
-@pytest.mark.parametrize("eps", ["2,-4", "2,2", "4,2", "2,inf", "nan"])
-def test_spectrum_rejects_bad_eps_list(capsys, monkeypatch, eps):
+BAD_EPS_LISTS = [
+    ("2,-4", "finite and positive"),
+    ("-4,2", "finite and positive"),  # increasing: only positivity fails
+    ("nan", "finite and positive"),
+    ("2,inf", "finite and positive"),
+    ("2,2", "strictly increasing"),
+    ("4,2", "strictly increasing"),
+]
+
+
+@pytest.mark.parametrize(
+    "eps, rule", BAD_EPS_LISTS, ids=[eps for eps, _ in BAD_EPS_LISTS]
+)
+def test_spectrum_rejects_bad_eps_list(capsys, monkeypatch, eps, rule):
     def no_work(spec_arg):
         raise AssertionError("config loaded before --eps was checked")
 
     monkeypatch.setattr("srlab.cli.load_config", no_work)
     code, out, err = run(
-        capsys, "spectrum", "contact3torus", "-n", "6", "--eps", eps
+        capsys, "spectrum", "contact3torus", "-n", "6", "--eps=" + eps
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --eps values must be ")
-    assert err.count("\n") == 1
+    assert err == "error: --eps values must be %s\n" % rule
 
 
 def test_spectrum_eps_out_of_float_range_is_one_error_line(capsys):

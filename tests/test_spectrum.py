@@ -7,9 +7,9 @@ weak-form-to-spectrum chain, and the block Lanczos is checked against
 the dense path, multiplicities included.
 """
 
+import itertools
 import math
 import re
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from srlab.spectrum import (
     LANCZOS_MAX_COUNT,
     KernelReport,
     SpectrumError,
-    _FullBasis,
     _orthonormalize,
     cluster_eigenvalues,
     dense_spectrum,
@@ -218,32 +217,28 @@ def test_orthonormalize_property(case, seed):
 # Lanczos against dense, multiplicities included
 
 
-@lru_cache(maxsize=None)
-def _grid_weak_form(name, n, eps):
-    s = cached_structure(name)
-    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
-    return assemble_weak_laplacian(s, grid, eps=eps)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    name=st.sampled_from(GRID_NAMES),
-    n=st.sampled_from([4, 6, 8]),
-    eps=st.sampled_from([None, 2.0]),
-    count=st.integers(1, 8),
-)
-def test_lanczos_agrees_with_dense_on_grid_fixtures(name, n, eps, count):
-    wf = _grid_weak_form(name, n, eps)
-    dense = dense_spectrum(wf.operator, wf.mass, count=count)
-    try:
-        lan = lanczos_smallest(wf.operator, wf.mass, count, tol=1e-10, seed=0)
-    except _FullBasis:
-        # only a basis capped at N (N <= 360 here) may end unconverged;
-        # solve_weak_form answers those with the dense solve
-        return
-    assert lan.clusters == dense.clusters
-    scale = np.maximum(1.0, np.abs(dense.eigenvalues))
-    assert np.all(np.abs(lan.eigenvalues - dense.eigenvalues) <= 1e-8 * scale)
+def test_lanczos_agrees_with_dense_on_grid_fixtures():
+    # every case: GRID_NAMES x n in {4, 6, 8} x eps in {None, 2} x count 1-8
+    fallbacks = []
+    for name, n, eps in itertools.product(GRID_NAMES, [4, 6, 8], [None, 2.0]):
+        s = cached_structure(name)
+        grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+        wf = assemble_weak_laplacian(s, grid, eps=eps)
+        dense = dense_spectrum(wf.operator, wf.mass, count=8)
+        scale = np.maximum(1.0, np.abs(dense.eigenvalues))
+        for count in range(1, 9):
+            rep = solve_weak_form(wf, count, "lanczos", 1e-10, 0)
+            if rep.method == "dense":
+                # only a Lanczos run whose basis cap min(N, max(360, 12 count))
+                # is N may end unconverged and be answered densely
+                assert grid.size <= max(360, 12 * count)
+                fallbacks.append((name, n, eps, count))
+            assert rep.clusters == cluster_eigenvalues(dense.eigenvalues[:count])
+            gap = np.abs(rep.eigenvalues - dense.eigenvalues[:count])
+            assert np.all(gap <= 1e-8 * scale[:count])
+    # 14 of the 144 fall back today, all on the 2-D trivial torus (N <= 64);
+    # more would mean Lanczos gives up where it used to converge
+    assert len(fallbacks) <= 14, fallbacks
 
 
 def test_lanczos_matches_dense_on_curved_frame(contact):
