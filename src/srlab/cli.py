@@ -73,6 +73,7 @@ from .spectrum import (
     DENSE_LIMIT,
     LANCZOS_MAX_COUNT,
     SpectrumError,
+    choose_solver,
     epsilon_sweep,
     kernel_check,
     solve_weak_form,
@@ -330,24 +331,22 @@ def _spectrum_rows_csv(rows):
 def cmd_spectrum(args):
     _require(args.count >= 1, "--count must be at least 1")
     _require(
-        args.solver != "lanczos" or args.count <= LANCZOS_MAX_COUNT,
-        "--count must be at most %d with the lanczos solver" % LANCZOS_MAX_COUNT,
+        np.isfinite(args.tol) and args.tol > 0, "--tol must be finite and positive"
     )
-    _require(args.tol > 0, "--tol must be positive")
     eps_values = _parse_eps_list(args.eps)
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
     grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
-    limit = grid.size if args.solver == "dense" else grid.size - 1
     _require(
-        args.count <= limit,
-        "--count must be at most %d on a grid of %d nodes with the %s solver"
-        % (limit, grid.size, args.solver),
+        args.count <= grid.size,
+        "--count must be at most %d (the number of grid nodes)" % grid.size,
     )
+    solver = choose_solver(grid.size, args.count)
     _require(
-        args.solver != "dense" or grid.size <= DENSE_LIMIT,
-        "-n %d gives %d grid nodes; the dense solver takes at most %d"
-        % (args.n, grid.size, DENSE_LIMIT),
+        solver is not None,
+        "-n %d gives %d grid nodes; more than %d eigenpairs are solved "
+        "densely, up to %d nodes"
+        % (args.n, grid.size, LANCZOS_MAX_COUNT, DENSE_LIMIT),
     )
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":
@@ -361,14 +360,12 @@ def cmd_spectrum(args):
         "grid": list(grid.shape),
         "count": args.count,
         "seed": args.seed,
-        "solver": args.solver,
+        "solver": solver,
     }
 
     if eps_values is None:
         wf = assemble_weak_laplacian(adapted, grid, eps=None, density=density)
-        rep = solve_weak_form(
-            wf, args.count, args.solver, args.tol, args.seed
-        )
+        rep = solve_weak_form(wf, args.count, args.tol, args.seed)
         rows = rep.rows("inf")
         summary = None
     else:
@@ -379,7 +376,6 @@ def cmd_spectrum(args):
             count=args.count,
             tol=args.tol,
             seed=args.seed,
-            solver=args.solver,
             density=density,
         )
         rows = sweep.rows()
@@ -707,9 +703,6 @@ def build_parser():
     )
     p.add_argument("--count", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument(
-        "--solver", choices=("lanczos", "dense"), default="lanczos"
-    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_spectrum)
 

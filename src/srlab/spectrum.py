@@ -6,37 +6,54 @@ A~ = M^{-1/2} L M^{-1/2}.  The dense path hands A~ to LAPACK
 index range, and the full ``evd`` solve where ``evr`` fails); the
 iterative path is a shift-invert block Lanczos process with full
 reorthogonalization whose small projected eigenproblem goes through the
-same LAPACK call.  The shifted matrix A~ + sigma I is symmetric positive
-definite, so its sparse LU takes SuperLU's minimum-degree ordering on the
-structure of A + A^T, which fits a symmetric pattern (COLAMD, the
-default, orders for an unsymmetric one and leaves about twice the fill).
-Reported residuals are always the
-generalized ones, || L v - lambda M v || / || M v ||, computed from the
-original matrices.  scipy is imported by the functions that use it, on
-the first solve, not with the module.
+same LAPACK call; ``choose_solver`` picks one from the problem size.
+The shifted matrix A~ + sigma I is symmetric positive definite, so its
+sparse LU takes SuperLU's minimum-degree ordering on the structure of
+A + A^T, which fits a symmetric pattern (COLAMD, the default, orders for
+an unsymmetric one and leaves about twice the fill).  Reported residuals
+are always the generalized ones, || L v - lambda M v || / || M v ||,
+computed from the original matrices.  scipy is imported by the functions
+that use it, on the first solve, not with the module.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .discrete import DiagonalMass, assemble_weak_laplacian
+
 
 DENSE_LIMIT = 4096
 LANCZOS_MAX_COUNT = 32
+GAP_FLOOR = 1e-12  # sweep gaps at or below this count as converged
 
 
 class SpectrumError(RuntimeError):
     pass
 
 
-class _FullBasis(SpectrumError):
-    """Block Lanczos did not converge with a basis spanning all N columns."""
+def _lanczos_basis_cap(count):
+    """Most Krylov basis columns block Lanczos builds for ``count`` pairs."""
+    return max(360, 12 * count)
+
+
+def choose_solver(N, count):
+    """The solver for ``count`` pairs of N nodes: "lanczos", "dense" or None.
+
+    Block Lanczos takes up to LANCZOS_MAX_COUNT pairs of a problem larger
+    than its basis cap, so its basis never spans the whole space; the
+    dense solve, faster below about N = 512, takes the rest up to
+    DENSE_LIMIT nodes.  None means no path takes the problem.
+    """
+    if count <= LANCZOS_MAX_COUNT and N > _lanczos_basis_cap(count):
+        return "lanczos"
+    return "dense" if N <= DENSE_LIMIT else None
 
 
 def _mass_diagonal(M):
     import scipy.sparse as sp
 
-    if hasattr(M, "diagonal") and not callable(getattr(M, "diagonal", None)):
+    if isinstance(M, DiagonalMass):
         diag = np.asarray(M.diagonal, dtype=float)
     elif sp.issparse(M):
         diag = M.diagonal()
@@ -176,22 +193,20 @@ def dense_spectrum(L, M, count=None):
     A = scaled.toarray()
     A = 0.5 * (A + A.T)
     wanted, Z = _symmetric_eig(A, 0, count - 1)
+    return _report(mat, _mass_diagonal(M), s, wanted, Z, "dense")
+
+
+def _report(mat, diag, s, lams, Z, method, iterations=None):
+    """Report for pairs (lams, Z) of A~: unit vectors v = s z and the
+    generalized residuals from the original ``mat`` and mass ``diag``."""
     V = s[:, None] * Z
     V /= np.linalg.norm(V, axis=0, keepdims=True)
-    diag = _mass_diagonal(M)
-    res = _generalized_residuals(mat, diag, wanted, V)
-    return SpectrumReport(
-        eigenvalues=wanted, vectors=V, residuals=res, method="dense"
-    )
-
-
-def _generalized_residuals(mat, diag, lams, V):
     res = np.empty(lams.size)
     for j in range(lams.size):
         v = V[:, j]
         defect = mat @ v - lams[j] * (diag * v)
         res[j] = float(np.linalg.norm(defect) / np.linalg.norm(diag * v))
-    return res
+    return SpectrumReport(lams, V, res, method, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,7 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     min(N, max(360, 12 * count)) columns; without convergence there the
     error reports the best Ritz residual bound reached (scaled to compare
     with ``tol``) and the fill nnz(L) + nnz(U) of the shift-invert factor.
+    A cap of N can end so, which is why ``choose_solver`` solves densely.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -241,7 +257,7 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
         (scaled + sigma * sp.identity(N, format="csr")).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
     )
-    max_cols = min(N, max(360, 12 * count))
+    max_cols = min(N, _lanczos_basis_cap(count))
 
     rng = np.random.default_rng(seed)
     Q = np.zeros((N, max_cols + p))
@@ -280,27 +296,17 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
             if np.all(theta > 0) and np.all(
                 bound <= 0.5 * tol * theta / (cA + sigma)
             ):
-                V = Q[:, :cols] @ S
                 lams = 1.0 / theta - sigma
                 order = np.argsort(lams)
-                lams = lams[order]
-                V = V[:, order]
-                V = s[:, None] * V
-                V /= np.linalg.norm(V, axis=0, keepdims=True)
-                res = _generalized_residuals(mat, diag, lams, V)
-                if np.all(res <= np.maximum(tol, 1e3 * tol * np.abs(lams))):
-                    return SpectrumReport(
-                        eigenvalues=lams,
-                        vectors=V,
-                        residuals=res,
-                        method="lanczos",
-                        iterations=cols,
-                    )
+                V = (Q[:, :cols] @ S)[:, order]
+                rep = _report(mat, diag, s, lams[order], V, "lanczos", cols)
+                limit = np.maximum(tol, 1e3 * tol * np.abs(rep.eigenvalues))
+                if np.all(rep.residuals <= limit):
+                    return rep
         prev_Z = Z
         prev_B = Bblk
         Z = Znew
-    error = _FullBasis if max_cols == N else SpectrumError
-    raise error(
+    raise SpectrumError(
         "block Lanczos did not converge to tolerance %.1e within %d basis "
         "vectors (best Ritz residual bound %.1e, LU fill %d)"
         % (tol, max_cols, best, solver.L.nnz + solver.U.nnz)
@@ -373,7 +379,7 @@ class SweepReport:
     gaps: np.ndarray  # (n_eps, count)
     orders: np.ndarray  # per-index fitted decay order
     monotone: bool
-    floor: float = 1e-12
+    floor: float = GAP_FLOOR
 
     def rows(self):
         out = self.horizontal.rows("inf")
@@ -382,21 +388,15 @@ class SweepReport:
         return out
 
 
-def solve_weak_form(wf, count, solver, tol, seed):
-    """Smallest ``count`` eigenpairs of a weak form with the named solver.
+def solve_weak_form(wf, count, tol, seed):
+    """Smallest ``count`` eigenpairs of a weak form, by ``choose_solver``.
 
     A dense result whose residuals exceed max(tol, 1e-8) raises
     SpectrumError; the Lanczos path checks its residuals against ``tol``
-    itself.  A Lanczos run that fails with a basis spanning all N columns
-    has met a problem small enough to solve densely, so it is.
+    itself.
     """
-    if solver == "lanczos":
-        try:
-            return lanczos_smallest(
-                wf.operator, wf.mass, count, tol=tol, seed=seed
-            )
-        except _FullBasis:
-            pass
+    if choose_solver(wf.operator.shape[0], count) == "lanczos":
+        return lanczos_smallest(wf.operator, wf.mass, count, tol=tol, seed=seed)
     rep = dense_spectrum(wf.operator, wf.mass, count=count)
     if np.any(rep.residuals > max(tol, 1e-8)):
         raise SpectrumError(
@@ -413,41 +413,33 @@ def epsilon_sweep(
     count=6,
     tol=1e-9,
     seed=0,
-    solver="lanczos",
     density=None,
 ):
     """Penalty spectra against the horizontal spectrum over a list of eps.
 
     Reports per-index gaps |lambda_i(eps) - lambda_i|, whether the gaps
-    decrease monotonically (gaps below the floor count as converged), and
+    decrease monotonically (gaps up to GAP_FLOOR count as converged), and
     the per-index decay order fitted on log(gap) against log(eps).
     """
-    from .discrete import assemble_weak_laplacian
-
     eps_values = [float(e) for e in eps_values]
     if any(a >= b for a, b in zip(eps_values, eps_values[1:])):
         raise SpectrumError("eps values must be strictly increasing")
     wfH = assemble_weak_laplacian(structure, grid, eps=None, density=density)
-    base = solve_weak_form(wfH, count, solver, tol, seed)
+    base = solve_weak_form(wfH, count, tol, seed)
     reports = []
     gaps = np.empty((len(eps_values), count))
     for row, eps in enumerate(eps_values):
         wfe = assemble_weak_laplacian(structure, grid, eps=eps, density=density)
-        rep = solve_weak_form(wfe, count, solver, tol, seed)
+        rep = solve_weak_form(wfe, count, tol, seed)
         reports.append(rep)
         gaps[row] = np.abs(rep.eigenvalues - base.eigenvalues)
-    floor = 1e-12
-    monotone = True
-    for i in range(count):
-        g = gaps[:, i]
-        for r in range(1, len(eps_values)):
-            if g[r] >= g[r - 1] and g[r] > floor:
-                monotone = False
+    later = gaps[1:]
+    monotone = not np.any((later >= gaps[:-1]) & (later > GAP_FLOOR))
     orders = np.full(count, np.nan)
     logeps = np.log(np.asarray(eps_values))
     for i in range(count):
         g = gaps[:, i]
-        mask = g > floor
+        mask = g > GAP_FLOOR
         if int(np.sum(mask)) >= 2:
             slope = np.polyfit(logeps[mask], np.log(g[mask]), 1)[0]
             orders[i] = -slope
@@ -458,7 +450,6 @@ def epsilon_sweep(
         gaps=gaps,
         orders=orders,
         monotone=monotone,
-        floor=floor,
     )
 
 

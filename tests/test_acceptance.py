@@ -374,9 +374,7 @@ def test_criterion_6_spectral_convergence(capsys):
     adapted = canonical("contact3torus")
     g = Grid(shape=(12, 12, 12), periods=adapted.periods)
     eps_values = [2.0, 4.0, 8.0, 16.0, 32.0]
-    sweep = epsilon_sweep(
-        adapted, g, eps_values, count=6, tol=1e-9, seed=42, solver="lanczos"
-    )
+    sweep = epsilon_sweep(adapted, g, eps_values, count=6, tol=1e-9, seed=42)
     lamH = sweep.horizontal.eigenvalues
     nonzero = np.abs(lamH) > 1e-8
     decreasing = True

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import srlab
-from srlab.cli import main
+from srlab.cli import build_structure, load_config, main
 from srlab.complement import canonical_complement, verify_flat_complement
+from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.geometry import SubRiemannianStructure
+from srlab.spectrum import dense_spectrum
 
 from conftest import FIXTURE_NAMES, GRID_NAMES, write_config
 
@@ -267,19 +269,18 @@ def test_spectrum_json_format(capsys):
 
 
 def test_spectrum_seeded_runs_are_byte_identical(capsys, tmp_path):
+    # 512 nodes and 4 pairs: the seeded block Lanczos solves every form
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     args = (
         "spectrum",
         "contact3torus",
         "-n",
-        "6",
+        "8",
         "--count",
         "4",
         "--eps",
         "2,4",
-        "--solver",
-        "lanczos",
         "--seed",
         "42",
     )
@@ -343,7 +344,8 @@ def test_spectrum_rejects_odd_grid(capsys):
 
 
 def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
-    # 18^3 nodes exceed the dense solve; refuse before the complement solve
+    # 40 pairs go to the dense solve, but 18^3 nodes exceed it; refuse
+    # before the complement solve
     import srlab.cli as cli
 
     def unreachable(*_):
@@ -351,8 +353,7 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "canonical_complement", unreachable)
     code, out, err = run(
-        capsys, "spectrum", "contact3torus", "-n", "18", "--solver", "dense",
-        "--count", "2",
+        capsys, "spectrum", "contact3torus", "-n", "18", "--count", "40"
     )
     assert code == 2
     assert out == ""
@@ -360,32 +361,38 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
 
 
 def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
+    # 64 nodes lie below the Lanczos basis cap, so any count is dense
     code, out, _ = run(
-        capsys,
-        "spectrum",
-        "contact3torus",
-        "-n",
-        "4",
-        "--solver",
-        "dense",
-        "--count",
-        "40",
+        capsys, "spectrum", "contact3torus", "-n", "4", "--count", "63"
     )
     assert code == 0
-    assert len(out.splitlines()) == 41
+    assert len(out.splitlines()) == 64
+
+
+@pytest.mark.parametrize(
+    "n, count, solver",
+    [("4", "3", "dense"), ("8", "4", "lanczos"), ("8", "33", "dense")],
+)
+def test_spectrum_json_names_the_chosen_solver(capsys, n, count, solver):
+    code, out, _ = run(
+        capsys, "spectrum", "contact3torus", "-n", n, "--count", count,
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["solver"] == solver
 
 
 @pytest.mark.parametrize(
     "argv, code, limit",
     [
-        (("contact3torus", "--solver", "dense", "--count", "100"), 2, "64"),
-        (("trivial", "--count", "20"), 2, "15"),
-        (("trivial", "--count", "16", "--solver", "dense"), 0, None),
+        (("contact3torus", "--count", "100"), 2, "64"),
+        (("trivial", "--count", "17"), 2, "16"),
+        (("trivial", "--count", "16"), 0, None),
     ],
 )
 def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit):
-    # lanczos needs count <= N - 1 and dense count <= N; a count beyond that
-    # is rejected before the complement solve (patched to fail here)
+    # count <= N; a count beyond that is rejected before the complement
+    # solve (patched to fail here)
     import srlab.cli as cli
 
     if limit is not None:
@@ -411,23 +418,29 @@ def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit
     ],
 )
 def test_spectrum_lanczos_at_full_basis_solves_densely(capsys, argv):
-    # the basis cap min(N, max(360, 12 count)) reaches N here, and the
-    # trivial kernel's multiplicity exceeds the block size, so block
-    # Lanczos cannot converge; the whole space is small enough to solve
-    # densely instead
+    # a Lanczos basis cap min(N, max(360, 12 count)) would reach N here,
+    # and the trivial kernel's multiplicity exceeds the block size, so
+    # block Lanczos could not converge; the rule solves these densely
     code, out, err = run(capsys, "spectrum", *argv)
     assert code == 0, err
-    code, ref, _ = run(capsys, "spectrum", *argv, "--solver", "dense")
-    assert code == 0
+    name, n, count = argv[0], int(argv[2]), int(argv[4])
+    eps_values = [float(e) for e in argv[6].split(",")] if len(argv) > 5 else []
+    s, density = build_structure(load_config(name))
+    adapted = canonical_complement(s).as_structure()
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    ref_rows = []
+    for eps in [None] + eps_values:
+        wf = assemble_weak_laplacian(adapted, grid, eps=eps, density=density)
+        rep = dense_spectrum(wf.operator, wf.mass, count=count)
+        ref_rows += rep.rows("inf" if eps is None else eps)
     rows = list(csv.DictReader(io.StringIO(out)))
-    ref_rows = list(csv.DictReader(io.StringIO(ref)))
     assert len(rows) == len(ref_rows) > 0
     for row, want in zip(rows, ref_rows):
-        for key in ("eps", "i", "multiplicity_cluster"):
-            assert row[key] == want[key]
-        lam, lam_ref = float(row["lambda"]), float(want["lambda"])
-        assert abs(lam - lam_ref) <= 1e-9 * max(1.0, abs(lam_ref))
-        assert float(row["residual"]) <= 1e-8
+        assert row["eps"] == str(want["eps"])
+        assert int(row["i"]) == want["i"]
+        assert int(row["multiplicity_cluster"]) == want["multiplicity_cluster"]
+        assert float(row["lambda"]) == want["lambda"]
+        assert float(row["residual"]) == want["residual"] <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +656,7 @@ def test_verify_one_dimensional_line(capsys, tmp_path, flags):
         ("spectrum", "contact3torus", "-n", "6", "--tol", "0"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "-0.5"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "nan"),
-        ("spectrum", "contact3torus", "-n", "6", "--count", "40"),
+        ("spectrum", "contact3torus", "-n", "6", "--tol", "inf"),
     ],
 )
 def test_bad_numeric_flag_is_usage_error(capsys, monkeypatch, argv):

@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from conftest import GRID_NAMES, cached_structure
 from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.spectrum import (
+    DENSE_LIMIT,
     LANCZOS_MAX_COUNT,
     KernelReport,
     SpectrumError,
     _orthonormalize,
+    choose_solver,
     cluster_eigenvalues,
     dense_spectrum,
     epsilon_sweep,
@@ -219,7 +221,6 @@ def test_orthonormalize_property(case, seed):
 
 def test_lanczos_agrees_with_dense_on_grid_fixtures():
     # every case: GRID_NAMES x n in {4, 6, 8} x eps in {None, 2} x count 1-8
-    fallbacks = []
     for name, n, eps in itertools.product(GRID_NAMES, [4, 6, 8], [None, 2.0]):
         s = cached_structure(name)
         grid = Grid(shape=(n,) * s.dim, periods=s.periods)
@@ -227,18 +228,30 @@ def test_lanczos_agrees_with_dense_on_grid_fixtures():
         dense = dense_spectrum(wf.operator, wf.mass, count=8)
         scale = np.maximum(1.0, np.abs(dense.eigenvalues))
         for count in range(1, 9):
-            rep = solve_weak_form(wf, count, "lanczos", 1e-10, 0)
-            if rep.method == "dense":
-                # only a Lanczos run whose basis cap min(N, max(360, 12 count))
-                # is N may end unconverged and be answered densely
-                assert grid.size <= max(360, 12 * count)
-                fallbacks.append((name, n, eps, count))
+            rep = solve_weak_form(wf, count, 1e-10, 0)
+            # Lanczos exactly where its basis cap max(360, 12 count) < N
+            assert (rep.method == "lanczos") == (grid.size > max(360, 12 * count))
             assert rep.clusters == cluster_eigenvalues(dense.eigenvalues[:count])
             gap = np.abs(rep.eigenvalues - dense.eigenvalues[:count])
             assert np.all(gap <= 1e-8 * scale[:count])
-    # 14 of the 144 fall back today, all on the 2-D trivial torus (N <= 64);
-    # more would mean Lanczos gives up where it used to converge
-    assert len(fallbacks) <= 14, fallbacks
+
+
+@pytest.mark.parametrize(
+    "N, count, solver",
+    [
+        (360, 1, "dense"),
+        (361, 1, "lanczos"),
+        (361, 30, "lanczos"),  # cap 360
+        (384, 32, "dense"),  # cap 12 * 32 = 384
+        (385, 32, "lanczos"),
+        (10**6, 32, "lanczos"),
+        (DENSE_LIMIT, 33, "dense"),
+        (DENSE_LIMIT + 1, 33, None),
+        (10, 10, "dense"),
+    ],
+)
+def test_choose_solver_by_size(N, count, solver):
+    assert choose_solver(N, count) == solver
 
 
 def test_lanczos_matches_dense_on_curved_frame(contact):
@@ -307,12 +320,13 @@ def test_lanczos_failure_reports_best_bound_and_lu_fill(contact):
 
 
 def test_solve_weak_form_at_full_lanczos_basis_solves_densely(trivial):
-    # N = 16 caps the basis at N; the 4-fold kernel exceeds the block size
+    # N = 16 caps the basis at N; the 4-fold kernel exceeds the block size,
+    # so Lanczos called directly fails, and the size rule solves densely
     g = Grid(shape=(4, 4), periods=trivial.periods)
     wf = assemble_weak_laplacian(trivial, g)
     with pytest.raises(SpectrumError, match="within 16 basis vectors"):
         lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-9, seed=42)
-    rep = solve_weak_form(wf, 6, "lanczos", 1e-9, 42)
+    rep = solve_weak_form(wf, 6, 1e-9, 42)
     assert rep.method == "dense"
     dense = dense_spectrum(wf.operator, wf.mass, count=6)
     assert np.array_equal(rep.eigenvalues, dense.eigenvalues)
@@ -339,7 +353,7 @@ def test_cluster_eigenvalues_relative_threshold():
 
 def test_epsilon_sweep_monotone_with_quadratic_order(trivial):
     g = Grid(shape=(8, 8), periods=trivial.periods)
-    sweep = epsilon_sweep(trivial, g, [2, 4, 8], count=4, solver="dense")
+    sweep = epsilon_sweep(trivial, g, [2, 4, 8], count=4)
     assert sweep.monotone
     # recompute monotonicity independently: each gap either shrinks or
     # has already converged below the floor
@@ -353,7 +367,7 @@ def test_epsilon_sweep_monotone_with_quadratic_order(trivial):
 
 def test_epsilon_sweep_row_schema(trivial):
     g = Grid(shape=(8, 8), periods=trivial.periods)
-    sweep = epsilon_sweep(trivial, g, [2, 4], count=2, solver="dense")
+    sweep = epsilon_sweep(trivial, g, [2, 4], count=2)
     rows = sweep.rows()
     assert len(rows) == 2 + 2 * 2
     assert rows[0]["eps"] == "inf"
