@@ -94,6 +94,7 @@ from .spectrum import (
     cluster_eigenvalues,
     dense_spectrum,
     epsilon_sweep,
+    fourier_smallest,
     kernel_check,
     lanczos_smallest,
 )

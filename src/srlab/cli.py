@@ -341,9 +341,8 @@ def cmd_spectrum(args):
         args.count <= grid.size,
         "--count must be at most %d (the number of grid nodes)" % grid.size,
     )
-    solver = choose_solver(grid.size, args.count)
     _require(
-        solver is not None,
+        choose_solver(grid.size, args.count) is not None,
         "-n %d gives %d grid nodes; more than %d eigenpairs are solved "
         "densely, up to %d nodes"
         % (args.n, grid.size, LANCZOS_MAX_COUNT, DENSE_LIMIT),
@@ -360,12 +359,12 @@ def cmd_spectrum(args):
         "grid": list(grid.shape),
         "count": args.count,
         "seed": args.seed,
-        "solver": solver,
     }
 
     if eps_values is None:
         wf = assemble_weak_laplacian(adapted, grid, eps=None, density=density)
         rep = solve_weak_form(wf, args.count, args.tol, args.seed)
+        reports = [rep]
         rows = rep.rows("inf")
         summary = None
     else:
@@ -378,6 +377,7 @@ def cmd_spectrum(args):
             seed=args.seed,
             density=density,
         )
+        reports = [sweep.horizontal] + sweep.penalized
         rows = sweep.rows()
         summary = {
             "monotone": bool(sweep.monotone),
@@ -391,6 +391,8 @@ def cmd_spectrum(args):
         _emit(_spectrum_rows_csv(rows), args.out)
     else:
         payload = dict(meta)
+        # the paths the solves took, in first-use order
+        payload["solver"] = ",".join(dict.fromkeys(r.method for r in reports))
         payload["rows"] = rows
         payload["sweep"] = summary
         _emit(_json_text(payload), args.out)

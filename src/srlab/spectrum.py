@@ -1,19 +1,28 @@
 """Generalized eigensolvers for the discretized forms.
 
-Both solvers work on the symmetrically scaled standard problem
-A~ = M^{-1/2} L M^{-1/2}.  The dense path hands A~ to LAPACK
+Every solver works on the symmetrically scaled standard problem
+A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembled matrix and mass
+diagonal are exactly invariant under the one-node shift along some grid
+axes is block-circulant along them: ``fourier_smallest`` splits it into
+one small Hermitian block per wavevector of those axes (block-circulant
+diagonalization, the discrete Bloch-Floquet reduction) and solves all
+blocks in one batched ``numpy.linalg.eigvalsh``.  ``solve_weak_form``
+tries that path first.  Forms with no invariant axis go by
+``choose_solver``: the dense path hands A~ to LAPACK
 (``scipy.linalg.eigh`` with the ``evr`` driver, restricted to the wanted
 index range, and the full ``evd`` solve where ``evr`` fails); the
 iterative path is a shift-invert block Lanczos process with full
 reorthogonalization whose small projected eigenproblem goes through the
-same LAPACK call; ``choose_solver`` picks one from the problem size.
-The shifted matrix A~ + sigma I is symmetric positive definite, so its
-sparse LU takes SuperLU's minimum-degree ordering on the structure of
-A + A^T, which fits a symmetric pattern (COLAMD, the default, orders for
-an unsymmetric one and leaves about twice the fill).  Reported residuals
-are always the generalized ones, || L v - lambda M v || / || M v ||,
-computed from the original matrices.  scipy is imported by the functions
-that use it, on the first solve, not with the module.
+same LAPACK call.  The shifted matrix A~ + sigma I is symmetric positive
+definite, so its sparse LU takes SuperLU's minimum-degree ordering on
+the structure of A + A^T, which fits a symmetric pattern (COLAMD, the
+default, orders for an unsymmetric one and leaves about twice the fill).
+Each report's ``method`` names the path that produced it: "fourier",
+"dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
+its solves.  Reported residuals are always the generalized
+ones, || L v - lambda M v || / || M v ||, computed from the original
+matrices.  scipy is imported by the functions that use it, on the first
+solve, not with the module; the Fourier path uses numpy's LAPACK only.
 """
 
 from dataclasses import dataclass, field
@@ -227,11 +236,12 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
     process cannot see; full reorthogonalization (``_orthonormalize``,
     block CGS2 against the basis) keeps the basis numerically
     orthonormal, and rank-deficient steps are refilled with random
-    directions.  The basis is capped at
-    min(N, max(360, 12 * count)) columns; without convergence there the
-    error reports the best Ritz residual bound reached (scaled to compare
-    with ``tol``) and the fill nnz(L) + nnz(U) of the shift-invert factor.
-    A cap of N can end so, which is why ``choose_solver`` solves densely.
+    directions.  The basis is capped at max(360, 12 * count) columns, and
+    a problem of at most that many nodes, where the basis could span the
+    whole space, is refused before the factorization.  Without
+    convergence at the cap the error reports the best Ritz residual bound
+    reached (scaled to compare with ``tol``) and the fill nnz(L) + nnz(U)
+    of the shift-invert factor.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
@@ -241,10 +251,16 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
         raise SpectrumError(
             "iterative solver supports at most %d eigenpairs" % LANCZOS_MAX_COUNT
         )
+    if count < 1:
+        raise SpectrumError("count must be at least 1")
     mat = _operator_matrix(L)
     N = mat.shape[0]
-    if count < 1 or count >= N:
-        raise SpectrumError("count must be between 1 and N-1")
+    max_cols = _lanczos_basis_cap(count)
+    if N <= max_cols:
+        raise SpectrumError(
+            "block Lanczos for %d pairs needs more than %d nodes, its basis "
+            "cap; got %d" % (count, max_cols, N)
+        )
     if not sigma > 0:
         raise SpectrumError("sigma must be positive")
     p = min(count, 6)
@@ -257,7 +273,6 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
         (scaled + sigma * sp.identity(N, format="csr")).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
     )
-    max_cols = min(N, _lanczos_basis_cap(count))
 
     rng = np.random.default_rng(seed)
     Q = np.zeros((N, max_cols + p))
@@ -322,7 +337,8 @@ def _orthonormalize(W, basis, rng, floor):
     ones before it.  Returns (Z, R) with W - basis basis^T W = Z R up to
     rounding, R upper triangular.  A column whose remainder has norm
     below ``floor`` is replaced by a random direction, projected the same
-    way, and its diagonal entry of R is zero.
+    way, and its diagonal entry of R is zero; a direction whose remainder
+    also falls below ``floor`` is drawn again, up to three draws.
     """
     N, pcols = W.shape
 
@@ -342,11 +358,14 @@ def _orthonormalize(W, basis, rng, floor):
             v = v - Z[:, :col] @ r
         norm = float(np.linalg.norm(v))
         if norm < floor:
-            v = project_out_basis(rng.standard_normal((N, 1)))[:, 0]
-            for _ in range(2):
-                v = v - Z[:, :col] @ (Z[:, :col].T @ v)
-            norm = float(np.linalg.norm(v))
-            if norm == 0.0:
+            for _ in range(3):
+                v = project_out_basis(rng.standard_normal((N, 1)))[:, 0]
+                for _ in range(2):
+                    v = v - Z[:, :col] @ (Z[:, :col].T @ v)
+                norm = float(np.linalg.norm(v))
+                if norm >= floor:
+                    break
+            else:
                 raise SpectrumError("failed to extend the Krylov basis")
         else:
             R[col, col] = norm
@@ -365,6 +384,130 @@ def _assemble_block_tridiagonal(diag_blocks, sub_blocks, cols, p):
             T[sl_n, sl_j] = sub_blocks[jb]
             T[sl_j, sl_n] = sub_blocks[jb].T
     return T
+
+
+# ---------------------------------------------------------------------------
+# Fourier path
+
+_BLOCK_ENTRIES = 1 << 22  # most block entries the Fourier path builds at once
+
+
+def _invariant_axes(mat, diag, grid):
+    """Grid axes under whose one-node shift ``mat`` and ``diag`` are
+    exactly invariant."""
+    multi = grid.multi_indices()
+    axes = []
+    for a in range(grid.dim):
+        perm = grid.ravel(grid.shifted(multi, a, 1))
+        if np.array_equal(diag[perm], diag) and (mat[perm][:, perm] != mat).nnz == 0:
+            axes.append(a)
+    return axes
+
+
+def _roots_of_unity(n):
+    """exp(2 pi i j / n) for j < n (n even): root n - j is the exact
+    conjugate of root j, and roots 0 and n/2 are exactly 1 and -1."""
+    half = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    half[0], half[-1] = 1.0, -1.0
+    return np.concatenate([half, np.conj(half[-2:0:-1])])
+
+
+def _strides(shape):
+    """Row-major strides, in elements, of an array of ``shape``."""
+    return np.array(
+        [int(np.prod(shape[a + 1 :])) for a in range(len(shape))], dtype=np.int64
+    )
+
+
+def fourier_smallest(wf, count):
+    """Smallest generalized eigenpairs of a weak form, block by block in
+    Fourier space; None when the form has no invariant grid axis or its
+    blocks would exceed DENSE_LIMIT rows.
+
+    Along the axes I under whose shift the assembled matrix and the mass
+    are exactly invariant, the modes u(x) = z(x_J) exp(i k.x_I) with
+    x_J the other coordinates reduce L u = lambda M u to one Hermitian
+    block per wavevector k,
+    B_k[r_J, c_J] = sum of L[r, c] exp(2 pi i sum_a k_a c_a / n_a) over the
+    stored entries of the slab rows r (index 0 on every axis of I),
+    scaled by s = mass^(-1/2) on the slab.  Block -k is the conjugate
+    of block k, so one block per pair +-k is solved, its eigenvalues
+    counting twice; all of them go through one batched
+    ``numpy.linalg.eigvalsh``, and ``numpy.linalg.eigh`` then solves the
+    blocks that hold one of the ``count`` smallest.  The vectors are
+    real and M-orthogonal: a self-conjugate k (every k_a in {0, n_a/2})
+    has a real block and a real mode; any other k gives Re u and Im u,
+    or Re u alone when ``count`` splits the pair.
+    """
+    mat = _operator_matrix(wf.operator)
+    diag = _mass_diagonal(wf.mass)
+    N = mat.shape[0]
+    count = int(count)
+    if not 1 <= count <= N:
+        raise SpectrumError("count must be between 1 and N")
+    grid = wf.grid
+    inv = _invariant_axes(mat, diag, grid)
+    rest = [a for a in range(grid.dim) if a not in inv]
+    n_inv = [grid.shape[a] for a in inv]
+    n_rest = [grid.shape[a] for a in rest]
+    S = int(np.prod(n_rest))
+    if not inv or S > DENSE_LIMIT:
+        return None
+    multi = grid.multi_indices()
+    pos = multi[:, rest] @ _strides(n_rest)  # row of a node's slab image
+    at = multi[:, inv]
+    slab = np.flatnonzero(~at.any(axis=1))
+    s = 1.0 / np.sqrt(diag)
+    rows = mat[slab].tocoo()
+    r, c = slab[rows.row], rows.col
+    val = rows.data * (s[r] * s[c])  # as in scaled_standard_form
+    # entry (r, c) adds val * phase(k, at[c]) to block entry (pos[r], pos[c])
+    cells, cell = np.unique(pos[r] * S + pos[c], return_inverse=True)
+    offsets, key = np.unique(at[c], axis=0, return_inverse=True)
+    table = np.zeros((cells.size, len(offsets)))
+    table[cell, key.ravel()] = val
+    roots = [_roots_of_unity(n) for n in n_inv]
+
+    def phases(ks, x):
+        """(len(ks), len(x)) table of exp(2 pi i sum_a k_a x_a / n_a)."""
+        out = np.ones((len(ks), len(x)), dtype=complex)
+        for a, root in enumerate(roots):
+            out *= root[np.outer(ks[:, a], x[:, a]) % n_inv[a]]
+        return out
+
+    def blocks(ks):
+        B = np.zeros((len(ks), S * S), dtype=complex)
+        B[:, cells] = phases(ks, offsets) @ table.T
+        B = B.reshape(len(ks), S, S)
+        return 0.5 * (B + np.conj(np.swapaxes(B, 1, 2)))
+
+    ks = np.indices(n_inv).reshape(len(inv), -1).T
+    flat = ks @ _strides(n_inv)
+    mirror = ((-ks) % n_inv) @ _strides(n_inv)
+    ks, paired = ks[flat <= mirror], (flat < mirror)[flat <= mirror]
+    step = max(1, _BLOCK_ENTRIES // (S * S))
+    values = np.concatenate(
+        [np.linalg.eigvalsh(blocks(ks[i : i + step])) for i in range(0, len(ks), step)]
+    ).ravel()
+    order = np.argsort(values, kind="stable")
+    weight = np.where(paired, 2, 1).repeat(S)[order]
+    chosen = order[: int(np.searchsorted(np.cumsum(weight), count)) + 1]
+
+    solved = {}
+    lams, Z = [], np.empty((N, count))
+    for b, j in zip(chosen // S, chosen % S):
+        if b not in solved:
+            B = blocks(ks[b : b + 1])[0]
+            solved[b] = np.linalg.eigh(B if paired[b] else B.real)
+        w, vecs = solved[b]
+        u = vecs[pos, j] * phases(ks[b : b + 1], at)[0]
+        for part in (u.real, u.imag)[: 1 + paired[b]]:
+            if len(lams) < count:
+                Z[:, len(lams)] = part
+                lams.append(w[j])
+    lams = np.array(lams)
+    order = np.argsort(lams, kind="stable")
+    return _report(mat, diag, s, lams[order], Z[:, order], "fourier")
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +532,22 @@ class SweepReport:
 
 
 def solve_weak_form(wf, count, tol, seed):
-    """Smallest ``count`` eigenpairs of a weak form, by ``choose_solver``.
+    """Smallest ``count`` eigenpairs of a weak form.
 
-    A dense result whose residuals exceed max(tol, 1e-8) raises
-    SpectrumError; the Lanczos path checks its residuals against ``tol``
-    itself.
+    The Fourier path comes first; a form it does not take goes by
+    ``choose_solver``.  A Fourier or dense result whose residuals exceed
+    max(tol, 1e-8) raises SpectrumError; the Lanczos path checks its
+    residuals against ``tol`` itself.
     """
-    if choose_solver(wf.operator.shape[0], count) == "lanczos":
-        return lanczos_smallest(wf.operator, wf.mass, count, tol=tol, seed=seed)
-    rep = dense_spectrum(wf.operator, wf.mass, count=count)
+    rep = fourier_smallest(wf, count)
+    if rep is None:
+        if choose_solver(wf.operator.shape[0], count) == "lanczos":
+            return lanczos_smallest(wf.operator, wf.mass, count, tol=tol, seed=seed)
+        rep = dense_spectrum(wf.operator, wf.mass, count=count)
     if np.any(rep.residuals > max(tol, 1e-8)):
         raise SpectrumError(
-            "dense solve residuals exceed tolerance: %.3e"
-            % float(np.max(rep.residuals))
+            "%s solve residuals exceed tolerance: %.3e"
+            % (rep.method, float(np.max(rep.residuals)))
         )
     return rep
 

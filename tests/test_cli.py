@@ -369,17 +369,47 @@ def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
     assert len(out.splitlines()) == 64
 
 
+def bumped_config(tmp_path, name, density):
+    """Path of fixture ``name``'s config with ``density`` set."""
+    cfg = load_config(name)
+    cfg["density"] = density
+    return write_config(tmp_path / ("%s-bumped.json" % name), cfg)
+
+
 @pytest.mark.parametrize(
     "n, count, solver",
     [("4", "3", "dense"), ("8", "4", "lanczos"), ("8", "33", "dense")],
 )
-def test_spectrum_json_names_the_chosen_solver(capsys, n, count, solver):
+def test_spectrum_json_names_the_chosen_solver(capsys, tmp_path, n, count, solver):
+    # contact3torus is invariant along x0 and x1 and takes the Fourier path;
+    # a density varying along both leaves it to the size rule's ``solver``
+    bumped = bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")
+    for config, want in [("contact3torus", "fourier"), (bumped, solver)]:
+        code, out, _ = run(
+            capsys, "spectrum", config, "-n", n, "--count", count,
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["solver"] == want
+
+
+def test_spectrum_json_joins_the_paths_taken(capsys, monkeypatch):
+    # the horizontal form, kept off the Fourier path, goes by the size rule
+    # and is solved first
+    import srlab.spectrum as spec
+
+    fourier = spec.fourier_smallest
+    monkeypatch.setattr(
+        spec,
+        "fourier_smallest",
+        lambda wf, count: None if wf.eps is None else fourier(wf, count),
+    )
     code, out, _ = run(
-        capsys, "spectrum", "contact3torus", "-n", n, "--count", count,
-        "--format", "json",
+        capsys, "spectrum", "contact3torus", "-n", "8", "--count", "4",
+        "--eps", "2,4", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["solver"] == solver
+    assert json.loads(out)["solver"] == "lanczos,fourier"
 
 
 @pytest.mark.parametrize(
@@ -417,15 +447,18 @@ def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit
         ("trivial", "-n", "8", "--count", "6", "--eps", "2"),
     ],
 )
-def test_spectrum_lanczos_at_full_basis_solves_densely(capsys, argv):
-    # a Lanczos basis cap min(N, max(360, 12 count)) would reach N here,
-    # and the trivial kernel's multiplicity exceeds the block size, so
-    # block Lanczos could not converge; the rule solves these densely
-    code, out, err = run(capsys, "spectrum", *argv)
+def test_spectrum_lanczos_at_full_basis_solves_densely(capsys, tmp_path, argv):
+    # a Lanczos basis cap max(360, 12 count) would reach N here, and the
+    # trivial kernel's multiplicity exceeds the block size, so block
+    # Lanczos could not converge; a density varying along both axes keeps
+    # these off the Fourier path, and the size rule solves them densely
+    density = "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"
+    config = bumped_config(tmp_path, argv[0], density)
+    code, out, err = run(capsys, "spectrum", config, *argv[1:])
     assert code == 0, err
-    name, n, count = argv[0], int(argv[2]), int(argv[4])
+    n, count = int(argv[2]), int(argv[4])
     eps_values = [float(e) for e in argv[6].split(",")] if len(argv) > 5 else []
-    s, density = build_structure(load_config(name))
+    s, density = build_structure(load_config(config))
     adapted = canonical_complement(s).as_structure()
     grid = Grid(shape=(n,) * s.dim, periods=s.periods)
     ref_rows = []

@@ -2,11 +2,13 @@
 
 The library's dense path is one LAPACK call (scipy.linalg.eigh); here
 numpy.linalg.eigvalsh of the scaled matrix serves only as an independent
-reference for it.  Closed-form flat-torus eigenvalues pin down the whole
-weak-form-to-spectrum chain, and the block Lanczos is checked against
-the dense path, multiplicities included.
+reference for it.  Closed-form flat-torus eigenvalues and contact3torus's
+Mathieu characteristic values pin down the whole weak-form-to-spectrum
+chain, and the Fourier path and block Lanczos are checked against the
+dense path, multiplicities included.
 """
 
+import dataclasses
 import itertools
 import math
 import re
@@ -18,23 +20,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRID_NAMES, cached_structure
-from srlab.discrete import Grid, assemble_weak_laplacian
+from srlab.cli import build_structure, load_config
+from srlab.discrete import DiagonalMass, Grid, assemble_weak_laplacian
 from srlab.spectrum import (
     DENSE_LIMIT,
     LANCZOS_MAX_COUNT,
     KernelReport,
     SpectrumError,
+    _invariant_axes,
     _orthonormalize,
     choose_solver,
     cluster_eigenvalues,
     dense_spectrum,
     epsilon_sweep,
+    fourier_smallest,
     kernel_check,
     lanczos_smallest,
     rayleigh,
     scaled_standard_form,
     solve_weak_form,
 )
+
+
+def density_form(name, density, n, eps=None):
+    """The weak form of fixture ``name`` with the config's density set."""
+    cfg = load_config(name)
+    cfg["density"] = density
+    s, rho = build_structure(cfg)
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    return assemble_weak_laplacian(s, grid, eps=eps, density=rho)
+
+
+def assert_matches_dense(rep, wf, count, rel):
+    """Clusters as dense's, lambda within rel * max(1, |lambda|)."""
+    want = dense_spectrum(wf.operator, wf.mass, count=count).eigenvalues
+    assert rep.clusters == cluster_eigenvalues(want)
+    assert np.all(np.abs(rep.eigenvalues - want) <= rel * np.maximum(1.0, np.abs(want)))
+
+
+def gram_defect(rep, wf):
+    """Largest entry of V^T M V - I, V^T M V normalized to a unit diagonal."""
+    gram = rep.vectors.T @ (wf.mass.diagonal[:, None] * rep.vectors)
+    norm = 1.0 / np.sqrt(np.diag(gram))
+    return float(np.max(np.abs(norm[:, None] * gram * norm - np.eye(len(norm)))))
 
 
 def random_symmetric(n, seed):
@@ -215,12 +243,25 @@ def test_orthonormalize_property(case, seed):
     assert list(np.flatnonzero(np.diag(R) == 0.0)) == refilled
 
 
+@pytest.mark.parametrize("seed", [7, 56355])
+def test_orthonormalize_redraws_a_refill_inside_the_span(seed):
+    # the refill generator repeats the stream the basis was drawn from, so
+    # its first direction lies in the basis span (exactly, for seed 56355)
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 1)))[0]
+    Z, R = _orthonormalize(np.zeros((3, 1)), basis, np.random.default_rng(seed), 1e-9)
+    assert abs(float(Z[:, 0] @ Z[:, 0]) - 1.0) < 1e-12
+    assert abs(float(Z[:, 0] @ basis[:, 0])) < 1e-12
+    assert R[0, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Lanczos against dense, multiplicities included
 
 
 def test_lanczos_agrees_with_dense_on_grid_fixtures():
-    # every case: GRID_NAMES x n in {4, 6, 8} x eps in {None, 2} x count 1-8
+    # every case: GRID_NAMES x n in {4, 6, 8} x eps in {None, 2} x count 1-8;
+    # each form is shift-invariant along some axis, so solve_weak_form takes
+    # the Fourier path; the path choose_solver names is run directly as well
     for name, n, eps in itertools.product(GRID_NAMES, [4, 6, 8], [None, 2.0]):
         s = cached_structure(name)
         grid = Grid(shape=(n,) * s.dim, periods=s.periods)
@@ -228,12 +269,18 @@ def test_lanczos_agrees_with_dense_on_grid_fixtures():
         dense = dense_spectrum(wf.operator, wf.mass, count=8)
         scale = np.maximum(1.0, np.abs(dense.eigenvalues))
         for count in range(1, 9):
+            want = dense.eigenvalues[:count]
             rep = solve_weak_form(wf, count, 1e-10, 0)
-            # Lanczos exactly where its basis cap max(360, 12 count) < N
-            assert (rep.method == "lanczos") == (grid.size > max(360, 12 * count))
-            assert rep.clusters == cluster_eigenvalues(dense.eigenvalues[:count])
-            gap = np.abs(rep.eigenvalues - dense.eigenvalues[:count])
-            assert np.all(gap <= 1e-8 * scale[:count])
+            assert rep.method == "fourier"
+            assert rep.clusters == cluster_eigenvalues(want)
+            assert np.all(np.abs(rep.eigenvalues - want) <= 1e-10 * scale[:count])
+            assert gram_defect(rep, wf) <= 1e-12
+            if choose_solver(grid.size, count) == "lanczos":
+                by_size = lanczos_smallest(wf.operator, wf.mass, count, tol=1e-10, seed=0)
+            else:
+                by_size = dense_spectrum(wf.operator, wf.mass, count=count)
+            assert by_size.clusters == cluster_eigenvalues(want)
+            assert np.all(np.abs(by_size.eigenvalues - want) <= 1e-8 * scale[:count])
 
 
 @pytest.mark.parametrize(
@@ -255,7 +302,7 @@ def test_choose_solver_by_size(N, count, solver):
 
 
 def test_lanczos_matches_dense_on_curved_frame(contact):
-    g = Grid(shape=(6, 6, 6), periods=contact.periods)
+    g = Grid(shape=(8, 8, 8), periods=contact.periods)
     wf = assemble_weak_laplacian(contact, g, eps=4)
     dense = dense_spectrum(wf.operator, wf.mass, count=8)
     lan = lanczos_smallest(wf.operator, wf.mass, 8, tol=1e-10, seed=0)
@@ -266,30 +313,35 @@ def test_lanczos_matches_dense_on_curved_frame(contact):
 
 def test_lanczos_resolves_kernel_multiplicity(integrable):
     # horizontal fields span two of three axes: the kernel consists of
-    # functions of the remaining coordinate -> dimension n on an n-grid
-    n = 4
+    # functions of the remaining coordinate -> dimension n on an n-grid,
+    # here 8, more than the block size min(count, 6)
+    n = 8
     g = Grid(shape=(n, n, n), periods=integrable.periods)
     wf = assemble_weak_laplacian(integrable, g)
-    lan = lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-10, seed=1)
-    assert np.max(np.abs(lan.eigenvalues[:4])) < 1e-8
-    assert lan.eigenvalues[4] > 1e-3
-    dense = dense_spectrum(wf.operator, wf.mass, count=6)
+    lan = lanczos_smallest(wf.operator, wf.mass, 10, tol=1e-10, seed=1)
+    assert np.max(np.abs(lan.eigenvalues[:8])) < 1e-8
+    assert lan.eigenvalues[8] > 1e-3
+    dense = dense_spectrum(wf.operator, wf.mass, count=10)
     assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues)) < 1e-8
 
 
 def test_lanczos_validates_inputs():
-    A = sp.identity(16, format="csr")
-    M = np.ones(16)
+    # 400 nodes lie above the basis cap max(360, 12 count) of every count
+    A = sp.identity(400, format="csr")
+    M = np.ones(400)
     with pytest.raises(SpectrumError, match="at most"):
         lanczos_smallest(A, M, LANCZOS_MAX_COUNT + 1)
-    with pytest.raises(SpectrumError):
-        lanczos_smallest(A, M, 16)  # count must stay below N
+    with pytest.raises(SpectrumError, match="at least 1"):
+        lanczos_smallest(A, M, 0)
     with pytest.raises(SpectrumError, match="sigma"):
         lanczos_smallest(A, M, 2, sigma=0.0)
+    for N, count in [(360, 1), (384, 32), (16, 16)]:
+        with pytest.raises(SpectrumError, match="its basis cap; got %d$" % N):
+            lanczos_smallest(sp.identity(N, format="csr"), np.ones(N), count)
 
 
 def test_lanczos_deterministic_for_fixed_seed(contact):
-    g = Grid(shape=(6, 6, 6), periods=contact.periods)
+    g = Grid(shape=(8, 8, 8), periods=contact.periods)
     wf = assemble_weak_laplacian(contact, g)
     a = lanczos_smallest(wf.operator, wf.mass, 4, seed=7)
     b = lanczos_smallest(wf.operator, wf.mass, 4, seed=7)
@@ -319,17 +371,132 @@ def test_lanczos_failure_reports_best_bound_and_lu_fill(contact):
     assert int(found.group(2)) == lu.L.nnz + lu.U.nnz
 
 
-def test_solve_weak_form_at_full_lanczos_basis_solves_densely(trivial):
-    # N = 16 caps the basis at N; the 4-fold kernel exceeds the block size,
-    # so Lanczos called directly fails, and the size rule solves densely
-    g = Grid(shape=(4, 4), periods=trivial.periods)
-    wf = assemble_weak_laplacian(trivial, g)
-    with pytest.raises(SpectrumError, match="within 16 basis vectors"):
+# a density varying along both axes of trivial's unit torus
+TRIVIAL_BUMP = "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"
+
+
+def test_solve_weak_form_at_full_lanczos_basis_solves_densely(monkeypatch):
+    # N = 16 lies below the basis cap, so block Lanczos refuses it before
+    # the LU; with no invariant axis left, the size rule solves densely
+    import scipy.sparse.linalg
+
+    def unreachable(*_, **__):
+        raise AssertionError("LU factorized")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", unreachable)
+    wf = density_form("trivial", TRIVIAL_BUMP, 4)
+    with pytest.raises(
+        SpectrumError,
+        match=r"^block Lanczos for 6 pairs needs more than 360 nodes, "
+        r"its basis cap; got 16$",
+    ):
         lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-9, seed=42)
+    assert fourier_smallest(wf, 6) is None
     rep = solve_weak_form(wf, 6, 1e-9, 42)
     assert rep.method == "dense"
     dense = dense_spectrum(wf.operator, wf.mass, count=6)
     assert np.array_equal(rep.eigenvalues, dense.eigenvalues)
+
+
+# ---------------------------------------------------------------------------
+# Fourier path
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_fourier_path_with_one_invariant_axis(n):
+    # a density varying along x0 leaves contact3torus invariant along x1
+    # only: blocks of n^2 rows over (x0, x2)
+    for eps in [None, 2.0]:
+        wf = density_form("contact3torus", "2 + cos(x0)", n, eps=eps)
+        assert _invariant_axes(wf.operator.matrix, wf.mass.diagonal, wf.grid) == [1]
+        for count in range(1, 9):
+            rep = solve_weak_form(wf, count, 1e-10, 0)
+            assert rep.method == "fourier"
+            assert_matches_dense(rep, wf, count, 1e-10)
+            assert gram_defect(rep, wf) <= 1e-12
+
+
+@pytest.mark.parametrize("n, count", [(6, 6), (8, 4)])
+def test_form_with_no_invariant_axis_goes_by_size(n, count):
+    # x0 and x1 in the density, x2 in the frame
+    wf = density_form("contact3torus", "3 + cos(x0) + cos(x1)", n, eps=2.0)
+    assert _invariant_axes(wf.operator.matrix, wf.mass.diagonal, wf.grid) == []
+    assert fourier_smallest(wf, count) is None
+    rep = solve_weak_form(wf, count, 1e-10, 0)
+    assert rep.method == choose_solver(wf.grid.size, count)
+    assert_matches_dense(rep, wf, count, 1e-8)
+
+
+def test_one_ulp_of_mass_breaks_invariance(contact):
+    g = Grid(shape=(6, 6, 6), periods=contact.periods)
+    wf = assemble_weak_laplacian(contact, g)
+    diag = wf.mass.diagonal.copy()
+    assert _invariant_axes(wf.operator.matrix, diag, g) == [0, 1]
+    diag[37] = np.nextafter(diag[37], np.inf)
+    assert _invariant_axes(wf.operator.matrix, diag, g) == []
+    bumped = dataclasses.replace(wf, mass=DiagonalMass(diagonal=diag))
+    assert fourier_smallest(bumped, 4) is None
+
+
+def test_fourier_blocks_by_chunk_and_up_to_dense_limit(monkeypatch):
+    import srlab.spectrum as spec
+
+    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    whole = fourier_smallest(wf, 7)
+    monkeypatch.setattr(spec, "_BLOCK_ENTRIES", 1)  # one block at a time
+    chunked = fourier_smallest(wf, 7)
+    assert np.array_equal(chunked.eigenvalues, whole.eigenvalues)
+    assert np.array_equal(chunked.vectors, whole.vectors)
+    monkeypatch.setattr(spec, "DENSE_LIMIT", 35)  # blocks have 36 rows
+    assert fourier_smallest(wf, 7) is None
+
+
+def test_solve_weak_form_checks_fourier_residuals(monkeypatch, contact):
+    import srlab.spectrum as spec
+
+    wf = assemble_weak_laplacian(contact, Grid((4, 4, 4), contact.periods))
+    rep = fourier_smallest(wf, 3)
+    rep.residuals[1] = 2e-8
+    monkeypatch.setattr(spec, "fourier_smallest", lambda wf, count: rep)
+    with pytest.raises(
+        SpectrumError, match=r"^fourier solve residuals exceed tolerance: 2\.000e-08$"
+    ):
+        solve_weak_form(wf, 3, 1e-9, 0)
+    assert solve_weak_form(wf, 3, 3e-8, 0) is rep
+
+
+def test_fourier_validates_count(contact):
+    wf = assemble_weak_laplacian(contact, Grid((4, 4, 4), contact.periods))
+    for count in (0, 65):
+        with pytest.raises(SpectrumError, match="between 1 and N"):
+            fourier_smallest(wf, count)
+    rep = fourier_smallest(wf, 64)
+    assert_matches_dense(rep, wf, 64, 1e-10)
+    assert gram_defect(rep, wf) <= 1e-12
+
+
+def test_horizontal_spectrum_converges_to_mathieu_values(contact):
+    # On the mode exp(i k.x) in x0, x1 the horizontal operator of
+    # contact3torus is -u'' + |k|^2 sin^2(x2 - phi_k), Mathieu's equation
+    # with eigenvalues |k|^2/2 + a_m(|k|^2/4).  The lowest clusters are
+    # k = 0, the four |k| = 1 modes and the four |k| = sqrt 2 modes (m = 0);
+    # the discrete values converge to theirs at second order in h.
+    from scipy.special import mathieu_a
+
+    exact = np.array([0.5 + mathieu_a(0, 0.25), 1.0 + mathieu_a(0, 0.5)])
+    ns = np.array([12, 16, 24])
+    misses = []
+    for n in ns:
+        wf = assemble_weak_laplacian(contact, Grid((n,) * 3, contact.periods))
+        rep = solve_weak_form(wf, 9, 1e-9, 0)
+        assert rep.method == "fourier"
+        assert [len(c) for c in rep.clusters] == [1, 4, 4]
+        assert abs(rep.eigenvalues[0]) < 1e-9
+        misses.append([np.mean(rep.eigenvalues[c]) - e for c, e in zip(rep.clusters[1:], exact)])
+    misses = np.array(misses)
+    assert np.all(np.abs(misses) < 0.02)
+    orders = np.log(misses[:-1] / misses[1:]) / np.log(ns[1:] / ns[:-1])[:, None]
+    assert np.all(np.abs(orders - 2.0) <= 0.05), orders
 
 
 # ---------------------------------------------------------------------------
