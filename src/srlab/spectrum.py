@@ -7,14 +7,14 @@ axes is block-circulant along them: ``fourier_smallest`` splits it into
 one small Hermitian block per wavevector of those axes (block-circulant
 diagonalization, the discrete Bloch-Floquet reduction) and solves all
 blocks in one batched ``numpy.linalg.eigvalsh``.  ``solve_weak_form``
-tries that path first.  Forms with no invariant axis go by
-``choose_solver``: the dense path hands A~ to LAPACK
-(``scipy.linalg.eigh`` with the ``evr`` driver, restricted to the wanted
-index range, and the full ``evd`` solve where ``evr`` fails); the
-iterative path is a shift-invert block Lanczos process with full
-reorthogonalization whose small projected eigenproblem goes through the
-same LAPACK call.  The shifted matrix A~ + sigma I is symmetric positive
-definite, so its sparse LU takes SuperLU's minimum-degree ordering on
+tries that path first.  Forms with no invariant axis, or with blocks of
+more than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``: the dense
+path hands A~ to LAPACK (``scipy.linalg.eigh`` with the ``evr`` driver,
+restricted to the wanted index range, and the full ``evd`` solve where
+``evr`` fails); the iterative path is a shift-invert block Lanczos
+process with full reorthogonalization whose small projected eigenproblem
+goes through the same LAPACK call.  The shifted matrix A~ + sigma I is
+symmetric positive definite, so its sparse LU takes SuperLU's minimum-degree ordering on
 the structure of A + A^T, which fits a symmetric pattern (COLAMD, the
 default, orders for an unsymmetric one and leaves about twice the fill).
 Each report's ``method`` names the path that produced it: "fourier",
@@ -33,6 +33,9 @@ from .discrete import DiagonalMass, assemble_weak_laplacian
 
 
 DENSE_LIMIT = 4096
+# most rows per Fourier block: the largest block timed against block
+# Lanczos (a 48^3 grid invariant along one axis, where Fourier still won)
+FOURIER_BLOCK_LIMIT = 2304
 LANCZOS_MAX_COUNT = 32
 GAP_FLOOR = 1e-12  # sweep gaps at or below this count as converged
 
@@ -338,7 +341,7 @@ def _orthonormalize(W, basis, rng, floor):
     rounding, R upper triangular.  A column whose remainder has norm
     below ``floor`` is replaced by a random direction, projected the same
     way, and its diagonal entry of R is zero; a direction whose remainder
-    also falls below ``floor`` is drawn again, up to three draws.
+    also falls below ``floor`` is drawn once more.
     """
     N, pcols = W.shape
 
@@ -358,7 +361,7 @@ def _orthonormalize(W, basis, rng, floor):
             v = v - Z[:, :col] @ r
         norm = float(np.linalg.norm(v))
         if norm < floor:
-            for _ in range(3):
+            for _ in range(2):
                 v = project_out_basis(rng.standard_normal((N, 1)))[:, 0]
                 for _ in range(2):
                     v = v - Z[:, :col] @ (Z[:, :col].T @ v)
@@ -412,17 +415,10 @@ def _roots_of_unity(n):
     return np.concatenate([half, np.conj(half[-2:0:-1])])
 
 
-def _strides(shape):
-    """Row-major strides, in elements, of an array of ``shape``."""
-    return np.array(
-        [int(np.prod(shape[a + 1 :])) for a in range(len(shape))], dtype=np.int64
-    )
-
-
 def fourier_smallest(wf, count):
     """Smallest generalized eigenpairs of a weak form, block by block in
     Fourier space; None when the form has no invariant grid axis or its
-    blocks would exceed DENSE_LIMIT rows.
+    blocks would exceed FOURIER_BLOCK_LIMIT rows.
 
     Along the axes I under whose shift the assembled matrix and the mass
     are exactly invariant, the modes u(x) = z(x_J) exp(i k.x_I) with
@@ -451,10 +447,12 @@ def fourier_smallest(wf, count):
     n_inv = [grid.shape[a] for a in inv]
     n_rest = [grid.shape[a] for a in rest]
     S = int(np.prod(n_rest))
-    if not inv or S > DENSE_LIMIT:
+    if not inv or S > FOURIER_BLOCK_LIMIT:
         return None
     multi = grid.multi_indices()
-    pos = multi[:, rest] @ _strides(n_rest)  # row of a node's slab image
+    pos = np.zeros(N, dtype=np.intp)  # row of a node's slab image
+    if rest:
+        pos = np.ravel_multi_index(tuple(multi[:, rest].T), n_rest)
     at = multi[:, inv]
     slab = np.flatnonzero(~at.any(axis=1))
     s = 1.0 / np.sqrt(diag)
@@ -478,12 +476,11 @@ def fourier_smallest(wf, count):
     def blocks(ks):
         B = np.zeros((len(ks), S * S), dtype=complex)
         B[:, cells] = phases(ks, offsets) @ table.T
-        B = B.reshape(len(ks), S, S)
-        return 0.5 * (B + np.conj(np.swapaxes(B, 1, 2)))
+        return B.reshape(len(ks), S, S)  # eigvalsh and eigh read one triangle
 
     ks = np.indices(n_inv).reshape(len(inv), -1).T
-    flat = ks @ _strides(n_inv)
-    mirror = ((-ks) % n_inv) @ _strides(n_inv)
+    flat = np.ravel_multi_index(tuple(ks.T), n_inv)
+    mirror = np.ravel_multi_index(tuple((-ks % n_inv).T), n_inv)
     ks, paired = ks[flat <= mirror], (flat < mirror)[flat <= mirror]
     step = max(1, _BLOCK_ENTRIES // (S * S))
     values = np.concatenate(

@@ -438,7 +438,7 @@ def test_one_ulp_of_mass_breaks_invariance(contact):
     assert fourier_smallest(bumped, 4) is None
 
 
-def test_fourier_blocks_by_chunk_and_up_to_dense_limit(monkeypatch):
+def test_fourier_blocks_by_chunk_and_up_to_block_limit(monkeypatch):
     import srlab.spectrum as spec
 
     wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
@@ -447,7 +447,7 @@ def test_fourier_blocks_by_chunk_and_up_to_dense_limit(monkeypatch):
     chunked = fourier_smallest(wf, 7)
     assert np.array_equal(chunked.eigenvalues, whole.eigenvalues)
     assert np.array_equal(chunked.vectors, whole.vectors)
-    monkeypatch.setattr(spec, "DENSE_LIMIT", 35)  # blocks have 36 rows
+    monkeypatch.setattr(spec, "FOURIER_BLOCK_LIMIT", 35)  # blocks have 36 rows
     assert fourier_smallest(wf, 7) is None
 
 
