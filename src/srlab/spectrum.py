@@ -14,9 +14,10 @@ restricted to the wanted index range, and the full ``evd`` solve where
 ``evr`` fails); the iterative path is a shift-invert block Lanczos
 process with full reorthogonalization whose small projected eigenproblem
 goes through the same LAPACK call.  The shifted matrix A~ + sigma I is
-symmetric positive definite, so its sparse LU takes SuperLU's minimum-degree ordering on
-the structure of A + A^T, which fits a symmetric pattern (COLAMD, the
-default, orders for an unsymmetric one and leaves about twice the fill).
+symmetric positive definite, so its sparse LU takes SuperLU's
+minimum-degree ordering on the structure of A + A^T, which fits a
+symmetric pattern (COLAMD, the default, orders for an unsymmetric one
+and leaves about twice the fill).
 Each report's ``method`` names the path that produced it: "fourier",
 "dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
 its solves.  Reported residuals are always the generalized
