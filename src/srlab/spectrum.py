@@ -7,8 +7,9 @@ axes is block-circulant along them: ``fourier_smallest`` splits it into
 one small Hermitian block per wavevector of those axes (block-circulant
 diagonalization, the discrete Bloch-Floquet reduction) and solves all
 blocks in one batched ``numpy.linalg.eigvalsh``.  ``solve_weak_form``
-tries that path first.  Forms with no invariant axis, or with blocks of
-more than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``: the dense
+tries that path first; the sweeps and ``kernel_check`` both get their
+pairs from it.  Forms with no invariant axis, or with blocks of more
+than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``: the dense
 path hands A~ to LAPACK (``scipy.linalg.eigh`` with the ``evr`` driver,
 restricted to the wanted index range, and the full ``evd`` solve where
 ``evr`` fails); the iterative path is a shift-invert block Lanczos
@@ -605,11 +606,20 @@ class KernelReport:
     gap: float
 
 
-def kernel_check(L, M, count=12, kernel_tol=1e-8):
-    """Kernel dimension, flatness of the ground vector, and spectral gap."""
-    mat = _operator_matrix(L)
-    count = min(count, mat.shape[0])
-    rep = dense_spectrum(L, M, count=count)
+def kernel_check(wf, count=12, kernel_tol=1e-8):
+    """Kernel dimension, flatness of the ground vector, and spectral gap
+    of a weak form.
+
+    The smallest min(count, N) pairs come from ``solve_weak_form`` with
+    tol 1e-9 (the spectrum command's default) and seed 0, so the form
+    takes the Fourier path, block Lanczos or the dense solve by the same
+    rule, and residuals above 1e-8 raise SpectrumError.  Block Lanczos resolves
+    an eigenvalue's multiplicity only up to its block size, min(count, 6),
+    so a larger kernel on that path is not guaranteed to be counted in
+    full (the integrable control with a density varying along every axis
+    took Lanczos at n = 8 and 10 and still found all n kernel vectors).
+    """
+    rep = solve_weak_form(wf, min(count, wf.operator.shape[0]), 1e-9, 0)
     lams = rep.eigenvalues
     kernel = int(np.sum(lams < kernel_tol * max(1.0, float(np.max(lams)))))
     v = rep.vectors[:, 0]

@@ -416,7 +416,7 @@ def test_criterion_7_harmonic_rigidity(capsys):
     adapted = canonical("contact3torus")
     g = Grid(shape=(8, 8, 8), periods=adapted.periods)
     wf = assemble_weak_laplacian(adapted, g)
-    rep = kernel_check(wf.operator, wf.mass, count=6)
+    rep = kernel_check(wf, count=6)
     connected_ok = (
         rep.kernel_dim == 1 and rep.flat_defect < 1e-6 and rep.gap > 0.0
     )
@@ -424,7 +424,7 @@ def test_criterion_7_harmonic_rigidity(capsys):
     integrable = structure("integrable")
     gi = Grid(shape=(4, 4, 4), periods=integrable.periods)
     wfi = assemble_weak_laplacian(integrable, gi)
-    rep_i = kernel_check(wfi.operator, wfi.mass, count=8)
+    rep_i = kernel_check(wfi, count=8)
     degenerate_ok = rep_i.kernel_dim > 1
 
     ok = connected_ok and degenerate_ok

@@ -522,19 +522,27 @@ def test_verify_odd_grid_is_usage_error(capsys):
     assert "even" in err
 
 
-def test_verify_grid_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
-    # 18^3 nodes exceed the dense kernel check; refuse before any item runs
-    # (the complement solve that the items start with is patched to fail)
-    import srlab.cli as cli
+def test_verify_kernel_check_needs_no_dense_solve(capsys, monkeypatch):
+    # the kernel check takes the shared solver rule, so a grid larger than
+    # the dense solve allows still passes on the Fourier path
+    import srlab.spectrum as spec
 
-    def unreachable(*_):
-        raise AssertionError("an item ran before the grid size check")
+    monkeypatch.setattr(spec, "DENSE_LIMIT", 64)
+    code, out, err = run(capsys, "verify", "contact3torus", "-n", "6")
+    assert code == 0, err
+    assert "PASS kernel-dimension" in out
 
-    monkeypatch.setattr(cli, "canonical_complement", unreachable)
-    code, out, err = run(capsys, "verify", "contact3torus", "-n", "18")
+
+def test_verify_grid_past_assembly_budget_is_usage_error(capsys, monkeypatch):
+    # the budget admits the n = 4 form (64 nodes, two fields: 64 * 2^3 *
+    # 3^2 * 2 pairs) but not the n = 8 one of the two-grid order item
+    import srlab.discrete as disc
+
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 8 * 9 * 2)
+    code, out, err = run(capsys, "verify", "contact3torus", "-n", "4")
     assert code == 2
-    assert out == ""
-    assert err.startswith("error: -n 18 gives 5832 grid nodes")
+    assert out.splitlines()[-1].startswith("PASS weak-exact-green")
+    assert "budget" in err
 
 
 def test_verify_detects_tilted_complement(capsys, tmp_path):
@@ -795,11 +803,14 @@ sys.exit(code)
         (("canonicalize", "heisenberg"), False),
         (("verify", "heisenberg"), False),
         (("spectrum", "contact3torus", "-n", "4", "--count", "2"), True),
+        (("verify", "contact3torus", "-n", "4"), True),
     ],
 )
 def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
-    """Start-up without sparse work imports no scipy (a fresh process is
-    needed: this one has scipy loaded already)."""
+    """Start-up without sparse work imports no scipy, and a sparse build
+    whose solves take the Fourier path no scipy.linalg or
+    scipy.sparse.linalg (a fresh process is needed: this one has scipy
+    loaded already)."""
     record = tmp_path / "modules.json"
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE, str(record), *argv],
@@ -812,6 +823,8 @@ def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
     modules = json.loads(record.read_text())
     if sparse:
         assert "scipy.sparse" in modules
+        assert "scipy.linalg" not in modules
+        assert "scipy.sparse.linalg" not in modules
     else:
         assert "scipy" not in modules
 

@@ -556,10 +556,46 @@ def test_epsilon_sweep_requires_ascending_eps(trivial):
 # kernel checks
 
 
+@pytest.mark.parametrize(
+    "name, density, n, method",
+    [(name, None, n, "fourier") for name in GRID_NAMES for n in (4, 6, 8)]
+    + [
+        # x0 and x1 in the density, x2 in the frame: no invariant axis
+        ("contact3torus", "3 + cos(x0) + cos(x1)", 4, "dense"),
+        ("contact3torus", "3 + cos(x0) + cos(x1)", 8, "lanczos"),
+    ],
+)
+def test_kernel_check_agrees_with_dense_reference(monkeypatch, name, density, n, method):
+    import srlab.spectrum as spec
+
+    if density is None:
+        s = cached_structure(name)
+        wf = assemble_weak_laplacian(s, Grid((n,) * s.dim, s.periods))
+    else:
+        wf = density_form(name, density, n)
+    methods = []
+
+    def spy(*args):
+        rep = solve_weak_form(*args)
+        methods.append(rep.method)
+        return rep
+
+    monkeypatch.setattr(spec, "solve_weak_form", spy)
+    report = kernel_check(wf)
+    assert methods == [method]
+    ref = dense_spectrum(wf.operator, wf.mass, count=min(12, wf.grid.size))
+    lams = ref.eigenvalues
+    kernel = int(np.sum(lams < 1e-8 * max(1.0, float(np.max(lams)))))
+    assert report.kernel_dim == kernel
+    assert abs(report.gap - lams[kernel]) <= 1e-10 * abs(lams[kernel])
+    if kernel == 1:
+        assert report.flat_defect < 1e-6
+
+
 def test_kernel_check_connected_structure(contact):
     g = Grid(shape=(6, 6, 6), periods=contact.periods)
     wf = assemble_weak_laplacian(contact, g)
-    report = kernel_check(wf.operator, wf.mass, count=6)
+    report = kernel_check(wf, count=6)
     assert isinstance(report, KernelReport)
     assert report.kernel_dim == 1
     assert report.flat_defect < 1e-6
@@ -570,7 +606,7 @@ def test_kernel_check_degenerate_structure(integrable):
     n = 4
     g = Grid(shape=(n, n, n), periods=integrable.periods)
     wf = assemble_weak_laplacian(integrable, g)
-    report = kernel_check(wf.operator, wf.mass, count=8)
+    report = kernel_check(wf, count=8)
     assert report.kernel_dim == n
     assert report.gap > 1e-3
 
@@ -578,6 +614,6 @@ def test_kernel_check_degenerate_structure(integrable):
 def test_kernel_check_penalized_operator_has_trivial_kernel(trivial):
     g = Grid(shape=(8, 8), periods=trivial.periods)
     wf = assemble_weak_laplacian(trivial, g, eps=1)
-    report = kernel_check(wf.operator, wf.mass, count=4)
+    report = kernel_check(wf, count=4)
     assert report.kernel_dim == 1
     assert report.flat_defect < 1e-8
