@@ -71,7 +71,6 @@ from .operators import (
 )
 from .spectrum import (
     DENSE_LIMIT,
-    LANCZOS_MAX_COUNT,
     SpectrumError,
     choose_solver,
     epsilon_sweep,
@@ -343,9 +342,8 @@ def cmd_spectrum(args):
     )
     _require(
         choose_solver(grid.size, args.count) is not None,
-        "-n %d gives %d grid nodes; more than %d eigenpairs are solved "
-        "densely, up to %d nodes"
-        % (args.n, grid.size, LANCZOS_MAX_COUNT, DENSE_LIMIT),
+        "-n %d gives %d grid nodes, over the dense solve's %d; Lanczos "
+        "takes fewer than N/12 eigenpairs" % (args.n, grid.size, DENSE_LIMIT),
     )
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":

@@ -12,13 +12,14 @@ pairs from it.  Forms with no invariant axis, or with blocks of more
 than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``: the dense
 path hands A~ to LAPACK (``scipy.linalg.eigh`` with the ``evr`` driver,
 restricted to the wanted index range, and the full ``evd`` solve where
-``evr`` fails); the iterative path is a shift-invert block Lanczos
-process with full reorthogonalization whose small projected eigenproblem
-goes through the same LAPACK call.  The shifted matrix A~ + sigma I is
-symmetric positive definite, so its sparse LU takes SuperLU's
-minimum-degree ordering on the structure of A + A^T, which fits a
-symmetric pattern (COLAMD, the default, orders for an unsymmetric one
-and leaves about twice the fill).
+``evr`` fails); the iterative path hands the shift-invert operator
+(A~ + SIGMA I)^{-1} to ARPACK's implicitly restarted Lanczos method
+(``scipy.sparse.linalg.eigsh``) and reruns it on the complement of the
+vectors found until no copy of a multiple eigenvalue is missing.  The
+shifted matrix A~ + SIGMA I is symmetric positive definite, so its
+sparse LU takes SuperLU's minimum-degree ordering on the structure of
+A + A^T, which fits a symmetric pattern (COLAMD, the default, orders
+for an unsymmetric one and leaves about twice the fill).
 Each report's ``method`` names the path that produced it: "fourier",
 "dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
 its solves.  Reported residuals are always the generalized
@@ -35,10 +36,11 @@ from .discrete import DiagonalMass, assemble_weak_laplacian
 
 
 DENSE_LIMIT = 4096
-# most rows per Fourier block: the largest block timed against block
-# Lanczos (a 48^3 grid invariant along one axis, where Fourier still won)
+# most rows per Fourier block: the largest block timed against the
+# Lanczos path, then a hand-written block Lanczos (a 48^3 grid invariant
+# along one axis, where Fourier still won)
 FOURIER_BLOCK_LIMIT = 2304
-LANCZOS_MAX_COUNT = 32
+SIGMA = 0.1  # Lanczos shift: A~ + SIGMA I is positive definite
 GAP_FLOOR = 1e-12  # sweep gaps at or below this count as converged
 
 
@@ -46,20 +48,20 @@ class SpectrumError(RuntimeError):
     pass
 
 
-def _lanczos_basis_cap(count):
-    """Most Krylov basis columns block Lanczos builds for ``count`` pairs."""
+def _dense_cutoff(count):
+    """Most nodes of a problem with ``count`` pairs the dense solve takes
+    in preference to Lanczos."""
     return max(360, 12 * count)
 
 
 def choose_solver(N, count):
     """The solver for ``count`` pairs of N nodes: "lanczos", "dense" or None.
 
-    Block Lanczos takes up to LANCZOS_MAX_COUNT pairs of a problem larger
-    than its basis cap, so its basis never spans the whole space; the
+    Lanczos takes a problem of more than max(360, 12 count) nodes; the
     dense solve, faster below about N = 512, takes the rest up to
     DENSE_LIMIT nodes.  None means no path takes the problem.
     """
-    if count <= LANCZOS_MAX_COUNT and N > _lanczos_basis_cap(count):
+    if N > _dense_cutoff(count):
         return "lanczos"
     return "dense" if N <= DENSE_LIMIT else None
 
@@ -227,168 +229,102 @@ def _report(mat, diag, s, lams, Z, method, iterations=None):
 # Lanczos path
 
 
-def lanczos_smallest(L, M, count, tol=1e-10, seed=0, sigma=0.1):
-    """Smallest generalized eigenpairs by shift-invert block Lanczos.
+def lanczos_smallest(L, M, count, tol=1e-10, seed=0):
+    """Smallest generalized eigenpairs by shift-invert Lanczos (ARPACK).
 
-    Iterates with G = (A~ + sigma I)^{-1}, whose largest eigenvalues are
-    the wanted smallest ones of A~, well separated.  The inner solves use
-    one sparse LU of A~ + sigma I; that matrix is symmetric positive
-    definite, so its column ordering is the minimum-degree ordering of
-    A + A^T (``permc_spec="MMD_AT_PLUS_A"``), which keeps the symmetric
-    pattern and about halves the fill of SuperLU's COLAMD default.  The
-    block recurrence (block size min(count, 6)) resolves eigenvalue
-    multiplicities up to the block size, which a single-vector Krylov
-    process cannot see; full reorthogonalization (``_orthonormalize``,
-    block CGS2 against the basis) keeps the basis numerically
-    orthonormal, and rank-deficient steps are refilled with random
-    directions.  The basis is capped at max(360, 12 * count) columns, and
-    a problem of at most that many nodes, where the basis could span the
-    whole space, is refused before the factorization.  Without
-    convergence at the cap the error reports the best Ritz residual bound
-    reached (scaled to compare with ``tol``) and the fill nnz(L) + nnz(U)
-    of the shift-invert factor.
+    ``scipy.sparse.linalg.eigsh`` runs ARPACK's implicitly restarted
+    Lanczos method on G = (A~ + SIGMA I)^{-1}, whose largest eigenvalues
+    are the wanted smallest ones of A~, well separated.  Each run keeps
+    max(2 count + 1, 20) Krylov vectors (the report's ``iterations``),
+    starts from a vector drawn from ``seed`` and stops at ARPACK's
+    relative tolerance tol / 100.  G is applied by one sparse LU of
+    A~ + SIGMA I; that matrix is symmetric positive definite, so its
+    column ordering is the minimum-degree ordering of A + A^T
+    (``permc_spec="MMD_AT_PLUS_A"``), which keeps the symmetric pattern
+    and about halves the fill of SuperLU's COLAMD default.
+
+    One Krylov space sees a single vector of each eigenspace, so ARPACK
+    can return fewer copies of a multiple eigenvalue than it has.  After
+    the first run, each further run finds the largest eigenvalue of G on
+    the complement of the vectors found; while it maps to an eigenvalue
+    of A~ below the count-th smallest found, its vector joins the others
+    and the pairs are recomputed by Rayleigh-Ritz on A~.  A last block
+    inverse iteration step and Rayleigh-Ritz sharpen the vectors ARPACK
+    returns for repeated Ritz values.  Every pair must then have a
+    generalized residual of at most max(tol, 1e3 tol |lambda|).  A
+    problem of at most max(360, 12 count) nodes, which ``choose_solver``
+    leaves to the dense solve, is refused before the factorization.
+    When ARPACK does not converge, or a pair fails the residual check,
+    the error names the number of pairs that converged and the fill
+    nnz(L) + nnz(U) of the shift-invert factor.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
     count = int(count)
-    if count > LANCZOS_MAX_COUNT:
-        raise SpectrumError(
-            "iterative solver supports at most %d eigenpairs" % LANCZOS_MAX_COUNT
-        )
     if count < 1:
         raise SpectrumError("count must be at least 1")
     mat = _operator_matrix(L)
     N = mat.shape[0]
-    max_cols = _lanczos_basis_cap(count)
-    if N <= max_cols:
+    if N <= _dense_cutoff(count):
         raise SpectrumError(
-            "block Lanczos for %d pairs needs more than %d nodes, its basis "
-            "cap; got %d" % (count, max_cols, N)
+            "Lanczos for %d pairs needs more than %d nodes; got %d"
+            % (count, _dense_cutoff(count), N)
         )
-    if not sigma > 0:
-        raise SpectrumError("sigma must be positive")
-    p = min(count, 6)
     scaled, s = scaled_standard_form(L, M)
-    diag = _mass_diagonal(M)
-    absrow = np.asarray(np.abs(scaled).sum(axis=1)).ravel()
-    cA = max(float(np.max(absrow)), 1.0)
-    c = 1.0 / sigma  # scale of the largest eigenvalues of G
-    solver = splu(
-        (scaled + sigma * sp.identity(N, format="csr")).tocsc(),
+    lu = splu(
+        (scaled + SIGMA * sp.identity(N, format="csr")).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
     )
-
+    ncv = max(2 * count + 1, 20)
     rng = np.random.default_rng(seed)
-    Q = np.zeros((N, max_cols + p))
-    diag_blocks = []
-    sub_blocks = []
+    found = np.empty((N, 0))  # orthonormal span of every Ritz vector kept
 
-    floor = 1e-10 * max(1.0, c)
-    Z, _ = _orthonormalize(rng.standard_normal((N, p)), Q[:, :0], rng, floor)
-    cols = 0
-    prev_Z = None
-    prev_B = None
-    block_index = 0
-    best = np.inf
-    while cols < max_cols:
-        Q[:, cols : cols + p] = Z
-        cols += p
-        block_index += 1
-        W = solver.solve(Z)
-        if prev_Z is not None:
-            W -= prev_Z @ prev_B.T
-        A = Z.T @ W
-        A = 0.5 * (A + A.T)
-        diag_blocks.append(A)
-        W -= Z @ A
-        Znew, Bblk = _orthonormalize(W, Q[:, :cols], rng, floor)
-        sub_blocks.append(Bblk)
-        last = cols + p > max_cols
-        if cols >= count and (block_index % 3 == 0 or last):
-            T = _assemble_block_tridiagonal(diag_blocks, sub_blocks, cols, p)
-            theta, S = _symmetric_eig(T, cols - count, cols - 1)
-            bound = np.linalg.norm(Bblk @ S[-p:, :], axis=0)
-            if np.all(theta > 0):
-                best = min(best, float(np.max(2 * (cA + sigma) * bound / theta)))
-            # Ritz residual on the G side maps to roughly (cA+sigma)/theta
-            # times larger on the A~ side
-            if np.all(theta > 0) and np.all(
-                bound <= 0.5 * tol * theta / (cA + sigma)
-            ):
-                lams = 1.0 / theta - sigma
-                order = np.argsort(lams)
-                V = (Q[:, :cols] @ S)[:, order]
-                rep = _report(mat, diag, s, lams[order], V, "lanczos", cols)
-                limit = np.maximum(tol, 1e3 * tol * np.abs(rep.eigenvalues))
-                if np.all(rep.residuals <= limit):
-                    return rep
-        prev_Z = Z
-        prev_B = Bblk
-        Z = Znew
+    def deflated_inverse(x):  # G on the complement of ``found``
+        x = x - found @ (found.T @ x)
+        y = lu.solve(x)
+        return y - found @ (found.T @ y)
+
+    G = LinearOperator((N, N), matvec=deflated_inverse, dtype=float)
+
+    def largest(k):
+        v0 = rng.standard_normal(N)
+        return eigsh(G, k=k, which="LA", v0=v0, ncv=ncv, tol=0.01 * tol)
+
+    def ritz(basis):  # Rayleigh-Ritz pairs of A~ on the span of ``basis``
+        Q = np.linalg.qr(basis)[0]
+        lams, S = np.linalg.eigh(Q.T @ (scaled @ Q))
+        return Q, lams, S
+
+    def limit(lams):
+        return np.maximum(tol, 1e3 * tol * np.abs(lams))
+
+    try:
+        _, Y = largest(count)
+        while True:
+            found, lams, _ = ritz(np.hstack([found, Y]))
+            # a Krylov space holds one vector per distinct eigenvalue, so
+            # copies of a multiple one can be missed: look outside ``found``
+            theta, Y = largest(1)
+            if 1.0 / theta[0] - SIGMA >= lams[count - 1] - limit(lams[count - 1]):
+                break
+    except ArpackError as exc:  # ArpackNoConvergence carries the pairs that converged
+        converged = min(count, found.shape[1] + len(getattr(exc, "eigenvalues", ())))
+    else:
+        # ARPACK's vectors for a repeated Ritz value can be loose; one block
+        # inverse iteration step and Rayleigh-Ritz sharpen them
+        Q, lams, S = ritz(np.hstack([found, lu.solve(found)]))
+        V = Q @ S[:, :count]
+        rep = _report(mat, _mass_diagonal(M), s, lams[:count], V, "lanczos", ncv)
+        passed = rep.residuals <= limit(rep.eigenvalues)
+        if np.all(passed):
+            return rep
+        converged = int(np.sum(passed))
     raise SpectrumError(
-        "block Lanczos did not converge to tolerance %.1e within %d basis "
-        "vectors (best Ritz residual bound %.1e, LU fill %d)"
-        % (tol, max_cols, best, solver.L.nnz + solver.U.nnz)
+        "Lanczos did not converge to tolerance %.1e with %d Krylov vectors "
+        "(%d of %d pairs converged, LU fill %d)"
+        % (tol, ncv, converged, count, lu.L.nnz + lu.U.nnz)
     )
-
-
-def _orthonormalize(W, basis, rng, floor):
-    """Orthonormalize W's columns against ``basis`` and each other.
-
-    ``basis`` has orthonormal columns.  The whole block is projected
-    against it twice (block classical Gram-Schmidt, CGS2), then the
-    columns are orthonormalized in turn, each projected twice against the
-    ones before it.  Returns (Z, R) with W - basis basis^T W = Z R up to
-    rounding, R upper triangular.  A column whose remainder has norm
-    below ``floor`` is replaced by a random direction, projected the same
-    way, and its diagonal entry of R is zero; a direction whose remainder
-    also falls below ``floor`` is drawn once more.
-    """
-    N, pcols = W.shape
-
-    def project_out_basis(X):
-        for _ in range(2):
-            X = X - basis @ (basis.T @ X)
-        return X
-
-    W = project_out_basis(W)
-    Z = np.empty_like(W)
-    R = np.zeros((pcols, pcols))
-    for col in range(pcols):
-        v = W[:, col]
-        for _ in range(2):
-            r = Z[:, :col].T @ v
-            R[:col, col] += r
-            v = v - Z[:, :col] @ r
-        norm = float(np.linalg.norm(v))
-        if norm < floor:
-            for _ in range(2):
-                v = project_out_basis(rng.standard_normal((N, 1)))[:, 0]
-                for _ in range(2):
-                    v = v - Z[:, :col] @ (Z[:, :col].T @ v)
-                norm = float(np.linalg.norm(v))
-                if norm >= floor:
-                    break
-            else:
-                raise SpectrumError("failed to extend the Krylov basis")
-        else:
-            R[col, col] = norm
-        Z[:, col] = v / norm
-    return Z, R
-
-
-def _assemble_block_tridiagonal(diag_blocks, sub_blocks, cols, p):
-    T = np.zeros((cols, cols))
-    nblocks = cols // p
-    for jb in range(nblocks):
-        sl_j = slice(jb * p, (jb + 1) * p)
-        T[sl_j, sl_j] = diag_blocks[jb]
-        if jb + 1 < nblocks:
-            sl_n = slice((jb + 1) * p, (jb + 2) * p)
-            T[sl_n, sl_j] = sub_blocks[jb]
-            T[sl_j, sl_n] = sub_blocks[jb].T
-    return T
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +548,12 @@ def kernel_check(wf, count=12, kernel_tol=1e-8):
 
     The smallest min(count, N) pairs come from ``solve_weak_form`` with
     tol 1e-9 (the spectrum command's default) and seed 0, so the form
-    takes the Fourier path, block Lanczos or the dense solve by the same
-    rule, and residuals above 1e-8 raise SpectrumError.  Block Lanczos resolves
-    an eigenvalue's multiplicity only up to its block size, min(count, 6),
-    so a larger kernel on that path is not guaranteed to be counted in
-    full (the integrable control with a density varying along every axis
-    took Lanczos at n = 8 and 10 and still found all n kernel vectors).
+    takes the Fourier path, Lanczos or the dense solve by the same rule,
+    and residuals above 1e-8 raise SpectrumError.  On the Lanczos path the
+    kernel's multiplicity is found by rerunning ARPACK outside the vectors
+    found so far, which is measured, not guaranteed: the integrable
+    control with a density varying along every axis takes that path at
+    n = 8 and 10 and finds all 8 and 10 kernel vectors.
     """
     rep = solve_weak_form(wf, min(count, wf.operator.shape[0]), 1e-9, 0)
     lams = rep.eigenvalues

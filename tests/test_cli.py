@@ -28,6 +28,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def bumped_config(tmp_path, name, density):
+    """Path of fixture ``name``'s config with ``density`` set."""
+    cfg = load_config(name)
+    cfg["density"] = density
+    return write_config(tmp_path / ("%s-bumped.json" % name), cfg)
+
+
 def heisenberg_config(**overrides):
     cfg = {
         "dim": 3,
@@ -269,12 +276,13 @@ def test_spectrum_json_format(capsys):
 
 
 def test_spectrum_seeded_runs_are_byte_identical(capsys, tmp_path):
-    # 512 nodes and 4 pairs: the seeded block Lanczos solves every form
+    # 512 nodes, 4 pairs and a density varying along x0 and x1: no axis is
+    # invariant, so the seeded Lanczos path solves every form
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     args = (
         "spectrum",
-        "contact3torus",
+        str(bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")),
         "-n",
         "8",
         "--count",
@@ -344,8 +352,9 @@ def test_spectrum_rejects_odd_grid(capsys):
 
 
 def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
-    # 40 pairs go to the dense solve, but 18^3 nodes exceed it; refuse
-    # before the complement solve
+    # 500 pairs of 18^3 nodes are too many for Lanczos (12 * 500 >= 5832)
+    # and the nodes too many for the dense solve; refuse before the
+    # complement solve
     import srlab.cli as cli
 
     def unreachable(*_):
@@ -353,15 +362,37 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "canonical_complement", unreachable)
     code, out, err = run(
-        capsys, "spectrum", "contact3torus", "-n", "18", "--count", "40"
+        capsys, "spectrum", "contact3torus", "-n", "18", "--count", "500"
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error: -n 18 gives 5832 grid nodes")
 
 
+@pytest.mark.parametrize(
+    "density",
+    [None, "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"],
+    ids=["fourier", "lanczos"],
+)
+def test_spectrum_many_pairs_beyond_dense_limit(capsys, tmp_path, density):
+    # 40 pairs of 66^2 = 4356 nodes: the invariant form takes the Fourier
+    # path, the bumped one Lanczos, which has no cap on the pair count
+    config = "trivial"
+    if density is not None:
+        config = str(bumped_config(tmp_path, "trivial", density))
+    code, out, err = run(
+        capsys, "spectrum", config, "-n", "66", "--count", "40", "--format", "json"
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["solver"] == ("fourier" if density is None else "lanczos")
+    assert len(payload["rows"]) == 40
+    assert max(row["residual"] for row in payload["rows"]) <= 1e-9
+
+
 def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
-    # 64 nodes lie below the Lanczos basis cap, so any count is dense
+    # 64 nodes lie below the Lanczos cutoff max(360, 12 count), so any
+    # count is dense
     code, out, _ = run(
         capsys, "spectrum", "contact3torus", "-n", "4", "--count", "63"
     )
@@ -369,16 +400,9 @@ def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
     assert len(out.splitlines()) == 64
 
 
-def bumped_config(tmp_path, name, density):
-    """Path of fixture ``name``'s config with ``density`` set."""
-    cfg = load_config(name)
-    cfg["density"] = density
-    return write_config(tmp_path / ("%s-bumped.json" % name), cfg)
-
-
 @pytest.mark.parametrize(
     "n, count, solver",
-    [("4", "3", "dense"), ("8", "4", "lanczos"), ("8", "33", "dense")],
+    [("4", "3", "dense"), ("8", "4", "lanczos"), ("8", "43", "dense")],
 )
 def test_spectrum_json_names_the_chosen_solver(capsys, tmp_path, n, count, solver):
     # contact3torus is invariant along x0 and x1 and takes the Fourier path;
@@ -448,10 +472,9 @@ def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit
     ],
 )
 def test_spectrum_lanczos_at_full_basis_solves_densely(capsys, tmp_path, argv):
-    # a Lanczos basis cap max(360, 12 count) would reach N here, and the
-    # trivial kernel's multiplicity exceeds the block size, so block
-    # Lanczos could not converge; a density varying along both axes keeps
-    # these off the Fourier path, and the size rule solves them densely
+    # N is at most the Lanczos cutoff max(360, 12 count) here; a density
+    # varying along both axes keeps these off the Fourier path, and the
+    # size rule solves them densely
     density = "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"
     config = bumped_config(tmp_path, argv[0], density)
     code, out, err = run(capsys, "spectrum", config, *argv[1:])

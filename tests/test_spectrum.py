@@ -4,8 +4,8 @@ The library's dense path is one LAPACK call (scipy.linalg.eigh); here
 numpy.linalg.eigvalsh of the scaled matrix serves only as an independent
 reference for it.  Closed-form flat-torus eigenvalues and contact3torus's
 Mathieu characteristic values pin down the whole weak-form-to-spectrum
-chain, and the Fourier path and block Lanczos are checked against the
-dense path, multiplicities included.
+chain, and the Fourier path and shift-invert Lanczos are checked against
+the dense path, multiplicities included.
 """
 
 import dataclasses
@@ -24,11 +24,9 @@ from srlab.cli import build_structure, load_config
 from srlab.discrete import DiagonalMass, Grid, assemble_weak_laplacian
 from srlab.spectrum import (
     DENSE_LIMIT,
-    LANCZOS_MAX_COUNT,
     KernelReport,
     SpectrumError,
     _invariant_axes,
-    _orthonormalize,
     choose_solver,
     cluster_eigenvalues,
     dense_spectrum,
@@ -202,59 +200,6 @@ def test_flat_torus_spectrum_closed_form(trivial):
 
 
 # ---------------------------------------------------------------------------
-# block orthonormalization against the Krylov basis
-
-
-@st.composite
-def orthonormalize_cases(draw):
-    """(W, basis, refilled): a block, an orthonormal basis, and the columns
-    whose remainder vanishes (zero, repeated, or inside the basis span)."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p = draw(st.integers(1, 6))
-    k = draw(st.integers(0, 12))
-    N = k + p + draw(st.integers(1, 20))
-    basis = np.linalg.qr(rng.standard_normal((N, k)))[0]
-    W = rng.standard_normal((N, p))
-    case = draw(st.sampled_from(["random", "zero", "repeated", "in-span"]))
-    j = draw(st.integers(0, p - 1))
-    if case == "zero":
-        W[:, j] = 0.0
-    elif case == "repeated" and j > 0:
-        W[:, j] = W[:, draw(st.integers(0, j - 1))]
-    elif case == "in-span" and k > 0:
-        W[:, j] = basis @ rng.standard_normal(k)
-    else:
-        return W, basis, []
-    return W, basis, [j]
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=orthonormalize_cases(), seed=st.integers(0, 2**32 - 1))
-def test_orthonormalize_property(case, seed):
-    W, basis, refilled = case
-    Z, R = _orthonormalize(W.copy(), basis, np.random.default_rng(seed), 1e-9)
-    p = W.shape[1]
-    assert np.max(np.abs(Z.T @ Z - np.eye(p))) < 1e-12
-    if basis.shape[1]:
-        assert np.max(np.abs(Z.T @ basis)) < 1e-12
-    remainder = W - basis @ (basis.T @ W)
-    assert np.max(np.abs(remainder - Z @ R)) < 1e-12
-    assert np.array_equal(np.tril(R, -1), np.zeros((p, p)))
-    assert list(np.flatnonzero(np.diag(R) == 0.0)) == refilled
-
-
-@pytest.mark.parametrize("seed", [7, 56355])
-def test_orthonormalize_redraws_a_refill_inside_the_span(seed):
-    # the refill generator repeats the stream the basis was drawn from, so
-    # its first direction lies in the basis span (exactly, for seed 56355)
-    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 1)))[0]
-    Z, R = _orthonormalize(np.zeros((3, 1)), basis, np.random.default_rng(seed), 1e-9)
-    assert abs(float(Z[:, 0] @ Z[:, 0]) - 1.0) < 1e-12
-    assert abs(float(Z[:, 0] @ basis[:, 0])) < 1e-12
-    assert R[0, 0] == 0.0
-
-
-# ---------------------------------------------------------------------------
 # Lanczos against dense, multiplicities included
 
 
@@ -288,12 +233,13 @@ def test_lanczos_agrees_with_dense_on_grid_fixtures():
     [
         (360, 1, "dense"),
         (361, 1, "lanczos"),
-        (361, 30, "lanczos"),  # cap 360
-        (384, 32, "dense"),  # cap 12 * 32 = 384
+        (361, 30, "lanczos"),  # cutoff 360
+        (384, 32, "dense"),  # cutoff 12 * 32 = 384
         (385, 32, "lanczos"),
         (10**6, 32, "lanczos"),
-        (DENSE_LIMIT, 33, "dense"),
-        (DENSE_LIMIT + 1, 33, None),
+        (DENSE_LIMIT, 342, "dense"),  # cutoff 4104
+        (DENSE_LIMIT + 1, 342, None),
+        (DENSE_LIMIT + 1, 341, "lanczos"),  # cutoff 4092
         (10, 10, "dense"),
     ],
 )
@@ -314,7 +260,8 @@ def test_lanczos_matches_dense_on_curved_frame(contact):
 def test_lanczos_resolves_kernel_multiplicity(integrable):
     # horizontal fields span two of three axes: the kernel consists of
     # functions of the remaining coordinate -> dimension n on an n-grid,
-    # here 8, more than the block size min(count, 6)
+    # here 8, more copies than one ARPACK run (a single-vector Krylov
+    # space) is sure to find
     n = 8
     g = Grid(shape=(n, n, n), periods=integrable.periods)
     wf = assemble_weak_laplacian(integrable, g)
@@ -325,19 +272,38 @@ def test_lanczos_resolves_kernel_multiplicity(integrable):
     assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues)) < 1e-8
 
 
+# a density varying along both axes of trivial's unit torus
+TRIVIAL_BUMP = "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"
+
+
+def test_lanczos_sharpens_vectors_of_a_repeated_eigenvalue():
+    # all 6 wanted pairs are copies of the 40-fold kernel (functions of x1);
+    # ARPACK's own vectors leave the residuals of two above tol here
+    wf = density_form("trivial", TRIVIAL_BUMP, 40)
+    assert fourier_smallest(wf, 6) is None
+    lan = lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-10, seed=0)
+    assert np.max(lan.residuals) <= 1e-10
+    assert np.max(np.abs(lan.eigenvalues)) < 1e-10
+    assert gram_defect(lan, wf) <= 1e-12
+
+
 def test_lanczos_validates_inputs():
-    # 400 nodes lie above the basis cap max(360, 12 count) of every count
-    A = sp.identity(400, format="csr")
-    M = np.ones(400)
-    with pytest.raises(SpectrumError, match="at most"):
-        lanczos_smallest(A, M, LANCZOS_MAX_COUNT + 1)
     with pytest.raises(SpectrumError, match="at least 1"):
-        lanczos_smallest(A, M, 0)
-    with pytest.raises(SpectrumError, match="sigma"):
-        lanczos_smallest(A, M, 2, sigma=0.0)
+        lanczos_smallest(sp.identity(400, format="csr"), np.ones(400), 0)
+    # at most max(360, 12 count) nodes go to the dense solve
     for N, count in [(360, 1), (384, 32), (16, 16)]:
-        with pytest.raises(SpectrumError, match="its basis cap; got %d$" % N):
+        with pytest.raises(SpectrumError, match="nodes; got %d$" % N):
             lanczos_smallest(sp.identity(N, format="csr"), np.ones(N), count)
+
+
+def test_lanczos_matches_dense_above_32_pairs():
+    # 40 pairs of 512 nodes (above 12 * 40 = 480); no invariant axis
+    wf = density_form("contact3torus", "3 + cos(x0) + cos(x1)", 8)
+    assert fourier_smallest(wf, 40) is None
+    lan = lanczos_smallest(wf.operator, wf.mass, 40, tol=1e-10, seed=0)
+    assert lan.method == "lanczos"
+    assert_matches_dense(lan, wf, 40, 1e-8)
+    assert np.max(lan.residuals) <= 1e-8
 
 
 def test_lanczos_deterministic_for_fixed_seed(contact):
@@ -349,35 +315,45 @@ def test_lanczos_deterministic_for_fixed_seed(contact):
     assert np.array_equal(a.vectors, b.vectors)
 
 
-def test_lanczos_failure_reports_best_bound_and_lu_fill(contact):
-    from scipy.sparse.linalg import splu
+def test_lanczos_failure_reports_best_bound_and_lu_fill(contact, monkeypatch):
+    # the error names how many pairs converged and the shift-invert fill,
+    # both when a pair fails the residual check and when ARPACK gives up
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence, splu
 
     g = Grid(shape=(8, 8, 8), periods=contact.periods)
     wf = assemble_weak_laplacian(contact, g)
-    with pytest.raises(SpectrumError) as info:
-        lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-300, seed=0)
-    found = re.search(
-        r"within 360 basis vectors \(best Ritz residual bound (\S+), "
-        r"LU fill (\d+)\)$",
-        str(info.value),
-    )
-    assert found, str(info.value)
-    assert 1e-300 < float(found.group(1)) < 1.0
     scaled, _ = scaled_standard_form(wf.operator, wf.mass)
     lu = splu(
         (scaled + 0.1 * sp.identity(g.size, format="csr")).tocsc(),
         permc_spec="MMD_AT_PLUS_A",
     )
-    assert int(found.group(2)) == lu.L.nnz + lu.U.nnz
+    tail = r"with 20 Krylov vectors \((\d+) of 6 pairs converged, LU fill (\d+)\)$"
 
+    def failure():
+        with pytest.raises(SpectrumError) as info:
+            lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-300, seed=0)
+        found = re.search(tail, str(info.value))
+        assert found, str(info.value)
+        assert int(found.group(2)) == lu.L.nnz + lu.U.nnz
+        return str(info.value), int(found.group(1))
 
-# a density varying along both axes of trivial's unit torus
-TRIVIAL_BUMP = "3 + cos(6.283185307179586*x0) + cos(6.283185307179586*x1)"
+    # no pair meets a residual bound of 1e-300
+    message, converged = failure()
+    assert message.startswith("Lanczos did not converge to tolerance 1.0e-300 ")
+    assert converged == 0
+
+    def gives_up(*_, **__):
+        raise ArpackNoConvergence("no convergence", np.ones(2), np.ones((g.size, 2)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", gives_up)
+    assert failure()[1] == 2
 
 
 def test_solve_weak_form_at_full_lanczos_basis_solves_densely(monkeypatch):
-    # N = 16 lies below the basis cap, so block Lanczos refuses it before
-    # the LU; with no invariant axis left, the size rule solves densely
+    # N = 16 lies below the Lanczos cutoff max(360, 12 count), so Lanczos
+    # refuses it before the LU; with no invariant axis left, the size rule
+    # solves densely
     import scipy.sparse.linalg
 
     def unreachable(*_, **__):
@@ -387,8 +363,7 @@ def test_solve_weak_form_at_full_lanczos_basis_solves_densely(monkeypatch):
     wf = density_form("trivial", TRIVIAL_BUMP, 4)
     with pytest.raises(
         SpectrumError,
-        match=r"^block Lanczos for 6 pairs needs more than 360 nodes, "
-        r"its basis cap; got 16$",
+        match=r"^Lanczos for 6 pairs needs more than 360 nodes; got 16$",
     ):
         lanczos_smallest(wf.operator, wf.mass, 6, tol=1e-9, seed=42)
     assert fourier_smallest(wf, 6) is None
@@ -495,6 +470,31 @@ def test_horizontal_spectrum_converges_to_mathieu_values(contact):
         misses.append([np.mean(rep.eigenvalues[c]) - e for c, e in zip(rep.clusters[1:], exact)])
     misses = np.array(misses)
     assert np.all(np.abs(misses) < 0.02)
+    orders = np.log(misses[:-1] / misses[1:]) / np.log(ns[1:] / ns[:-1])[:, None]
+    assert np.all(np.abs(orders - 2.0) <= 0.05), orders
+
+
+@pytest.mark.parametrize("eps", [2.0, 32.0])
+def test_penalized_spectrum_converges_to_mathieu_values(contact, eps):
+    # The complement field scaled by 1/eps adds c |k|^2 cos^2(x2 - phi_k),
+    # c = eps^-2, to the horizontal potential: the |k| = 1 and |k| = sqrt 2
+    # clusters converge to |k|^2 (1 + c)/2 + a_0(|k|^2 (1 - c)/4), and the
+    # k = 0 pair cos x2, sin x2 to 1, all at second order in h.
+    from scipy.special import mathieu_a
+
+    c = eps**-2
+    mathieu = [(k2 * (1 + c) / 2 + mathieu_a(0, k2 * (1 - c) / 4), 4) for k2 in (1, 2)]
+    exact, sizes = zip(*sorted(mathieu + [(1.0, 2)]))
+    ns = np.array([12, 16, 24])
+    misses = []
+    for n in ns:
+        wf = assemble_weak_laplacian(contact, Grid((n,) * 3, contact.periods), eps=eps)
+        rep = solve_weak_form(wf, 11, 1e-9, 0)
+        assert [len(c) for c in rep.clusters] == [1, *sizes]
+        assert abs(rep.eigenvalues[0]) < 1e-9
+        misses.append([np.mean(rep.eigenvalues[c]) - e for c, e in zip(rep.clusters[1:], exact)])
+    misses = np.array(misses)
+    assert np.all(np.abs(misses) < 0.03)
     orders = np.log(misses[:-1] / misses[1:]) / np.log(ns[1:] / ns[:-1])[:, None]
     assert np.all(np.abs(orders - 2.0) <= 0.05), orders
 
