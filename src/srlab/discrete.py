@@ -19,7 +19,14 @@ every pair exactly when every D_ij is zero, which one ``math.fsum`` per
 entry decides once per weak form; a form whose D is not zero gets each
 pair's defect summed exactly from the same tables of D.
 
-scipy is imported by the functions that need it, not with the module.
+The offset assemblers (``assemble_weak_laplacian``, ``assemble_field``)
+keep a matrix as its offset stencil: per row, the column and the value
+of each stencil offset, sorted by column.  Its shape, nonzero count and
+products come from those tables; the CSR matrix, and with it
+``scipy.sparse``, is built only when a caller asks for
+``SparseOperator.matrix``, as the dense and Lanczos eigensolvers and the
+Matrix Market writer do.  scipy is imported by the functions that need
+it, not with the module.
 """
 
 import itertools
@@ -187,26 +194,56 @@ def check_periodicity(e, grid, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SparseOperator:
-    """CSR operator, optionally carrying its exact entries."""
+    """Sparse operator, stored as a CSR matrix or as its offset stencil.
 
-    matrix: object  # scipy CSR
-    symmetric: bool = False
-    # {offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None; entry
-    # (i, cols[i]) is exactly the sum of the floats parts[i]
-    exact: object = None
+    The offset assemblers store the stencil ``(cols, values, stored)``:
+    (N, K) tables whose row i holds the columns of the row's K offsets in
+    ascending order, the entry values there, and which of them the
+    matrix stores (a weak form stores its nonzero values, a field matrix
+    every entry).  ``shape``, ``nnz`` and ``matvec`` answer from it
+    without scipy; ``matrix`` is the CSR matrix of the stored entries,
+    built from it on first access.  ``matvec`` adds each row's terms in
+    ascending column order, as scipy's CSR product does, so for a finite
+    v it equals ``matrix @ v`` bit for bit.  An operator given as a
+    ``matrix`` has no stencil.
+    """
+
+    def __init__(self, matrix=None, symmetric=False, exact=None, stencil=None):
+        self._matrix = matrix
+        self.symmetric = symmetric
+        # {offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None; entry
+        # (i, cols[i]) is exactly the sum of the floats parts[i]
+        self.exact = exact
+        self.stencil = stencil
+
+    @property
+    def matrix(self):
+        if self._matrix is None:
+            self._matrix = _stencil_csr(*self.stencil)
+        return self._matrix
 
     @property
     def shape(self):
-        return self.matrix.shape
+        if self.stencil is None:
+            return self.matrix.shape
+        return (len(self.stencil[0]),) * 2
 
     @property
     def nnz(self):
-        return self.matrix.nnz
+        if self.stencil is None:
+            return self.matrix.nnz
+        return int(np.count_nonzero(self.stencil[2]))
 
     def matvec(self, v):
-        return self.matrix @ v
+        if self.stencil is None:
+            return self.matrix @ v
+        cols, values, _ = self.stencil
+        v = np.asarray(v)
+        out = np.zeros(len(cols), dtype=np.result_type(values, v))
+        for k in range(cols.shape[1]):
+            out += values[:, k] * v[cols[:, k]]
+        return out
 
 
 @dataclass
@@ -266,20 +303,27 @@ class WeakForm:
 # ---------------------------------------------------------------------------
 
 
-def _csr(rows, cols, data, N):
-    """N x N CSR matrix from lists of row, column and value arrays."""
+def _row_sorted(cols, values):
+    """(N, K) column and value tables from K per-offset (N,) arrays, each
+    row in ascending column order, as a CSR row is stored."""
+    cols, values = np.stack(cols, axis=1), np.stack(values, axis=1)
+    order = np.argsort(cols, axis=1)
+    return np.take_along_axis(cols, order, 1), np.take_along_axis(values, order, 1)
+
+
+def _stencil_csr(cols, values, stored):
+    """N x N CSR matrix of the ``stored`` entries of a row-sorted stencil."""
     import scipy.sparse as sp
 
-    return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
+    N = len(cols)
+    indptr = np.zeros(N + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return sp.csr_matrix((values[stored], cols[stored], indptr), shape=(N, N))
 
 
 def _shift_matrix(grid, axis, step):
-    N = grid.size
-    cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))
-    return _csr([np.arange(N)], [cols], [np.ones(N)], N)
+    cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))[:, None]
+    return _stencil_csr(cols, np.ones(cols.shape), np.ones(cols.shape, dtype=bool))
 
 
 def _central_difference(grid, axis):
@@ -308,8 +352,7 @@ def assemble_field(X, grid):
     if X.dim != m:
         raise GridError("field dimension %d does not match grid %d" % (X.dim, m))
     multi = grid.multi_indices()
-    N = grid.size
-    rows, cols, data = [], [], []
+    cols, values = [], []
     exact = {}
     for j in range(m):
         coeff = X.coefficients[j]
@@ -318,14 +361,14 @@ def assemble_field(X, grid):
         vals = evaluate_on_grid(coeff, grid) / (2.0 * grid.h[j])
         up = grid.ravel(grid.shifted(multi, j, +1))
         dn = grid.ravel(grid.shifted(multi, j, -1))
-        rows.extend([np.arange(N), np.arange(N)])
         cols.extend([up, dn])
-        data.extend([vals, -vals])
+        values.extend([vals, -vals])
         step = tuple(int(a == j) for a in range(m))
         exact[step] = (up, vals[:, None])
         exact[tuple(-a for a in step)] = (dn, -vals[:, None])
-    mat = _csr(rows, cols, data, N)
-    return SparseOperator(matrix=mat, symmetric=False, exact=exact)
+    cols, values = _row_sorted(cols, values)
+    stencil = (cols, values, np.ones(cols.shape, dtype=bool))
+    return SparseOperator(symmetric=False, exact=exact, stencil=stencil)
 
 
 def assemble_strong(spec, grid):
@@ -462,8 +505,13 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     multi = grid.multi_indices()
     node_weight = rho * (grid.cell_volume() / (1 << m))
 
+    nodes = {}  # the stencil asks for each of its few offsets many times
+
     def node(offset):
-        return grid.ravel(multi + offset)
+        key = tuple(int(d) for d in offset)
+        if key not in nodes:
+            nodes[key] = grid.ravel(multi + offset)
+        return nodes[key]
 
     # rows: corner sigma of every cell; axis l runs forward from the corner
     # when sigma_l = 0 and backward into it when sigma_l = 1
@@ -486,7 +534,7 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
             parts = _times(_exact_product(V[:, l], V[:, l2]), node_weight)
             products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
 
-    rows, cols, data = [], [], []
+    cols, values = [], []
     exact = {}
     for offset, terms in _weak_stencil(m).items():
         blocks = [
@@ -499,15 +547,12 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         parts = np.hstack(blocks)
         if not np.all(np.isfinite(parts)):
             raise GridError("values out of the range of exact float products")
-        col = node(offset)
-        exact[offset] = (col, parts)
-        vals = np.array(_fsum_rows(parts))
-        keep = vals != 0.0
-        rows.append(np.flatnonzero(keep))
-        cols.append(col[keep])
-        data.append(vals[keep])
-    mat = _csr(rows, cols, data, N)
-    op = SparseOperator(matrix=mat, symmetric=True, exact=exact)
+        cols.append(node(offset))
+        values.append(_fsum_rows(parts))
+        exact[offset] = (cols[-1], parts)
+    cols, values = _row_sorted(cols, values)
+    stencil = (cols, values, values != 0)
+    op = SparseOperator(symmetric=True, exact=exact, stencil=stencil)
     return WeakForm(
         grid=grid,
         operator=op,

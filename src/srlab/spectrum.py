@@ -1,7 +1,7 @@
 """Generalized eigensolvers for the discretized forms.
 
 Every solver works on the symmetrically scaled standard problem
-A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembled matrix and mass
+A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembled stencil and mass
 diagonal are exactly invariant under the one-node shift along some grid
 axes is block-circulant along them: ``fourier_smallest`` splits it into
 one small Hermitian block per wavevector of those axes (block-circulant
@@ -24,15 +24,19 @@ Each report's ``method`` names the path that produced it: "fourier",
 "dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
 its solves.  Reported residuals are always the generalized
 ones, || L v - lambda M v || / || M v ||, computed from the original
-matrices.  scipy is imported by the functions that use it, on the first
-solve, not with the module; the Fourier path uses numpy's LAPACK only.
+operator and mass.  The Fourier path reads the weak form's offset
+stencil (``SparseOperator.stencil``) for its invariance test, its slab
+rows and its residuals, and uses numpy's LAPACK only, so it never builds
+the CSR matrix and loads no scipy.  The dense and Lanczos paths take
+``SparseOperator.matrix``; scipy is imported by the functions that use
+it, on the first such solve, not with the module.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DiagonalMass, assemble_weak_laplacian
+from .discrete import DiagonalMass, SparseOperator, assemble_weak_laplacian
 
 
 DENSE_LIMIT = 4096
@@ -67,18 +71,19 @@ def choose_solver(N, count):
 
 
 def _mass_diagonal(M):
-    import scipy.sparse as sp
-
     if isinstance(M, DiagonalMass):
         diag = np.asarray(M.diagonal, dtype=float)
-    elif sp.issparse(M):
-        diag = M.diagonal()
-        if (M - sp.diags(diag)).nnz:
-            raise SpectrumError("mass matrix must be diagonal")
     else:
-        diag = np.asarray(M, dtype=float)
-        if diag.ndim == 2:
-            diag = np.diag(diag)
+        import scipy.sparse as sp
+
+        if sp.issparse(M):
+            diag = M.diagonal()
+            if (M - sp.diags(diag)).nnz:
+                raise SpectrumError("mass matrix must be diagonal")
+        else:
+            diag = np.asarray(M, dtype=float)
+            if diag.ndim == 2:
+                diag = np.diag(diag)
     if np.any(diag <= 0):
         raise SpectrumError("mass diagonal must be positive")
     return diag
@@ -109,11 +114,17 @@ def scaled_standard_form(L, M):
     return scaled, s
 
 
+def _apply(L, v):
+    """L v: from the stencil of a SparseOperator, else by the product."""
+    return L.matvec(v) if isinstance(L, SparseOperator) else L @ v
+
+
 def rayleigh(L, M, v):
-    mat = _operator_matrix(L)
+    if not isinstance(L, SparseOperator):
+        L = _operator_matrix(L)
     diag = _mass_diagonal(M)
     v = np.asarray(v, dtype=float)
-    return float((v @ (mat @ v)) / (v @ (diag * v)))
+    return float((v @ _apply(L, v)) / (v @ (diag * v)))
 
 
 def cluster_eigenvalues(values, rel=1e-6):
@@ -212,15 +223,16 @@ def dense_spectrum(L, M, count=None):
     return _report(mat, _mass_diagonal(M), s, wanted, Z, "dense")
 
 
-def _report(mat, diag, s, lams, Z, method, iterations=None):
+def _report(L, diag, s, lams, Z, method, iterations=None):
     """Report for pairs (lams, Z) of A~: unit vectors v = s z and the
-    generalized residuals from the original ``mat`` and mass ``diag``."""
+    generalized residuals from the original operator or matrix ``L`` and
+    mass ``diag``."""
     V = s[:, None] * Z
     V /= np.linalg.norm(V, axis=0, keepdims=True)
     res = np.empty(lams.size)
     for j in range(lams.size):
         v = V[:, j]
-        defect = mat @ v - lams[j] * (diag * v)
+        defect = _apply(L, v) - lams[j] * (diag * v)
         res[j] = float(np.linalg.norm(defect) / np.linalg.norm(diag * v))
     return SpectrumReport(lams, V, res, method, iterations)
 
@@ -333,14 +345,26 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0):
 _BLOCK_ENTRIES = 1 << 22  # most block entries the Fourier path builds at once
 
 
-def _invariant_axes(mat, diag, grid):
-    """Grid axes under whose one-node shift ``mat`` and ``diag`` are
-    exactly invariant."""
+def _invariant_axes(op, diag, grid):
+    """Grid axes under whose one-node shift the stencil of ``op`` and the
+    mass diagonal ``diag`` are exactly invariant.
+
+    With perm the shift, row perm[i] of the column and value tables must
+    be row i moved to the columns perm[cols[i]], re-sorted: then
+    L[perm[i], perm[j]] = L[i, j] for every entry, stored or not.
+    """
+    cols, values, _ = op.stencil
     multi = grid.multi_indices()
     axes = []
     for a in range(grid.dim):
         perm = grid.ravel(grid.shifted(multi, a, 1))
-        if np.array_equal(diag[perm], diag) and (mat[perm][:, perm] != mat).nnz == 0:
+        moved = perm[cols]
+        order = np.argsort(moved, axis=1)
+        if (
+            np.array_equal(diag[perm], diag)
+            and np.array_equal(np.take_along_axis(moved, order, 1), cols[perm])
+            and np.array_equal(np.take_along_axis(values, order, 1), values[perm])
+        ):
             axes.append(a)
     return axes
 
@@ -373,14 +397,14 @@ def fourier_smallest(wf, count):
     has a real block and a real mode; any other k gives Re u and Im u,
     or Re u alone when ``count`` splits the pair.
     """
-    mat = _operator_matrix(wf.operator)
+    op = wf.operator
     diag = _mass_diagonal(wf.mass)
-    N = mat.shape[0]
+    N = op.shape[0]
     count = int(count)
     if not 1 <= count <= N:
         raise SpectrumError("count must be between 1 and N")
     grid = wf.grid
-    inv = _invariant_axes(mat, diag, grid)
+    inv = _invariant_axes(op, diag, grid)
     rest = [a for a in range(grid.dim) if a not in inv]
     n_inv = [grid.shape[a] for a in inv]
     n_rest = [grid.shape[a] for a in rest]
@@ -394,9 +418,9 @@ def fourier_smallest(wf, count):
     at = multi[:, inv]
     slab = np.flatnonzero(~at.any(axis=1))
     s = 1.0 / np.sqrt(diag)
-    rows = mat[slab].tocoo()
-    r, c = slab[rows.row], rows.col
-    val = rows.data * (s[r] * s[c])  # as in scaled_standard_form
+    cols, values, stored = (t[slab] for t in op.stencil)
+    r, c = np.broadcast_to(slab[:, None], stored.shape)[stored], cols[stored]
+    val = values[stored] * (s[r] * s[c])  # as in scaled_standard_form
     # entry (r, c) adds val * phase(k, at[c]) to block entry (pos[r], pos[c])
     cells, cell = np.unique(pos[r] * S + pos[c], return_inverse=True)
     offsets, key = np.unique(at[c], axis=0, return_inverse=True)
@@ -442,7 +466,7 @@ def fourier_smallest(wf, count):
                 lams.append(w[j])
     lams = np.array(lams)
     order = np.argsort(lams, kind="stable")
-    return _report(mat, diag, s, lams[order], Z[:, order], "fourier")
+    return _report(op, diag, s, lams[order], Z[:, order], "fourier")
 
 
 # ---------------------------------------------------------------------------

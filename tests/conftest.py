@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from srlab.cli import build_structure, load_config
+from srlab.discrete import Grid, assemble_weak_laplacian
 
 FIXTURE_NAMES = [
     "heisenberg",
@@ -20,6 +21,17 @@ FIXTURE_NAMES = [
 # fixtures whose frame coefficients are periodic on their torus, so they
 # can be evaluated on grids
 GRID_NAMES = ["contact3torus", "trivial", "integrable"]
+
+# (fixture, density, n, eps) of the weak forms the stencil tests cover:
+# every grid fixture, and contact3torus with a density that leaves it
+# invariant along x1 only or along no axis
+STENCIL_CASES = [
+    (name, density, n, eps)
+    for name, density in [(name, None) for name in GRID_NAMES]
+    + [("contact3torus", "2 + cos(x0)"), ("contact3torus", "3 + cos(x0) + cos(x1)")]
+    for n in (4, 6)
+    for eps in (None, 2.0)
+]
 
 
 def structure(name):
@@ -91,6 +103,15 @@ def batch_points(case):
     name, fractions = case
     s = cached_structure(name)
     return s, np.asarray(fractions)[:, : s.dim] * np.asarray(s.periods)
+
+
+def density_form(name, density, n, eps=None):
+    """The weak form of fixture ``name`` with the config's density set."""
+    cfg = load_config(name)
+    cfg["density"] = density
+    s, rho = build_structure(cfg)
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    return assemble_weak_laplacian(s, grid, eps=eps, density=rho)
 
 
 def sample_points(s, count=30, seed=11):

@@ -817,23 +817,9 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize(
-    "argv, sparse",
-    [
-        (("import", "srlab"), False),
-        (("import", "srlab.cli"), False),
-        (("check", "carnot-step2", "--lattice", "2"), False),
-        (("canonicalize", "heisenberg"), False),
-        (("verify", "heisenberg"), False),
-        (("spectrum", "contact3torus", "-n", "4", "--count", "2"), True),
-        (("verify", "contact3torus", "-n", "4"), True),
-    ],
-)
-def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
-    """Start-up without sparse work imports no scipy, and a sparse build
-    whose solves take the Fourier path no scipy.linalg or
-    scipy.sparse.linalg (a fresh process is needed: this one has scipy
-    loaded already)."""
+def loaded_modules(tmp_path, argv):
+    """The modules a fresh process has loaded after one CLI run (this
+    process has scipy loaded already)."""
     record = tmp_path / "modules.json"
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE, str(record), *argv],
@@ -843,13 +829,43 @@ def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
         env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    modules = json.loads(record.read_text())
+    return json.loads(record.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, sparse",
+    [
+        (("import", "srlab"), False),
+        (("import", "srlab.cli"), False),
+        (("check", "carnot-step2", "--lattice", "2"), False),
+        (("canonicalize", "heisenberg"), False),
+        (("verify", "heisenberg"), False),
+        (("spectrum", "contact3torus", "-n", "4", "--count", "2"), False),
+        (("verify", "contact3torus", "-n", "4"), True),
+    ],
+)
+def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
+    """Start-up without sparse work, and a spectrum whose solves take the
+    Fourier path, import no scipy; a sparse build (the strong operator of
+    ``verify -n``) whose solves take the Fourier path imports no
+    scipy.linalg or scipy.sparse.linalg."""
+    modules = loaded_modules(tmp_path, argv)
     if sparse:
         assert "scipy.sparse" in modules
         assert "scipy.linalg" not in modules
         assert "scipy.sparse.linalg" not in modules
     else:
-        assert "scipy" not in modules
+        assert not [m for m in modules if m.startswith("scipy")]
+
+
+def test_lanczos_path_loads_the_sparse_solvers(tmp_path):
+    # x0 and x1 in the density, x2 in the frame: no invariant axis, and
+    # N = 512 > 360 nodes for two pairs takes Lanczos
+    cfg = load_config("contact3torus")
+    cfg["density"] = "3 + cos(x0) + cos(x1)"
+    path = write_config(tmp_path / "bumped.json", cfg)
+    argv = ("spectrum", path, "-n", "8", "--count", "2")
+    assert "scipy.sparse.linalg" in loaded_modules(tmp_path, argv)
 
 
 def test_output_is_identical_across_thread_counts(tmp_path):

@@ -42,7 +42,7 @@ from srlab.discrete import (
 from srlab.geometry import VectorField
 from srlab.operators import sublaplacian
 
-from conftest import GRID_NAMES, cached_structure
+from conftest import GRID_NAMES, STENCIL_CASES, cached_structure, density_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -593,3 +593,49 @@ def test_sparse_operator_matvec_matches_matrix():
     mat = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     op = SparseOperator(matrix=mat, symmetric=True)
     assert np.array_equal(op.matvec(np.array([1.0, 0.0])), [2.0, -1.0])
+
+
+def coo_reference(op, drop_zeros):
+    """Reference CSR matrix of an offset assembler's entries, built through
+    COO without the stencil: one column per offset of ``op.exact``, each
+    entry the fsum of its exact parts, zero values dropped if asked."""
+    N = op.shape[0]
+    rows, cols, data = [], [], []
+    for col, parts in op.exact.values():
+        vals = np.array([math.fsum(row) for row in parts.tolist()])
+        keep = vals != 0.0 if drop_zeros else np.ones(N, dtype=bool)
+        rows.append(np.flatnonzero(keep))
+        cols.append(col[keep])
+        data.append(vals[keep])
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+    )
+
+
+def assert_stencil_matches(op, ref):
+    """shape and nnz from the stencil without the CSR, the lazy CSR equal
+    to ``ref`` array by array, and matvec equal to its product bit for bit."""
+    assert op.shape == ref.shape
+    assert op.nnz == ref.nnz
+    assert op._matrix is None
+    mat = op.matrix
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
+    for v in np.random.default_rng(5).standard_normal((3, op.shape[0])):
+        assert op.matvec(v).tobytes() == (mat @ v).tobytes()
+
+
+@pytest.mark.parametrize("name, density, n, eps", STENCIL_CASES)
+def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
+    op = density_form(name, density, n, eps=eps).operator
+    assert_stencil_matches(op, coo_reference(op, drop_zeros=True))
+
+
+@pytest.mark.parametrize("name", GRID_NAMES)
+def test_field_stencil_matrix_keeps_stored_zeros(name):
+    s = cached_structure(name)
+    g = Grid(shape=(6,) * s.dim, periods=s.periods)
+    for X in list(s.horizontal) + list(s.complement):
+        op = assemble_field(X, g)
+        assert_stencil_matches(op, coo_reference(op, drop_zeros=False))

@@ -19,9 +19,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_NAMES, cached_structure
-from srlab.cli import build_structure, load_config
-from srlab.discrete import DiagonalMass, Grid, assemble_weak_laplacian
+from conftest import GRID_NAMES, STENCIL_CASES, cached_structure, density_form
+from srlab.discrete import DiagonalMass, Grid, SparseOperator, assemble_weak_laplacian
 from srlab.spectrum import (
     DENSE_LIMIT,
     KernelReport,
@@ -38,15 +37,6 @@ from srlab.spectrum import (
     scaled_standard_form,
     solve_weak_form,
 )
-
-
-def density_form(name, density, n, eps=None):
-    """The weak form of fixture ``name`` with the config's density set."""
-    cfg = load_config(name)
-    cfg["density"] = density
-    s, rho = build_structure(cfg)
-    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
-    return assemble_weak_laplacian(s, grid, eps=eps, density=rho)
 
 
 def assert_matches_dense(rep, wf, count, rel):
@@ -179,6 +169,12 @@ def test_rayleigh_quotient_of_eigenvector():
     rep = dense_spectrum(sp.csr_matrix(A), diag, count=3)
     v = rep.vectors[:, 1]
     assert abs(rayleigh(sp.csr_matrix(A), diag, v) - rep.eigenvalues[1]) < 1e-9
+    # a weak form's quotient comes from its stencil, without the CSR matrix
+    wf = density_form("contact3torus", "2 + cos(x0)", 4)
+    v = np.random.default_rng(3).standard_normal(wf.grid.size)
+    q = rayleigh(wf.operator, wf.mass, v)
+    assert wf.operator._matrix is None
+    assert q == rayleigh(wf.operator.matrix, wf.mass, v)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +379,7 @@ def test_fourier_path_with_one_invariant_axis(n):
     # only: blocks of n^2 rows over (x0, x2)
     for eps in [None, 2.0]:
         wf = density_form("contact3torus", "2 + cos(x0)", n, eps=eps)
-        assert _invariant_axes(wf.operator.matrix, wf.mass.diagonal, wf.grid) == [1]
+        assert _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid) == [1]
         for count in range(1, 9):
             rep = solve_weak_form(wf, count, 1e-10, 0)
             assert rep.method == "fourier"
@@ -395,7 +391,7 @@ def test_fourier_path_with_one_invariant_axis(n):
 def test_form_with_no_invariant_axis_goes_by_size(n, count):
     # x0 and x1 in the density, x2 in the frame
     wf = density_form("contact3torus", "3 + cos(x0) + cos(x1)", n, eps=2.0)
-    assert _invariant_axes(wf.operator.matrix, wf.mass.diagonal, wf.grid) == []
+    assert _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid) == []
     assert fourier_smallest(wf, count) is None
     rep = solve_weak_form(wf, count, 1e-10, 0)
     assert rep.method == choose_solver(wf.grid.size, count)
@@ -406,10 +402,45 @@ def test_one_ulp_of_mass_breaks_invariance(contact):
     g = Grid(shape=(6, 6, 6), periods=contact.periods)
     wf = assemble_weak_laplacian(contact, g)
     diag = wf.mass.diagonal.copy()
-    assert _invariant_axes(wf.operator.matrix, diag, g) == [0, 1]
+    assert _invariant_axes(wf.operator, diag, g) == [0, 1]
     diag[37] = np.nextafter(diag[37], np.inf)
-    assert _invariant_axes(wf.operator.matrix, diag, g) == []
+    assert _invariant_axes(wf.operator, diag, g) == []
     bumped = dataclasses.replace(wf, mass=DiagonalMass(diagonal=diag))
+    assert fourier_smallest(bumped, 4) is None
+
+
+def permutation_invariant_axes(mat, diag, grid):
+    """Reference: the axes whose one-node shift perm keeps the CSR matrix
+    and the mass diagonal exactly, (mat[perm][:, perm] != mat).nnz == 0."""
+    multi = grid.multi_indices()
+    axes = []
+    for a in range(grid.dim):
+        perm = grid.ravel(grid.shifted(multi, a, 1))
+        if np.array_equal(diag[perm], diag) and (mat[perm][:, perm] != mat).nnz == 0:
+            axes.append(a)
+    return axes
+
+
+@pytest.mark.parametrize("name, density, n, eps", STENCIL_CASES)
+def test_stencil_invariance_matches_the_permutation_criterion(name, density, n, eps):
+    wf = density_form(name, density, n, eps=eps)
+    diag = wf.mass.diagonal
+    want = permutation_invariant_axes(wf.operator.matrix, diag, wf.grid)
+    assert _invariant_axes(wf.operator, diag, wf.grid) == want
+
+
+def test_one_ulp_of_a_stored_value_breaks_invariance(contact):
+    g = Grid(shape=(6, 6, 6), periods=contact.periods)
+    wf = assemble_weak_laplacian(contact, g)
+    cols, values, stored = wf.operator.stencil
+    values = values.copy()
+    k = int(np.flatnonzero(stored[37])[0])
+    values[37, k] = np.nextafter(values[37, k], np.inf)
+    op = SparseOperator(symmetric=True, stencil=(cols, values, values != 0))
+    bumped = dataclasses.replace(wf, operator=op)
+    assert _invariant_axes(wf.operator, wf.mass.diagonal, g) == [0, 1]
+    assert _invariant_axes(op, wf.mass.diagonal, g) == []
+    assert permutation_invariant_axes(op.matrix, wf.mass.diagonal, g) == []
     assert fourier_smallest(bumped, 4) is None
 
 
