@@ -67,6 +67,7 @@ from .operators import (
     riemannian_divergence,
     riemannian_laplacian,
     sublaplacian,
+    weighted_laplacian,
 )
 from .discrete import (
     DiagonalMass,

@@ -68,6 +68,7 @@ from .operators import (
     product_rule_residual,
     riemannian_divergence,
     sublaplacian,
+    weighted_laplacian,
 )
 from .spectrum import (
     DENSE_LIMIT,
@@ -569,6 +570,11 @@ def _verify_items(s, density, grid, args):
         yield "weak-two-grid-order", None, skip
         yield "strong-consistency", None, skip
     else:
+        if density is not None:
+            # the weak form carries the config density, so it approximates
+            # the sublaplacian of the density-weighted volume
+            op = weighted_laplacian(op, adapted.horizontal, density)
+            Lf = op.apply(f)
         grid2 = Grid(shape=(2 * args.n,) * m, periods=s.periods)
         wf2 = assemble_weak_laplacian(adapted, grid2, eps=None, density=density)
         fv, Lfv = (np.asarray(ex.evaluate(q, grid.points())) for q in (f, Lf))

@@ -1,6 +1,7 @@
 """Periodic-grid discretizations.
 
-Strong-form operators use central differences.  The weak Laplacian is
+Strong-form operators use central differences, each entry summed from
+coefficient-times-weight terms in a fixed order.  The weak Laplacian is
 assembled cell by cell: every grid cell contributes one quadrature row
 per corner, each row holding the one-sided edge differences leaving that
 corner weighted by the field coefficients at the corner node and by
@@ -19,14 +20,14 @@ every pair exactly when every D_ij is zero, which one ``math.fsum`` per
 entry decides once per weak form; a form whose D is not zero gets each
 pair's defect summed exactly from the same tables of D.
 
-The offset assemblers (``assemble_weak_laplacian``, ``assemble_field``)
-keep a matrix as its offset stencil: per row, the column and the value
-of each stencil offset, sorted by column.  Its shape, nonzero count and
-products come from those tables; the CSR matrix, and with it
-``scipy.sparse``, is built only when a caller asks for
-``SparseOperator.matrix``, as the dense and Lanczos eigensolvers and the
-Matrix Market writer do.  scipy is imported by the functions that need
-it, not with the module.
+Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
+``assemble_strong``) keeps its matrix in one stored form, the offset
+stencil: per row, the column and the value of each stencil offset,
+sorted by column.  Its shape, nonzero count and products come from
+those tables; the CSR matrix, and with it ``scipy.sparse``, is built
+only when a caller asks for ``SparseOperator.matrix``, as the dense and
+Lanczos eigensolvers and the Matrix Market writer do.  scipy is
+imported by the functions that need it, not with the module.
 """
 
 import itertools
@@ -195,27 +196,26 @@ def check_periodicity(e, grid, tol=1e-8):
 
 
 class SparseOperator:
-    """Sparse operator, stored as a CSR matrix or as its offset stencil.
+    """Sparse operator stored as its offset stencil.
 
-    The offset assemblers store the stencil ``(cols, values, stored)``:
-    (N, K) tables whose row i holds the columns of the row's K offsets in
-    ascending order, the entry values there, and which of them the
-    matrix stores (a weak form stores its nonzero values, a field matrix
-    every entry).  ``shape``, ``nnz`` and ``matvec`` answer from it
-    without scipy; ``matrix`` is the CSR matrix of the stored entries,
-    built from it on first access.  ``matvec`` adds each row's terms in
-    ascending column order, as scipy's CSR product does, so for a finite
-    v it equals ``matrix @ v`` bit for bit.  An operator given as a
-    ``matrix`` has no stencil.
+    The stencil ``(cols, values, stored)`` holds (N, K) tables whose row
+    i holds the columns of the row's K offsets in ascending order, the
+    entry values there, and which of them the matrix stores (a weak form
+    or a strong operator stores its nonzero values, a field matrix every
+    entry).  ``shape``, ``nnz`` and ``matvec`` answer from it without
+    scipy; ``matrix`` is the CSR matrix of the stored entries, built from
+    it on first access.  ``matvec`` adds each row's terms in ascending
+    column order, as scipy's CSR product does, so for a finite v it
+    equals ``matrix @ v`` bit for bit.
     """
 
-    def __init__(self, matrix=None, symmetric=False, exact=None, stencil=None):
-        self._matrix = matrix
+    def __init__(self, stencil, symmetric=False, exact=None):
+        self.stencil = stencil
         self.symmetric = symmetric
         # {offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None; entry
         # (i, cols[i]) is exactly the sum of the floats parts[i]
         self.exact = exact
-        self.stencil = stencil
+        self._matrix = None
 
     @property
     def matrix(self):
@@ -225,19 +225,13 @@ class SparseOperator:
 
     @property
     def shape(self):
-        if self.stencil is None:
-            return self.matrix.shape
         return (len(self.stencil[0]),) * 2
 
     @property
     def nnz(self):
-        if self.stencil is None:
-            return self.matrix.nnz
         return int(np.count_nonzero(self.stencil[2]))
 
     def matvec(self, v):
-        if self.stencil is None:
-            return self.matrix @ v
         cols, values, _ = self.stencil
         v = np.asarray(v)
         out = np.zeros(len(cols), dtype=np.result_type(values, v))
@@ -321,27 +315,6 @@ def _stencil_csr(cols, values, stored):
     return sp.csr_matrix((values[stored], cols[stored], indptr), shape=(N, N))
 
 
-def _shift_matrix(grid, axis, step):
-    cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))[:, None]
-    return _stencil_csr(cols, np.ones(cols.shape), np.ones(cols.shape, dtype=bool))
-
-
-def _central_difference(grid, axis):
-    h = grid.h[axis]
-    return (
-        _shift_matrix(grid, axis, +1) - _shift_matrix(grid, axis, -1)
-    ) * (0.5 / h)
-
-
-def _second_difference(grid, axis):
-    h = grid.h[axis]
-    return (
-        _shift_matrix(grid, axis, +1)
-        - 2.0 * _shift_matrix(grid, axis, 0)
-        + _shift_matrix(grid, axis, -1)
-    ) * (1.0 / h**2)
-
-
 def assemble_field(X, grid):
     """Central-difference matrix of the first-order operator f -> X f.
 
@@ -372,43 +345,50 @@ def assemble_field(X, grid):
 
 
 def assemble_strong(spec, grid):
-    """Central-difference matrix of a coordinate-form second-order operator.
+    """Central-difference stencil of a coordinate-form second-order operator.
 
-    Pure second derivatives use the three-point stencil; mixed ones
-    compose central first differences; the drift uses central first
-    differences.  Each term is coefficient-at-the-row-node times the
-    stencil, so the whole matrix is second-order consistent.
+    Pure second derivatives use the three-point stencil (1, -2, 1)/h_j^2;
+    mixed ones compose central first differences, +-1/(4 h_j h_l) at the
+    offsets +-e_j +-e_l; the drift uses central first differences
+    +-1/(2 h_j).  Each term is coefficient-at-the-row-node times the
+    stencil weight, so the whole operator is second-order consistent.
+    Every offset sums its terms in one fixed order, the a^{jl} terms in
+    (j, l) order and then the b^j terms, and the nonzero sums are stored.
     """
-    import scipy.sparse as sp
-
     m = grid.dim
     if spec.dim != m:
         raise GridError("operator dimension mismatch")
-    N = grid.size
-    total = sp.csr_matrix((N, N))
-    firsts = {}
+    unit = np.eye(m, dtype=np.int64)
+    inv = [1.0 / h**2 for h in grid.h]
+    half = [0.5 / h for h in grid.h]
+    terms = []  # (coefficient, [(offset, weight), ...]) in summation order
+    for j, l in itertools.product(range(m), repeat=2):
+        if j == l:
+            weights = [
+                (unit[j], inv[j]), (0 * unit[j], -2.0 * inv[j]), (-unit[j], inv[j])
+            ]
+        else:
+            weights = [
+                (sj * unit[j] + sl * unit[l], sj * sl * (half[j] * half[l]))
+                for sj, sl in itertools.product((1, -1), repeat=2)
+            ]
+        terms.append((spec.a[j][l], weights))
+    terms += [(spec.b[j], [(unit[j], half[j]), (-unit[j], -half[j])]) for j in range(m)]
 
-    def first(j):
-        if j not in firsts:
-            firsts[j] = _central_difference(grid, j)
-        return firsts[j]
-
-    for j in range(m):
-        for l in range(m):
-            coeff = spec.a[j][l]
-            if isinstance(coeff, ex.Const) and coeff.value == 0:
-                continue
-            diag = sp.diags(evaluate_on_grid(coeff, grid))
-            if j == l:
-                total = total + diag @ _second_difference(grid, j)
-            else:
-                total = total + diag @ (first(j) @ first(l))
-    for j in range(m):
-        coeff = spec.b[j]
+    multi = grid.multi_indices()
+    # offset -> (N,) entry values; the zero offset keeps a spec whose
+    # coefficients are all zero a stencil with one unstored column
+    sums = {(0,) * m: np.zeros(grid.size)}
+    for coeff, weights in terms:
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        total = total + sp.diags(evaluate_on_grid(coeff, grid)) @ first(j)
-    return SparseOperator(matrix=sp.csr_matrix(total), symmetric=False)
+        vals = evaluate_on_grid(coeff, grid)
+        for offset, w in weights:
+            acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
+            acc += vals * w
+    cols = [grid.ravel(multi + np.array(offset)) for offset in sums]
+    cols, values = _row_sorted(cols, list(sums.values()))
+    return SparseOperator(symmetric=False, stencil=(cols, values, values != 0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ builder verifies that constancy on a sample set and refuses frames
 where it fails.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +254,25 @@ def riemannian_laplacian(ext):
     s = ext.frame_structure if isinstance(ext, MetricExtension) else ext
     everything = list(range(s.dim))
     return _frame_laplacian("riemannian", None, s, everything, everything)
+
+
+def weighted_laplacian(op, fields, density):
+    """The Laplacian of ``fields`` against rho times op's volume.
+
+    If op is sum_i X_i^2 - nabla_{X_i} X_i over the fields X_i against a
+    volume mu, then (1 / (rho mu)) sum_i div(rho mu (X_i f) X_i) is
+    op f + sum_i (X_i rho / rho) X_i f for rho = ``density``: only the
+    drift changes, b^j gaining sum_i (X_i rho / rho) X_i^j.  A constant
+    density leaves op's b as it is.
+    """
+    b = list(op.b)
+    for X in fields:
+        rate = simplify(ex.Div(X.apply(density), density))
+        if _is_zero(rate):
+            continue
+        for j in range(op.dim):
+            b[j] = simplify(ex.Add(b[j], ex.Mul(rate, X.coefficients[j])))
+    return replace(op, b=tuple(b))
 
 
 # ---------------------------------------------------------------------------

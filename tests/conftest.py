@@ -22,13 +22,20 @@ FIXTURE_NAMES = [
 # can be evaluated on grids
 GRID_NAMES = ["contact3torus", "trivial", "integrable"]
 
+# (fixture, density) of configs whose density varies: they leave the weak
+# form of contact3torus invariant along x1 only or along no axis, and that
+# of integrable along x1 and x2
+DENSITY_CONFIGS = [
+    ("contact3torus", "2 + cos(x0)"),
+    ("contact3torus", "3 + cos(x0) + cos(x1)"),
+    ("integrable", "2 + cos(6.283185307179586*x0)"),
+]
+
 # (fixture, density, n, eps) of the weak forms the stencil tests cover:
-# every grid fixture, and contact3torus with a density that leaves it
-# invariant along x1 only or along no axis
+# every grid fixture, and the two contact3torus densities
 STENCIL_CASES = [
     (name, density, n, eps)
-    for name, density in [(name, None) for name in GRID_NAMES]
-    + [("contact3torus", "2 + cos(x0)"), ("contact3torus", "3 + cos(x0) + cos(x1)")]
+    for name, density in [(name, None) for name in GRID_NAMES] + DENSITY_CONFIGS[:2]
     for n in (4, 6)
     for eps in (None, 2.0)
 ]

@@ -19,7 +19,7 @@ from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.geometry import SubRiemannianStructure
 from srlab.spectrum import dense_spectrum
 
-from conftest import FIXTURE_NAMES, GRID_NAMES, write_config
+from conftest import DENSITY_CONFIGS, FIXTURE_NAMES, GRID_NAMES, write_config
 
 
 def run(capsys, *argv):
@@ -628,6 +628,22 @@ def test_verify_item_sequence_is_frozen(capsys, argv):
     assert code == 0
 
 
+@pytest.mark.parametrize("name, density", DENSITY_CONFIGS)
+def test_verify_grid_items_use_the_density_weighted_sublaplacian(
+    capsys, tmp_path, name, density
+):
+    """The weak form carries the config density, so the grid items compare
+    it with the sublaplacian of the weighted volume; against the
+    density-free one the two-grid error ratio tends to 1."""
+    path = bumped_config(tmp_path, name, density)
+    code, out, err = run(capsys, "verify", path, "-n", "8")
+    assert err == ""
+    items, summary = verify_lines(out)
+    assert summary == "all items passed" and code == 0
+    assert ("PASS", "weak-two-grid-order") in items
+    assert ("PASS", "strong-consistency") in items
+
+
 TWO_PI = 2 * math.pi
 # X2 = (2 + sin x0) d1 makes the connection sums vary, so the
 # constant-coefficient sublaplacian does not exist
@@ -841,21 +857,17 @@ def loaded_modules(tmp_path, argv):
         (("canonicalize", "heisenberg"), False),
         (("verify", "heisenberg"), False),
         (("spectrum", "contact3torus", "-n", "4", "--count", "2"), False),
-        (("verify", "contact3torus", "-n", "4"), True),
+        (("verify", "contact3torus", "-n", "4"), False),
     ],
 )
 def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
-    """Start-up without sparse work, and a spectrum whose solves take the
-    Fourier path, import no scipy; a sparse build (the strong operator of
-    ``verify -n``) whose solves take the Fourier path imports no
-    scipy.linalg or scipy.sparse.linalg."""
-    modules = loaded_modules(tmp_path, argv)
-    if sparse:
-        assert "scipy.sparse" in modules
-        assert "scipy.linalg" not in modules
-        assert "scipy.sparse.linalg" not in modules
-    else:
-        assert not [m for m in modules if m.startswith("scipy")]
+    """Start-up, a spectrum whose solves take the Fourier path, and
+    ``verify -n``, whose strong operator is a stencil and whose kernel
+    check takes the Fourier path, build no CSR matrix and import no
+    scipy; ``test_lanczos_path_loads_the_sparse_solvers`` covers a run
+    that does."""
+    scipy = [m for m in loaded_modules(tmp_path, argv) if m.startswith("scipy")]
+    assert bool(scipy) == sparse, scipy
 
 
 def test_lanczos_path_loads_the_sparse_solvers(tmp_path):

@@ -7,8 +7,10 @@ sin(2 pi x) act diagonally with factor (2 cos(2 pi h) - 2)/h^2.  Both
 are derived by direct computation and frozen below.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,13 +20,14 @@ from hypothesis import strategies as st
 
 import srlab.discrete as discrete
 import srlab.expr as ex
+from srlab.cli import build_structure, load_config
+from srlab.complement import MetricExtension, canonical_complement
 from srlab.discrete import (
     DiagonalMass,
     FieldFactor,
     Grid,
     GridError,
     PeriodicityError,
-    SparseOperator,
     _weak_stencil,
     assemble_field,
     assemble_strong,
@@ -40,9 +43,20 @@ from srlab.discrete import (
     write_matrix_market,
 )
 from srlab.geometry import VectorField
-from srlab.operators import sublaplacian
+from srlab.operators import (
+    penalty_laplacian,
+    riemannian_laplacian,
+    sublaplacian,
+    weighted_laplacian,
+)
 
-from conftest import GRID_NAMES, STENCIL_CASES, cached_structure, density_form
+from conftest import (
+    DENSITY_CONFIGS,
+    GRID_NAMES,
+    STENCIL_CASES,
+    cached_structure,
+    density_form,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -587,14 +601,6 @@ def test_matrix_market_rejects_foreign_header(tmp_path):
         read_matrix_market(str(path))
 
 
-def test_sparse_operator_matvec_matches_matrix():
-    import scipy.sparse as sp
-
-    mat = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    op = SparseOperator(matrix=mat, symmetric=True)
-    assert np.array_equal(op.matvec(np.array([1.0, 0.0])), [2.0, -1.0])
-
-
 def coo_reference(op, drop_zeros):
     """Reference CSR matrix of an offset assembler's entries, built through
     COO without the stencil: one column per offset of ``op.exact``, each
@@ -639,3 +645,73 @@ def test_field_stencil_matrix_keeps_stored_zeros(name):
     for X in list(s.horizontal) + list(s.complement):
         op = assemble_field(X, g)
         assert_stencil_matches(op, coo_reference(op, drop_zeros=False))
+
+
+# the sublaplacian, penalty (eps 0.7) and Riemannian operators of every grid
+# fixture, and the density-weighted sublaplacians, the only ones with a drift
+STRONG_CASES = [
+    (name, None, kind, n)
+    for name in GRID_NAMES
+    for kind in ("sublaplacian", "penalty", "riemannian")
+    for n in (4, 6)
+] + [
+    (name, density, "sublaplacian", n)
+    for name, density in DENSITY_CONFIGS
+    for n in (4, 6, 8)
+]
+
+
+@lru_cache(maxsize=None)
+def strong_spec(name, density, kind):
+    """The coordinate form of one of ``verify``'s operators of a fixture,
+    weighted by the config's density if it has one."""
+    cfg = load_config(name)
+    cfg["density"] = density
+    s, rho = build_structure(cfg)
+    adapted = canonical_complement(s).as_structure()
+    if kind == "penalty":
+        return penalty_laplacian(MetricExtension(adapted, epsilon=0.7))
+    if kind == "riemannian":
+        return riemannian_laplacian(MetricExtension(adapted))
+    op = sublaplacian(MetricExtension(adapted))
+    return op if rho is None else weighted_laplacian(op, adapted.horizontal, rho)
+
+
+def strong_reference(spec, grid):
+    """CSR matrix of the central-difference operator built as a sum of
+    scipy sparse matrices without the stencil: diag(a^{jl}) times the
+    second or the composed first differences in (j, l) order, then
+    diag(b^j) times the first differences; indices sorted."""
+    N = grid.size
+
+    def shift(axis, step):
+        cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))
+        return sp.csr_matrix((np.ones(N), cols, np.arange(N + 1)), shape=(N, N))
+
+    def first(j):
+        return (shift(j, 1) - shift(j, -1)) * (0.5 / grid.h[j])
+
+    def second(j):
+        diff = shift(j, 1) - 2.0 * shift(j, 0) + shift(j, -1)
+        return diff * (1.0 / grid.h[j] ** 2)
+
+    total = sp.csr_matrix((N, N))
+    terms = [
+        (spec.a[j][l], second(j) if j == l else first(j) @ first(l))
+        for j, l in itertools.product(range(grid.dim), repeat=2)
+    ] + [(spec.b[j], first(j)) for j in range(grid.dim)]
+    for coeff, diff in terms:
+        if not (isinstance(coeff, ex.Const) and coeff.value == 0):
+            total = total + sp.diags(evaluate_on_grid(coeff, grid)) @ diff
+    total = sp.csr_matrix(total)
+    total.sort_indices()
+    return total
+
+
+@pytest.mark.parametrize("name, density, kind, n", STRONG_CASES)
+def test_strong_stencil_matrix_matches_sparse_sum_reference(name, density, kind, n):
+    spec = strong_spec(name, density, kind)
+    drift = any(not (isinstance(c, ex.Const) and c.value == 0) for c in spec.b)
+    assert drift == (density is not None)
+    grid = Grid(shape=(n,) * spec.dim, periods=cached_structure(name).periods)
+    assert_stencil_matches(assemble_strong(spec, grid), strong_reference(spec, grid))
