@@ -122,15 +122,20 @@ def build_structure(cfg):
         if key not in cfg:
             raise ConfigError("config is missing the %r key" % key)
     dim = cfg["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ConfigError("dim must be a positive integer")
     periods = cfg["periods"]
     if (
         not isinstance(periods, list)
         or len(periods) != dim
-        or not all(isinstance(p, (int, float)) and p > 0 for p in periods)
+        or not all(
+            isinstance(p, (int, float))
+            and not isinstance(p, bool)
+            and 0 < p <= sys.float_info.max
+            for p in periods
+        )
     ):
-        raise ConfigError("periods must list %d positive numbers" % dim)
+        raise ConfigError("periods must list %d finite positive numbers" % dim)
 
     def parse_fields(rows, what):
         if not isinstance(rows, list):
@@ -293,7 +298,7 @@ def cmd_canonicalize(args):
 
 
 def _parse_eps_list(text):
-    if not text:
+    if text is None:
         return None
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -423,7 +428,7 @@ def _verify_items(s, density, grid, args):
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
     )
     jac = [ex.simplify(ex.Add(u, ex.Add(v, w))) for u, v, w in zip(abc, bca, cab)]
-    worst = max(0.0, *(_peak(ex.evaluate(e, pts[:10])) for e in jac))
+    worst = _peak(ex.evaluate_array(jac, pts[:10]))
     yield "jacobi-identity", worst <= 1e-9, "max residual = %.3e" % worst
 
     # 3. flag dims monotone and bounded; flags[0] is at the base point
@@ -475,11 +480,8 @@ def _verify_items(s, density, grid, args):
         yield "product-rule", pr <= 1e-9, "max defect = %.3e" % pr
 
     # 9. divergence via density vs connection sums: div E_v = sum_u Gamma_uvu
-    worst = 0.0
-    gamma_div = gamma.trace(axis1=-3, axis2=-1)
-    for v, E in enumerate(adapted.frame):
-        div = ex.evaluate(riemannian_divergence(ext, E), pts[:10])
-        worst = max(worst, _peak(div - gamma_div[:, v]))
+    divs = [riemannian_divergence(ext, E) for E in adapted.frame]
+    worst = _peak(ex.evaluate_array(divs, pts[:10]) - gamma.trace(axis1=-3, axis2=-1))
     yield "divergence-density-vs-frame", worst <= 1e-9, "max defect = %.3e" % worst
 
     # 10. Cartan formula for a sample 1-form, in the coordinates that exist

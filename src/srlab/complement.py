@@ -144,11 +144,8 @@ class AdaptedComplement:
         if self.mode == "exact-symbolic":
             point = np.asarray(point, dtype=float)
             # (..., m-k, k): no rows when the complement is empty (k = m)
-            A = np.empty(point.shape[:-1] + (len(self.A_exprs), self.structure.k))
-            for b, row in enumerate(self.A_exprs):
-                for i, e in enumerate(row):
-                    A[..., b, i] = ex.evaluate(e, point)
-            return A
+            A = ex.evaluate_array(self.A_exprs, point)
+            return A.reshape(point.shape[:-1] + (len(self.A_exprs), self.structure.k))
         return solve_canonical_complement(self.structure, point).A
 
     def adapted_values(self, point):
@@ -156,13 +153,12 @@ class AdaptedComplement:
         point = np.asarray(point, dtype=float)
         if self.mode == "exact-symbolic":
             fields = self.adapted_fields
-            values = np.empty(point.shape[:-1] + (len(fields), self.structure.dim))
-            for b, f in enumerate(fields):
-                values[..., b, :] = f.evaluate(point)
-            return values
+            values = ex.evaluate_array([f.coefficients for f in fields], point)
+            # (..., 0, m) when the complement is empty (k = m)
+            return values.reshape(point.shape[:-1] + (len(fields), self.structure.dim))
         A = self.coefficients_at(point)
-        X = np.stack([f.evaluate(point) for f in self.structure.horizontal], axis=-2)
-        T = np.stack([f.evaluate(point) for f in self.structure.complement], axis=-2)
+        X = ex.evaluate_array([f.coefficients for f in self.structure.horizontal], point)
+        T = ex.evaluate_array([f.coefficients for f in self.structure.complement], point)
         return A @ X + T
 
     def as_structure(self):

@@ -160,36 +160,31 @@ class Grid:
 
 def evaluate_on_grid(e, grid):
     """Node values of an expression, checked for declared periodicity."""
-    pts = grid.points()
-    vals = np.asarray(ex.evaluate(e, pts), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(grid.size, float(vals))
-    check_periodicity(e, grid)
-    return vals
+    return check_periodicity(e, grid)
 
 
 def check_periodicity(e, grid, tol=1e-8):
-    """Compare values at x and x + L_j e_j on the whole node set."""
+    """Compare values at x and x + L_j e_j on the whole node set.
+
+    Returns the node values of ``e``, or None when ``e`` is not an
+    expression.
+    """
     if not isinstance(e, Expr):
-        return
-    axes = ex.variables(e)
-    if not axes:
-        return
+        return None
     pts = grid.points()
-    base = np.asarray(ex.evaluate(e, pts), dtype=float)
-    if base.ndim == 0:
-        return
+    base = ex.evaluate(e, pts)
     scale = max(1.0, float(np.max(np.abs(base))))
-    for j in sorted(axes):
+    for j in sorted(ex.variables(e)):
         shifted = pts.copy()
         shifted[:, j] += grid.periods[j]
-        other = np.asarray(ex.evaluate(e, shifted), dtype=float)
+        other = ex.evaluate(e, shifted)
         worst = float(np.max(np.abs(other - base)))
         if worst > tol * scale:
             raise PeriodicityError(
                 "coefficient %s is not periodic along axis %d "
                 "(defect %.3e over period %g)" % (ex.render(e), j, worst, grid.periods[j])
             )
+    return base
 
 
 # ---------------------------------------------------------------------------

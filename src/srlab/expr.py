@@ -308,6 +308,20 @@ def evaluate(expr, point):
     return np.array(out)
 
 
+def evaluate_array(exprs, point):
+    """Evaluate a nested sequence of expressions at one point or a batch.
+
+    Returns an array of shape point.shape[:-1] + shape(exprs) whose entries
+    are evaluate(e, point) for the expressions e in ``exprs``.
+    """
+    pts = np.asarray(point, dtype=float)
+    table = np.array(exprs, dtype=object)
+    out = np.empty(pts.shape[:-1] + table.shape)
+    for index, e in np.ndenumerate(table):
+        out[(...,) + index] = evaluate(e, pts)
+    return out
+
+
 def variables(expr):
     """Set of coordinate indices appearing in ``expr``."""
     out = set()
@@ -437,6 +451,17 @@ def simplify(expr):
         return Exp(a)
 
     raise TypeError("unknown node %r" % (expr,))
+
+
+def add_terms(terms):
+    """simplify(t0 + t1 + ...), the sum folded left in the given order.
+
+    No terms give ZERO.
+    """
+    total = None
+    for t in terms:
+        total = t if total is None else Add(total, t)
+    return ZERO if total is None else simplify(total)
 
 
 def differentiate(expr, axis):

@@ -46,24 +46,13 @@ class VectorField:
 
     def evaluate(self, point):
         """Coordinate components at one point (m,) or a batch (n, m)."""
-        point = np.asarray(point, dtype=float)
-        single = point.ndim == 1
-        pts = point[None, :] if single else point
-        out = np.empty((pts.shape[0], self.dim))
-        for j, c in enumerate(self.coefficients):
-            out[:, j] = evaluate(c, pts)
-        return out[0] if single else out
+        return ex.evaluate_array(self.coefficients, point)
 
     def apply(self, f):
         """Directional derivative X f = sum_j X^j d_j f as an expression."""
-        terms = None
-        for j, c in enumerate(self.coefficients):
-            t = ex.Mul(c, differentiate(f, j))
-            terms = t if terms is None else ex.Add(terms, t)
-        return simplify(terms)
-
-    def simplified(self):
-        return VectorField([simplify(c) for c in self.coefficients])
+        return ex.add_terms(
+            ex.Mul(c, differentiate(f, j)) for j, c in enumerate(self.coefficients)
+        )
 
     def __repr__(self):
         return "VectorField(%s)" % ", ".join(render(c) for c in self.coefficients)
@@ -73,31 +62,30 @@ def lie_bracket(X, Y):
     """[X, Y]^j = sum_i (X^i d_i Y^j - Y^i d_i X^j)."""
     if X.dim != Y.dim:
         raise ValueError("bracket of fields with different dimensions")
-    coeffs = []
-    for j in range(X.dim):
-        term = None
-        for i in range(X.dim):
-            t = ex.Add(
-                ex.Mul(X.coefficients[i], differentiate(Y.coefficients[j], i)),
-                ex.Neg(ex.Mul(Y.coefficients[i], differentiate(X.coefficients[j], i))),
+    Xc, Yc = X.coefficients, Y.coefficients
+    return VectorField(
+        [
+            ex.add_terms(
+                ex.Add(
+                    ex.Mul(Xc[i], differentiate(Yc[j], i)),
+                    ex.Neg(ex.Mul(Yc[i], differentiate(Xc[j], i))),
+                )
+                for i in range(X.dim)
             )
-            term = t if term is None else ex.Add(term, t)
-        coeffs.append(simplify(term))
-    return VectorField(coeffs)
+            for j in range(X.dim)
+        ]
+    )
 
 
 def linear_combination(coeffs, fields, base=None):
     """sum_i coeffs[i] * fields[i] (+ base), coefficients Expr or numeric."""
-    out = list(base.coefficients) if base is not None else None
-    for c, f in zip(coeffs, fields):
-        if not isinstance(c, Expr):
-            c = ex.Const(c)
-        comps = [ex.Mul(c, fc) for fc in f.coefficients]
-        if out is None:
-            out = comps
-        else:
-            out = [ex.Add(a, b) for a, b in zip(out, comps)]
-    return VectorField([simplify(c) for c in out])
+    rows = [
+        [ex.Mul(c if isinstance(c, Expr) else ex.Const(c), fc) for fc in f.coefficients]
+        for c, f in zip(coeffs, fields)
+    ]
+    if base is not None:
+        rows.insert(0, base.coefficients)
+    return VectorField([ex.add_terms(terms) for terms in zip(*rows)])
 
 
 def det_expr(rows):
@@ -105,14 +93,12 @@ def det_expr(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = None
+    terms = []
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         term = ex.Mul(rows[0][j], det_expr(minor))
-        if j % 2 == 1:
-            term = ex.Neg(term)
-        total = term if total is None else ex.Add(total, term)
-    return simplify(total)
+        terms.append(ex.Neg(term) if j % 2 == 1 else term)
+    return ex.add_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +152,7 @@ class SubRiemannianStructure:
 
     def frame_matrix(self, point):
         """Columns are the frame fields' coordinate components at ``point``."""
-        point = np.asarray(point, dtype=float)
-        single = point.ndim == 1
-        pts = point[None, :] if single else point
-        F = np.empty((pts.shape[0], self.dim, self.dim))
-        for u, f in enumerate(self.frame):
-            F[:, :, u] = f.evaluate(pts)
-        return F[0] if single else F
+        return ex.evaluate_array(list(zip(*(f.coefficients for f in self.frame))), point)
 
     def sample_lattice(self, per_axis=5):
         """Uniform lattice i * L_j / per_axis including the origin."""
@@ -280,11 +260,7 @@ def _flag_layer(s, depth):
     if not layers:
         layers.append(list(s.horizontal))
     while len(layers) < depth:
-        new = []
-        for f in layers[-1]:
-            for X in s.horizontal:
-                new.append(lie_bracket(X, f).simplified())
-        layers.append(new)
+        layers.append([lie_bracket(X, f) for f in layers[-1] for X in s.horizontal])
     return layers[depth - 1]
 
 
@@ -313,8 +289,9 @@ def hormander_flag(s, point, max_depth=6):
             layer = _flag_layer(s, depth)
             grown = np.empty((len(block), rows.shape[1] + len(layer), m))
             grown[:, : rows.shape[1]] = rows
-            for r, f in enumerate(layer, start=rows.shape[1]):
-                grown[:, r] = f.evaluate(block)
+            grown[:, rows.shape[1] :] = ex.evaluate_array(
+                [f.coefficients for f in layer], block
+            )
             rows = grown
             sv = np.linalg.svd(rows, compute_uv=False)
             cutoff = np.maximum(sv[:, :1], 1.0) * 1e-10
@@ -391,13 +368,13 @@ def is_fat(s, point, samples=32, rng=None, tol=1e-10):
         n = np.linalg.norm(v)
         if n > 1e-12:
             lams.append(v / n)
-    for lam in lams:
-        M = np.tensordot(C, lam, axes=([2], [0]))
-        rows = np.linalg.norm(M, axis=1)
-        scale = max(float(np.prod(rows)), np.finfo(float).tiny)
-        if abs(np.linalg.det(M)) <= tol * scale:
-            return FatnessResult(fat=False, witness=lam, tested=len(lams))
-    return FatnessResult(fat=True, witness=None, tested=len(lams))
+    # M[l] = M(lams[l]), one (k*k, q) @ (q, 1) product each as np.tensordot forms it
+    M = (C.reshape(-1, q) @ np.stack(lams)[..., None]).reshape(-1, *C.shape[:2])
+    rows = np.linalg.norm(M, axis=-1)
+    scale = np.maximum(np.prod(rows, axis=-1), np.finfo(float).tiny)
+    singular = np.abs(np.linalg.det(M)) <= tol * scale
+    witness = lams[int(np.argmax(singular))] if singular.any() else None
+    return FatnessResult(fat=witness is None, witness=witness, tested=len(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +393,7 @@ def cartan_residual(omega, X, Y, point):
     m = X.dim
     point = np.asarray(point, dtype=float)
 
+    Xv, Yv = X.evaluate(point), Y.evaluate(point)
     lhs = 0.0
     for a in range(m):
         for b in range(a + 1, m):
@@ -423,16 +401,10 @@ def cartan_residual(omega, X, Y, point):
                 simplify(ex.Add(differentiate(omega[b], a), ex.Neg(differentiate(omega[a], b)))),
                 point,
             )
-            Xa, Xb = evaluate(X.coefficients[a], point), evaluate(X.coefficients[b], point)
-            Ya, Yb = evaluate(Y.coefficients[a], point), evaluate(Y.coefficients[b], point)
-            lhs += d_ab * (Xa * Yb - Xb * Ya)
+            lhs += d_ab * (Xv[..., a] * Yv[..., b] - Xv[..., b] * Yv[..., a])
 
     def pair(w, Z):
-        total = None
-        for c, zc in zip(w, Z.coefficients):
-            t = ex.Mul(c, zc)
-            total = t if total is None else ex.Add(total, t)
-        return simplify(total)
+        return ex.add_terms(ex.Mul(c, zc) for c, zc in zip(w, Z.coefficients))
 
     omega_Y = pair(omega, Y)
     omega_X = pair(omega, X)

@@ -130,30 +130,22 @@ class OperatorSpec:
         """The expression sum a^{jl} d_j d_l f + sum b^j d_j f."""
         m = self.dim
         df = [differentiate(f, j) for j in range(m)]
-        total = ex.ZERO
-        for j in range(m):
-            for l in range(m):
-                if _is_zero(self.a[j][l]):
-                    continue
-                total = ex.Add(total, ex.Mul(self.a[j][l], differentiate(df[j], l)))
-        for j in range(m):
-            if _is_zero(self.b[j]):
-                continue
-            total = ex.Add(total, ex.Mul(self.b[j], df[j]))
-        return simplify(total)
+        terms = [
+            ex.Mul(self.a[j][l], differentiate(df[j], l))
+            for j in range(m)
+            for l in range(m)
+            if not _is_zero(self.a[j][l])
+        ]
+        terms += [ex.Mul(self.b[j], df[j]) for j in range(m) if not _is_zero(self.b[j])]
+        return ex.add_terms(terms)
 
     def principal_symbol(self, point):
         """The matrix a^{jl}(p) at one point, or one per point of a batch."""
-        p = np.asarray(point, dtype=float)
-        return np.stack(
-            [np.stack([ex.evaluate(e, p) for e in row], axis=-1) for row in self.a],
-            axis=-2,
-        )
+        return ex.evaluate_array(self.a, point)
 
     def drift(self, point):
         """The vector b^j(p) at one point, or one per point of a batch."""
-        p = np.asarray(point, dtype=float)
-        return np.stack([ex.evaluate(e, p) for e in self.b], axis=-1)
+        return ex.evaluate_array(self.b, point)
 
     def to_dict(self):
         d = {
@@ -199,27 +191,18 @@ def _frame_laplacian(kind, eps, frame_structure, use, project):
     a = [[ex.ZERO for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for l in range(j, m):
-            total = ex.ZERO
-            for u in use:
-                total = ex.Add(
-                    total,
-                    ex.Mul(fields[u].coefficients[j], fields[u].coefficients[l]),
-                )
-            total = simplify(total)
-            a[j][l] = total
-            a[l][j] = total
+            a[j][l] = a[l][j] = ex.add_terms(
+                ex.Mul(fields[u].coefficients[j], fields[u].coefficients[l]) for u in use
+            )
     b = []
     for j in range(m):
-        total = ex.ZERO
-        for u in use:
-            total = ex.Add(total, fields[u].apply(fields[u].coefficients[j]))
-        for wi, w in enumerate(project):
-            g = sums[wi]
-            if g != 0.0:
-                total = ex.Add(
-                    total, ex.Neg(ex.Mul(_as_const(g), fields[w].coefficients[j]))
-                )
-        b.append(simplify(total))
+        terms = [fields[u].apply(fields[u].coefficients[j]) for u in use]
+        terms += [
+            ex.Neg(ex.Mul(_as_const(g), fields[w].coefficients[j]))
+            for g, w in zip(sums, project)
+            if g != 0.0
+        ]
+        b.append(ex.add_terms(terms))
     return OperatorSpec(
         kind=kind,
         dim=m,
@@ -265,14 +248,15 @@ def weighted_laplacian(op, fields, density):
     drift changes, b^j gaining sum_i (X_i rho / rho) X_i^j.  A constant
     density leaves op's b as it is.
     """
-    b = list(op.b)
-    for X in fields:
-        rate = simplify(ex.Div(X.apply(density), density))
-        if _is_zero(rate):
-            continue
-        for j in range(op.dim):
-            b[j] = simplify(ex.Add(b[j], ex.Mul(rate, X.coefficients[j])))
-    return replace(op, b=tuple(b))
+    rates = [(simplify(ex.Div(X.apply(density), density)), X) for X in fields]
+    rates = [(rate, X) for rate, X in rates if not _is_zero(rate)]
+    b = tuple(
+        ex.add_terms([e] + [ex.Mul(rate, X.coefficients[j]) for rate, X in rates])
+        if rates
+        else e
+        for j, e in enumerate(op.b)
+    )
+    return replace(op, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +267,10 @@ def horizontal_gradient(s, f):
     if isinstance(s, MetricExtension):
         s = s.frame_structure
     comps = [s.horizontal[i].apply(f) for i in range(s.k)]
-    m = s.dim
-    coeffs = []
-    for j in range(m):
-        total = ex.ZERO
-        for i in range(s.k):
-            total = ex.Add(
-                total, ex.Mul(comps[i], s.horizontal[i].coefficients[j])
-            )
-        coeffs.append(simplify(total))
+    coeffs = [
+        ex.add_terms(ex.Mul(c, X.coefficients[j]) for c, X in zip(comps, s.horizontal))
+        for j in range(s.dim)
+    ]
     return VectorField(coeffs), comps
 
 
@@ -306,14 +285,11 @@ def horizontal_divergence(s, components):
     k = s.k
     horizontal = list(range(k))
     sums = connection_sums(s, horizontal, horizontal)
-    total = ex.ZERO
-    for i in range(k):
-        total = ex.Add(total, s.horizontal[i].apply(components[i]))
-    for j in range(k):
-        g = -sums[j]
-        if g != 0.0:
-            total = ex.Add(total, ex.Mul(_as_const(g), components[j]))
-    return simplify(total)
+    terms = [s.horizontal[i].apply(components[i]) for i in range(k)]
+    terms += [
+        ex.Mul(_as_const(-g), c) for g, c in zip(sums, components) if g != 0.0
+    ]
+    return ex.add_terms(terms)
 
 
 def riemannian_divergence(ext, X):
@@ -323,16 +299,13 @@ def riemannian_divergence(ext, X):
     - X^j (d_j det)/det, the sign of det cancelling.
     """
     _, det = ext.density_expr()
-    m = ext.dim
-    total = ex.ZERO
-    for j in range(m):
-        total = ex.Add(total, differentiate(X.coefficients[j], j))
+    terms = []
+    for j in range(ext.dim):
+        terms.append(differentiate(X.coefficients[j], j))
         dd = differentiate(det, j)
         if not _is_zero(dd):
-            total = ex.Add(
-                total, ex.Neg(ex.Div(ex.Mul(X.coefficients[j], dd), det))
-            )
-    return simplify(total)
+            terms.append(ex.Neg(ex.Div(ex.Mul(X.coefficients[j], dd), det)))
+    return ex.add_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +323,14 @@ class HorizontalField:
         """Horizontal-frame components, (k,) at a point or (n, k) for a batch."""
         p = np.asarray(point, dtype=float)
         if self.exprs is not None:
-            return np.stack([ex.evaluate(e, p) for e in self.exprs], axis=-1)
+            return ex.evaluate_array(self.exprs, p)
         return np.asarray(self.components_fn(p))
 
     def vector_at(self, point):
         """Coordinate components, (m,) at a point or (n, m) for a batch."""
         p = np.asarray(point, dtype=float)
         comp = self.components_at(p)
-        X = np.stack([f.evaluate(p) for f in self.structure.horizontal], axis=-2)
+        X = ex.evaluate_array([f.coefficients for f in self.structure.horizontal], p)
         return (comp[..., None, :] @ X)[..., 0, :]
 
 
@@ -420,5 +393,5 @@ def potential_residual(s, curvature, u, points):
             "potential must be positive on the sample set; got %r at %s"
             % (float(up[first]), np.array2string(points[first], precision=6))
         )
-    q = np.stack([ex.evaluate(e, points) for e in quotients], axis=-1)
+    q = ex.evaluate_array(quotients, points)
     return float(np.max(_norms(q - curvature.components_at(points)), initial=0.0))

@@ -85,6 +85,34 @@ def test_check_malformed_config_is_usage_error(capsys, tmp_path):
     assert "missing" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["canonicalize"], ["spectrum", "-n", "4"], ["verify", "-n", "4"]],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "period", [float("inf"), True, 10**400], ids=["inf", "bool", "huge-int"]
+)
+def test_nonfinite_or_boolean_period_is_usage_error(
+    capsys, tmp_path, command, period
+):
+    path = write_config(
+        tmp_path / "periods.json", heisenberg_config(periods=[period, 1.0, 1.0])
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: periods must list 3 finite positive numbers\n"
+
+
+def test_check_boolean_dim_is_usage_error(capsys, tmp_path):
+    cfg = {"dim": True, "periods": [1.0], "horizontal": [["1"]], "complement": []}
+    code, out, err = run(capsys, "check", write_config(tmp_path / "dim.json", cfg))
+    assert (code, out, err) == (2, "", "error: dim must be a positive integer\n")
+
+
 def test_check_bad_expression_is_usage_error(capsys, tmp_path):
     cfg = heisenberg_config(horizontal=[["1", "0", "x9"], ["0", "1", "x0/2"]])
     path = write_config(tmp_path / "badexpr.json", cfg)
@@ -304,6 +332,7 @@ def test_spectrum_rejects_nonperiodic_fixture(capsys):
 
 
 BAD_EPS_LISTS = [
+    ("", "finite and positive"),  # an empty flag is not an omitted one
     ("2,-4", "finite and positive"),
     ("-4,2", "finite and positive"),  # increasing: only positivity fails
     ("nan", "finite and positive"),

@@ -134,6 +134,23 @@ def test_constant_expression_broadcasts():
     assert np.all(vals == 1.5)
 
 
+def test_evaluate_on_grid_evaluates_nodes_once(monkeypatch):
+    # one evaluation at the nodes, then one per axis the coefficient reads
+    calls = []
+    evaluate = ex.evaluate
+
+    def counted(e, pts):
+        calls.append(len(pts))
+        return evaluate(e, pts)
+
+    monkeypatch.setattr(ex, "evaluate", counted)
+    g = Grid(shape=(4, 4, 4), periods=(1.0, 1.0, TWO_PI))
+    e = ex.parse("cos(6.283185307179586*x0) + sin(x2)", dim=3)
+    vals = evaluate_on_grid(e, g)
+    assert calls == [g.size] * 3
+    assert vals.tobytes() == evaluate(e, g.points()).tobytes()
+
+
 def test_check_periodicity_accepts_periodic_coefficient():
     g = Grid(shape=(8, 8), periods=(1.0, 1.0))
     check_periodicity(ex.parse("cos(6.283185307179586*x1)", dim=2), g)

@@ -288,3 +288,58 @@ def test_property_derivative_is_linear_and_leibniz(a, b, axis):
     assert np.max(
         np.abs(np.asarray(ex.evaluate(d_prod, pts)) - (vda * vb + va * vdb))
     ) <= 1e-9 * scale**2
+
+
+def _nested(flat, shape):
+    """``flat`` arranged as nested lists of ``shape``."""
+    if len(shape) == 1:
+        return list(flat)
+    step = int(np.prod(shape[1:]))
+    return [_nested(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.lists(st.integers(0, 3), min_size=1, max_size=3))
+def test_property_evaluate_array_matches_evaluate(data, dims):
+    # a zero ends the shape: an empty list has no inner dimensions
+    shape = tuple(dims[: dims.index(0) + 1] if 0 in dims else dims)
+    size = int(np.prod(shape))
+    flat = data.draw(st.lists(expressions(), min_size=size, max_size=size))
+    exprs = _nested(flat, shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    count = data.draw(st.integers(0, 4))
+    for pts in (rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=(count, 3))):
+        out = ex.evaluate_array(exprs, pts)
+        assert out.shape == pts.shape[:-1] + shape
+        for index, e in zip(np.ndindex(*shape), flat):
+            want = np.asarray(ex.evaluate(e, pts), dtype=float)
+            assert out[(...,) + index].tobytes() == want.tobytes()
+
+
+def test_evaluate_array_shapes():
+    x0, x1 = ex.parse("x0"), ex.parse("x1")
+    p = np.array([2.0, 3.0])
+    square = ex.evaluate_array([[x0, x1], [x1, x0]], p)
+    assert square.tolist() == [[2.0, 3.0], [3.0, 2.0]]
+    batch = np.array([[2.0, 3.0], [5.0, 7.0], [1.0, 0.0]])
+    assert ex.evaluate_array((x0, x1), batch).tolist() == batch.tolist()
+    assert ex.evaluate_array([], batch).shape == (3, 0)
+    assert ex.evaluate_array([[], []], p).shape == (2, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(expressions(), max_size=5))
+def test_property_add_terms_is_the_simplified_left_fold(terms):
+    total = None
+    for t in terms:
+        total = t if total is None else ex.Add(total, t)
+    want = ex.ZERO if total is None else ex.simplify(total)
+    assert ex.render(ex.add_terms(terms)) == ex.render(want)
+    assert ex.render(ex.add_terms(iter(terms))) == ex.render(want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(expressions())
+def test_property_simplify_is_idempotent(e):
+    once = ex.simplify(e)
+    assert ex.render(ex.simplify(once)) == ex.render(once)

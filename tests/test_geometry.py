@@ -19,7 +19,13 @@ from srlab.geometry import (
     structure_constants,
 )
 
-from conftest import batch_cases, batch_points, sample_points
+from conftest import (
+    FIXTURE_NAMES,
+    batch_cases,
+    batch_points,
+    cached_structure,
+    sample_points,
+)
 
 
 def _vf(*texts):
@@ -247,6 +253,41 @@ def test_fatness_seeded_and_deterministic(heisenberg):
     a = is_fat(heisenberg, np.zeros(3), rng=np.random.default_rng(42))
     b = is_fat(heisenberg, np.zeros(3), rng=np.random.default_rng(42))
     assert a.fat == b.fat and a.tested == b.tested
+
+
+def _is_fat_loop(s, point, samples=32, rng=None, tol=1e-10):
+    """Reference strong-bracket test: one covector at a time, first hit wins."""
+    C = structure_constants(s, point).C_vertical
+    q = s.dim - s.k
+    if q == 0:
+        return True, None, 0
+    lams = [np.eye(q)[b] for b in range(q)]
+    while len(lams) < q + samples:
+        v = rng.normal(size=q)
+        if np.linalg.norm(v) > 1e-12:
+            lams.append(v / np.linalg.norm(v))
+    for lam in lams:
+        M = np.tensordot(C, lam, axes=([2], [0]))
+        scale = max(float(np.prod(np.linalg.norm(M, axis=1))), np.finfo(float).tiny)
+        if abs(np.linalg.det(M)) <= tol * scale:
+            return False, lam, len(lams)
+    return True, None, len(lams)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_batched_fatness_matches_covector_loop(name):
+    s = cached_structure(name)
+    for point in np.vstack([np.zeros(s.dim), sample_points(s, 3)]):
+        for seed in (0, 7, 42):
+            got = is_fat(s, point, rng=np.random.default_rng(seed))
+            fat, witness, tested = _is_fat_loop(
+                s, point, rng=np.random.default_rng(seed)
+            )
+            assert (got.fat, got.tested) == (fat, tested)
+            if witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.tobytes() == witness.tobytes()
 
 
 # ---------------------------------------------------------------------------
