@@ -70,14 +70,7 @@ from .operators import (
     sublaplacian,
     weighted_laplacian,
 )
-from .spectrum import (
-    DENSE_LIMIT,
-    SpectrumError,
-    choose_solver,
-    epsilon_sweep,
-    kernel_check,
-    solve_weak_form,
-)
+from .spectrum import SpectrumError, epsilon_sweep, kernel_check, solve_weak_form
 
 
 class ConfigError(ValueError):
@@ -193,7 +186,8 @@ def _emit(text, out_path):
 
     The text goes to a temporary file in the target's directory, which is
     then renamed over the target, so a failed write leaves any existing
-    file untouched.
+    file untouched and no temporary file behind; a write the system
+    refuses is a usage error.
     """
     if not out_path:
         sys.stdout.write(text)
@@ -205,9 +199,11 @@ def _emit(text, out_path):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, out_path)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(err, OSError):
+            raise ConfigError("cannot write %s: %s" % (out_path, err.strerror or err))
         raise
 
 
@@ -345,11 +341,6 @@ def cmd_spectrum(args):
     _require(
         args.count <= grid.size,
         "--count must be at most %d (the number of grid nodes)" % grid.size,
-    )
-    _require(
-        choose_solver(grid.size, args.count) is not None,
-        "-n %d gives %d grid nodes, over the dense solve's %d; Lanczos "
-        "takes fewer than N/12 eigenpairs" % (args.n, grid.size, DENSE_LIMIT),
     )
     ac = canonical_complement(s)
     if ac.mode != "exact-symbolic":
@@ -633,15 +624,23 @@ def _periodic_test_function(s):
 
 def cmd_verify(args):
     _require(args.samples >= 1, "--samples must be at least 1")
+    _require(
+        args.samples <= CHECK_POINT_LIMIT,
+        "--samples must be at most %d" % CHECK_POINT_LIMIT,
+    )
     _require(args.n >= 0, "-n must not be negative")
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
     # an invalid grid (odd resolution) fails before any item runs; a grid
     # past the weak assembly budget fails with the same usage error when
-    # the grid items are reached, after the items already printed
+    # the grid items are reached, after the items already written
     grid = None
     if args.n:
         grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
+    # with --out the report is written whole once the suite has run, so an
+    # error midway writes no file; without it each line streams to stdout
+    lines = []
+    write = lines.append if args.out else sys.stdout.write
     failures = 0
     for name, ok, detail in _verify_items(s, density, grid, args):
         if ok is None:
@@ -651,12 +650,14 @@ def cmd_verify(args):
         else:
             status = "FAIL"
             failures += 1
-        sys.stdout.write("%s %s (%s)\n" % (status, name, detail))
+        write("%s %s (%s)\n" % (status, name, detail))
     if failures:
-        sys.stdout.write("%d item(s) failed\n" % failures)
-        return CHECK_FAILED
-    sys.stdout.write("all items passed\n")
-    return 0
+        write("%d item(s) failed\n" % failures)
+    else:
+        write("all items passed\n")
+    if args.out:
+        _emit("".join(lines), args.out)
+    return CHECK_FAILED if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +724,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require(args.seed >= 0, "--seed must not be negative")
         return args.func(args)
     except ConfigError as err:
         sys.stderr.write("error: %s\n" % err)

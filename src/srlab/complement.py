@@ -16,6 +16,7 @@ to exact symbolic coefficients.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .expr import simplify
 from .geometry import (
     SubRiemannianStructure,
     VectorField,
-    det_expr,
     linear_combination,
     structure_constants,
 )
@@ -259,78 +259,41 @@ def verify_flat_complement(s, ac, points=None):
 # ---------------------------------------------------------------------------
 
 
-class MetricExtension:
-    """Declares the (possibly rescaled) adapted frame orthonormal.
+class MetricExtension(SubRiemannianStructure):
+    """A structure with its complement rescaled to {X_i, T_b / eps}.
 
-    epsilon=None keeps the frame {X_i, T_b}; a numeric epsilon rescales
-    the complement to {X_i, T_b / eps}, the penalty-metric frame.  The
-    volume density against coordinate Lebesgue measure is 1/|det F| for
-    the frame matrix F, so the rescaled volume is eps^(m-k) times the
-    unscaled one.
+    The rescaled frame is declared orthonormal: the penalty-metric frame.
+    epsilon=None keeps the frame {X_i, T_b} and shares the base
+    structure's bracket caches.  The volume density against coordinate
+    Lebesgue measure is 1/|det F| for the frame matrix F, so the rescaled
+    volume is eps^(m-k) times the unscaled one.
     """
 
     def __init__(self, structure, epsilon=None):
-        self.structure = structure
-        self.epsilon = epsilon
-        if epsilon is None:
-            self.frame_structure = structure
-        else:
+        complement = structure.complement
+        if epsilon is not None:
             if epsilon <= 0:
                 raise ValueError("epsilon must be positive")
             scale = ex.Const(_eps_inverse(epsilon))
-            rescaled = tuple(
+            complement = tuple(
                 VectorField([simplify(ex.Mul(scale, c)) for c in T.coefficients])
                 for T in structure.complement
             )
-            self.frame_structure = SubRiemannianStructure(
-                dim=structure.dim,
-                periods=structure.periods,
-                horizontal=structure.horizontal,
-                complement=rescaled,
-                name=structure.name,
-            )
-
-    @property
-    def dim(self):
-        return self.structure.dim
-
-    @property
-    def k(self):
-        return self.structure.k
-
-    @property
-    def frame(self):
-        return self.frame_structure.frame
-
-    def frame_matrix(self, point):
-        return self.frame_structure.frame_matrix(point)
-
-    def volume_density(self, point):
-        """Density of the extension's volume against dx, = 1/|det F|."""
-        F = self.frame_matrix(point)
-        det = np.linalg.det(F)
-        return 1.0 / np.abs(det)
-
-    def density_expr(self):
-        """Symbolic 1/det as an expression (sign fixed from a base point).
-
-        The logarithmic derivative d_j(rho)/rho = -d_j(det)/det that
-        divergence formulas need is insensitive to the sign choice.
-        """
-        rows = [
-            [f.coefficients[j] for f in self.frame] for j in range(self.dim)
-        ]
-        det = det_expr(rows)
-        base = np.array([0.0] * self.dim)
-        sign = np.sign(ex.evaluate(det, base)) or 1.0
-        if sign < 0:
-            det = simplify(ex.Neg(det))
-        return simplify(ex.Div(ex.ONE, det)), det
+        super().__init__(
+            dim=structure.dim,
+            periods=structure.periods,
+            horizontal=structure.horizontal,
+            complement=complement,
+            name=structure.name,
+        )
+        self.structure = structure
+        self.epsilon = epsilon
+        if epsilon is None:  # the same frame: reuse the brackets found so far
+            self._bracket_cache = structure._bracket_cache
+            self._flag_layers = structure._flag_layers
 
 
 def _eps_inverse(epsilon):
-    from fractions import Fraction
-
     if isinstance(epsilon, int):
         return Fraction(1, epsilon)
     if isinstance(epsilon, Fraction):

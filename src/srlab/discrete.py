@@ -134,7 +134,7 @@ class Grid:
 
     @property
     def size(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def multi_indices(self):
         """(N, m) integer multi-indices in row-major order."""
@@ -454,10 +454,7 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         for T in structure.complement:
             fields.append(T)
             scales.append(1.0 / float(eps))
-    for f in fields:
-        for c in f.coefficients:
-            check_periodicity(c, grid)
-
+    # before any node array is built; Grid.size is exact past int64
     N = grid.size
     R = N * (1 << m)
     if R * m * m * len(fields) > _PAIR_BUDGET:
@@ -465,6 +462,10 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
             "weak assembly size %d exceeds the supported budget; "
             "use a smaller grid" % (R * m * m * len(fields))
         )
+    for f in fields:
+        for c in f.coefficients:
+            check_periodicity(c, grid)
+
     pts = grid.points()
     rho = volume_density_values(structure, grid)
     if density is not None:

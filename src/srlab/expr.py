@@ -51,6 +51,9 @@ class Expr:
 
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError("expressions are immutable")
+
     def __add__(self, other):
         return Add(self, _coerce(other))
 
@@ -97,9 +100,6 @@ class Const(Expr):
             raise TypeError("Const takes int, Fraction or float")
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def _ev(self, pts):
         return float(self.value)
 
@@ -117,9 +117,6 @@ class Var(Expr):
         if not isinstance(index, int) or index < 0:
             raise ValueError("variable index must be a nonnegative int")
         object.__setattr__(self, "index", index)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def _ev(self, pts):
         if self.index >= pts.shape[1]:
@@ -142,9 +139,6 @@ class _Unary(Expr):
     def __init__(self, arg):
         object.__setattr__(self, "arg", _coerce(arg))
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def _children(self):
         return (self.arg,)
 
@@ -155,9 +149,6 @@ class _Binary(Expr):
     def __init__(self, left, right):
         object.__setattr__(self, "left", _coerce(left))
         object.__setattr__(self, "right", _coerce(right))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
 
     def _children(self):
         return (self.left, self.right)
@@ -231,9 +222,6 @@ class Pow(Expr):
         object.__setattr__(self, "base", _coerce(base))
         object.__setattr__(self, "exponent", exponent)
 
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
-
     def _ev(self, pts):
         b = self.base._ev(pts)
         if self.exponent < 0 and np.any(b == 0.0):
@@ -253,34 +241,44 @@ class Pow(Expr):
         return (self.base,)
 
 
-class Sin(_Unary):
+class _Function(_Unary):
+    """An analytic function of one argument, f(arg).
+
+    Subclasses give the function's ``name``, its numpy form ``_np`` and
+    its ``math`` form ``_math``, and ``_outer``, the derivative f'(arg).
+    """
+
     __slots__ = ()
 
     def _ev(self, pts):
-        return np.sin(self.arg._ev(pts))
+        return self._np(self.arg._ev(pts))
 
     def _diff(self, axis):
-        return Mul(Cos(self.arg), self.arg._diff(axis))
+        return Mul(self._outer(), self.arg._diff(axis))
 
 
-class Cos(_Unary):
+class Sin(_Function):
     __slots__ = ()
+    name, _np, _math = "sin", np.sin, math.sin
 
-    def _ev(self, pts):
-        return np.cos(self.arg._ev(pts))
-
-    def _diff(self, axis):
-        return Mul(Neg(Sin(self.arg)), self.arg._diff(axis))
+    def _outer(self):
+        return Cos(self.arg)
 
 
-class Exp(_Unary):
+class Cos(_Function):
     __slots__ = ()
+    name, _np, _math = "cos", np.cos, math.cos
 
-    def _ev(self, pts):
-        return np.exp(self.arg._ev(pts))
+    def _outer(self):
+        return Neg(Sin(self.arg))
 
-    def _diff(self, axis):
-        return Mul(Exp(self.arg), self.arg._diff(axis))
+
+class Exp(_Function):
+    __slots__ = ()
+    name, _np, _math = "exp", np.exp, math.exp
+
+    def _outer(self):
+        return Exp(self.arg)
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +421,15 @@ def simplify(expr):
             return Const(Fraction(1))
         if n == 1:
             return b
-        if isinstance(b, Const):
-            if isinstance(b.value, Fraction):
-                if b.value != 0 or n > 0:
-                    return Const(b.value ** n)
-            else:
-                if b.value != 0 or n > 0:
-                    return Const(float(b.value) ** n)
+        if isinstance(b, Const) and (b.value != 0 or n > 0):
+            return Const(b.value ** n)
         return Pow(b, n)
 
-    if isinstance(expr, Sin):
+    if isinstance(expr, _Function):
         a = simplify(expr.arg)
         if isinstance(a, Const):
-            return Const(math.sin(float(a.value)))
-        return Sin(a)
-
-    if isinstance(expr, Cos):
-        a = simplify(expr.arg)
-        if isinstance(a, Const):
-            return Const(math.cos(float(a.value)))
-        return Cos(a)
-
-    if isinstance(expr, Exp):
-        a = simplify(expr.arg)
-        if isinstance(a, Const):
-            return Const(math.exp(float(a.value)))
-        return Exp(a)
+            return Const(expr._math(float(a.value)))
+        return type(expr)(a)
 
     raise TypeError("unknown node %r" % (expr,))
 
@@ -484,7 +465,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCTIONS = {f.name: f for f in (Sin, Cos, Exp)}
 
 
 def _tokenize(text):
@@ -682,9 +663,8 @@ def _render(e):
         if bp < _PREC_ATOM:
             bt = "(" + bt + ")"
         return "%s^%d" % (bt, e.exponent), _PREC_POW
-    for cls, name in ((Sin, "sin"), (Cos, "cos"), (Exp, "exp")):
-        if isinstance(e, cls):
-            return "%s(%s)" % (name, _render(e.arg)[0]), _PREC_ATOM
+    if isinstance(e, _Function):
+        return "%s(%s)" % (e.name, _render(e.arg)[0]), _PREC_ATOM
     raise TypeError("unknown node %r" % (e,))
 
 

@@ -182,6 +182,22 @@ class SubRiemannianStructure:
             )
         return True
 
+    def volume_density(self, point):
+        """Density of the frame's volume against dx, = 1/|det F|."""
+        return 1.0 / np.abs(np.linalg.det(self.frame_matrix(point)))
+
+    def density_expr(self):
+        """Symbolic 1/det as an expression (sign fixed from a base point).
+
+        The logarithmic derivative d_j(rho)/rho = -d_j(det)/det that
+        divergence formulas need is insensitive to the sign choice.
+        """
+        rows = [[f.coefficients[j] for f in self.frame] for j in range(self.dim)]
+        det = det_expr(rows)
+        if ex.evaluate(det, np.zeros(self.dim)) < 0:
+            det = simplify(ex.Neg(det))
+        return simplify(ex.Div(ex.ONE, det)), det
+
     # -- cached symbolic brackets ------------------------------------------
 
     def frame_bracket(self, u, v):

@@ -24,7 +24,7 @@ import numpy as np
 from . import expr as ex
 from .expr import differentiate, simplify
 from .geometry import SubRiemannianStructure, VectorField, structure_constants
-from .complement import MetricExtension, _norms, reference_mean_curvature
+from .complement import _norms, reference_mean_curvature
 
 
 class FrameError(ValueError):
@@ -70,7 +70,7 @@ def promoted_structure_constants(s, points=None, tol=1e-9, snap=1e-12):
     return _promote_constants(tables, "frame structure constants", tol, snap)
 
 
-def connection_sums(frame_structure, use, project, points=None, tol=1e-9, snap=1e-12):
+def connection_sums(s, use, project, points=None, tol=1e-9, snap=1e-12):
     """The constants sum_{u in use} Gamma_uuw for w in ``project``.
 
     These sums are the only connection data the divergence-form
@@ -78,8 +78,8 @@ def connection_sums(frame_structure, use, project, points=None, tol=1e-9, snap=1
     the full table of structure constants does not (the table may vary
     while its diagonal traces are fixed).
     """
-    points = _default_frame_samples(frame_structure, points)
-    gamma = connection_coefficients(structure_constants(frame_structure, points).table)
+    points = _default_frame_samples(s, points)
+    gamma = connection_coefficients(structure_constants(s, points).table)
     rows = np.stack([sum(gamma[:, u, u, w] for u in use) for w in project], axis=-1)
     return _promote_constants(rows, "connection sums", tol, snap)
 
@@ -95,17 +95,15 @@ def connection_coefficients(table):
     return 0.5 * (c - np.moveaxis(c, -1, -3) + np.moveaxis(c, -3, -1))
 
 
-def horizontal_connection(ext, point):
+def horizontal_connection(s, point):
     """Gamma[..., i, j, a] = g(D_{X_i} X_j, X_a) at one point or a batch.
 
     The horizontal connection is the horizontal block of the
-    orthonormal-frame Levi-Civita coefficients of the adapted metric.
+    orthonormal-frame Levi-Civita coefficients of the frame's metric.
     """
-    s = ext.frame_structure if isinstance(ext, MetricExtension) else ext
     table = structure_constants(s, np.asarray(point, dtype=float)).table
-    gamma = connection_coefficients(table)
     k = s.k
-    return gamma[..., :k, :k, :k]
+    return connection_coefficients(table)[..., :k, :k, :k]
 
 
 def _as_const(v):
@@ -178,16 +176,16 @@ def _is_zero(e):
     return isinstance(e, ex.Const) and e.value == 0
 
 
-def _frame_laplacian(kind, eps, frame_structure, use, project):
+def _frame_laplacian(kind, eps, s, use, project):
     """Sum of E_u^2 - nabla_{E_u}E_u over u in ``use``.
 
     ``project`` lists the frame indices spanning the range of the
     connection term (the horizontal ones for the horizontal operator,
     all of them for the full Laplacian).
     """
-    fields = frame_structure.frame
-    m = frame_structure.dim
-    sums = connection_sums(frame_structure, use, project)
+    fields = s.frame
+    m = s.dim
+    sums = connection_sums(s, use, project)
     a = [[ex.ZERO for _ in range(m)] for _ in range(m)]
     for j in range(m):
         for l in range(j, m):
@@ -212,29 +210,22 @@ def _frame_laplacian(kind, eps, frame_structure, use, project):
     )
 
 
-def sublaplacian(ext):
+def sublaplacian(s):
     """The horizontal Laplacian sum_i X_i^2 - P nabla_{X_i} X_i."""
-    if isinstance(ext, SubRiemannianStructure):
-        ext = MetricExtension(ext)
-    s = ext.frame_structure
     horizontal = list(range(s.k))
     return _frame_laplacian("sublaplacian", None, s, horizontal, horizontal)
 
 
 def penalty_laplacian(ext):
-    """The Laplace-Beltrami operator of the rescaled frame metric."""
-    if ext.epsilon is None:
+    """The Laplace-Beltrami operator of a MetricExtension's rescaled frame."""
+    if getattr(ext, "epsilon", None) is None:
         raise FrameError("penalty operator requires a positive epsilon")
-    s = ext.frame_structure
-    everything = list(range(s.dim))
-    return _frame_laplacian(
-        "penalty", ext.epsilon, s, everything, everything
-    )
+    everything = list(range(ext.dim))
+    return _frame_laplacian("penalty", ext.epsilon, ext, everything, everything)
 
 
-def riemannian_laplacian(ext):
-    """The full-frame Laplacian of the unscaled adapted metric."""
-    s = ext.frame_structure if isinstance(ext, MetricExtension) else ext
+def riemannian_laplacian(s):
+    """The full-frame Laplacian of the metric that makes the frame orthonormal."""
     everything = list(range(s.dim))
     return _frame_laplacian("riemannian", None, s, everything, everything)
 
@@ -264,8 +255,6 @@ def weighted_laplacian(op, fields, density):
 
 def horizontal_gradient(s, f):
     """(field, frame components) of grad^H f = sum_i (X_i f) X_i."""
-    if isinstance(s, MetricExtension):
-        s = s.frame_structure
     comps = [s.horizontal[i].apply(f) for i in range(s.k)]
     coeffs = [
         ex.add_terms(ex.Mul(c, X.coefficients[j]) for c, X in zip(comps, s.horizontal))
@@ -280,8 +269,6 @@ def horizontal_divergence(s, components):
     div^H = sum_i X_i(c_i) + sum_j c_j sum_i Gamma_iji, and the inner
     sum equals -sum_i Gamma_iij by metric compatibility.
     """
-    if isinstance(s, MetricExtension):
-        s = s.frame_structure
     k = s.k
     horizontal = list(range(k))
     sums = connection_sums(s, horizontal, horizontal)
@@ -292,15 +279,15 @@ def horizontal_divergence(s, components):
     return ex.add_terms(terms)
 
 
-def riemannian_divergence(ext, X):
-    """div X against the extension's volume, as an expression.
+def riemannian_divergence(s, X):
+    """div X against the frame's volume, as an expression.
 
     Uses the density rho = 1/|det F|: div X = sum_j d_j X^j
     - X^j (d_j det)/det, the sign of det cancelling.
     """
-    _, det = ext.density_expr()
+    _, det = s.density_expr()
     terms = []
-    for j in range(ext.dim):
+    for j in range(s.dim):
         terms.append(differentiate(X.coefficients[j], j))
         dd = differentiate(det, j)
         if not _is_zero(dd):
@@ -341,9 +328,6 @@ def mean_curvature_field(s, samples=None):
     promoted to constant symbolic components when sampling shows them
     constant.
     """
-    if isinstance(s, MetricExtension):
-        s = s.frame_structure
-
     def comps(p):
         return reference_mean_curvature(s, p).sum(axis=-2)
 
@@ -380,8 +364,6 @@ def potential_residual(s, curvature, u, points):
     ``u`` must be positive at every sample; the logarithmic horizontal
     derivative is formed as a quotient of expressions.
     """
-    if isinstance(s, MetricExtension):
-        s = s.frame_structure
     points = np.atleast_2d(np.asarray(points, dtype=float))
     quotients = [
         simplify(ex.Div(s.horizontal[i].apply(u), u)) for i in range(s.k)

@@ -9,7 +9,8 @@ diagonalization, the discrete Bloch-Floquet reduction) and solves all
 blocks in one batched ``numpy.linalg.eigvalsh``.  ``solve_weak_form``
 tries that path first; the sweeps and ``kernel_check`` both get their
 pairs from it.  Forms with no invariant axis, or with blocks of more
-than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``: the dense
+than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``, which refuses a
+form no path takes (``GridError``, a usage error in the CLI): the dense
 path hands A~ to LAPACK (``scipy.linalg.eigh`` with the ``evr`` driver,
 restricted to the wanted index range, and the full ``evd`` solve where
 ``evr`` fails); the iterative path hands the shift-invert operator
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DiagonalMass, SparseOperator, assemble_weak_laplacian
+from .discrete import DiagonalMass, GridError, SparseOperator, assemble_weak_laplacian
 
 
 DENSE_LIMIT = 4096
@@ -494,13 +495,22 @@ def solve_weak_form(wf, count, tol, seed):
     """Smallest ``count`` eigenpairs of a weak form.
 
     The Fourier path comes first; a form it does not take goes by
-    ``choose_solver``.  A Fourier or dense result whose residuals exceed
-    max(tol, 1e-8) raises SpectrumError; the Lanczos path checks its
-    residuals against ``tol`` itself.
+    ``choose_solver``, and a form that no path takes raises GridError.  A
+    Fourier or dense result whose residuals exceed max(tol, 1e-8) raises
+    SpectrumError; the Lanczos path checks its residuals against ``tol``
+    itself.
     """
     rep = fourier_smallest(wf, count)
     if rep is None:
-        if choose_solver(wf.operator.shape[0], count) == "lanczos":
+        N = wf.operator.shape[0]
+        solver = choose_solver(N, count)
+        if solver is None:
+            raise GridError(
+                "no solver takes %d pairs of %d grid nodes: the dense solve "
+                "takes at most %d nodes, Lanczos fewer than N/12 pairs"
+                % (count, N, DENSE_LIMIT)
+            )
+        if solver == "lanczos":
             return lanczos_smallest(wf.operator, wf.mass, count, tol=tol, seed=seed)
         rep = dense_spectrum(wf.operator, wf.mass, count=count)
     if np.any(rep.residuals > max(tol, 1e-8)):

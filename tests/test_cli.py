@@ -1,16 +1,20 @@
 """Command-line interface tests: exit codes, schemas, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import srlab
 from srlab.cli import build_structure, load_config, main
@@ -142,10 +146,85 @@ def test_out_flag_keeps_old_file_when_replace_fails(
         raise OSError("simulated rename failure")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="simulated"):
-        main(["check", "heisenberg", "--out", str(target)])
+    code, out, err = run(capsys, "check", "heisenberg", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write %s: simulated rename failure\n" % target
     assert target.read_bytes() == b"old verdict\n"
     assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "heisenberg"),
+        ("canonicalize", "heisenberg"),
+        ("spectrum", "trivial", "-n", "4"),
+        ("verify", "heisenberg"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "onto-directory"])
+def test_out_flag_unwritable_target_is_usage_error(capsys, tmp_path, argv, where):
+    # the write fails in one error line and leaves no temporary file
+    target = tmp_path / "missing" / "out.txt"
+    if where == "onto-directory":
+        target = tmp_path / "taken"
+        target.mkdir()
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write %s: " % target)
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        [] if where == "missing-directory" else ["taken"]
+    )
+
+
+def test_verify_out_flag_writes_the_report(capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    code, out, err = run(capsys, "verify", "heisenberg", "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    _, streamed, _ = run(capsys, "verify", "heisenberg")
+    assert target.read_text() == streamed
+
+
+def test_verify_out_flag_writes_nothing_when_the_suite_stops(
+    capsys, tmp_path, monkeypatch
+):
+    # the budget admits the n = 4 weak form but not the n = 8 one of the
+    # two-grid item, so the suite stops after its first grid items
+    import srlab.discrete as disc
+
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 8 * 9 * 2)
+    target = tmp_path / "report.txt"
+    code, out, err = run(
+        capsys, "verify", "contact3torus", "-n", "4", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "contact3torus", "-n", str(2**21)),
+        ("spectrum", "contact3torus", "-n", str(10**11)),
+        ("spectrum", "contact3torus", "-n", str(10**11), "--eps", "2"),
+        ("verify", "contact3torus", "-n", str(2**21)),
+        ("verify", "contact3torus", "-n", str(10**11)),
+    ],
+)
+def test_oversized_grid_is_usage_error(capsys, argv):
+    # numpy refuses arrays this large outright; srlab must refuse first,
+    # with the exact node count past the int64 range at 2^21 per axis.
+    # verify writes its pointwise items before the grid items refuse
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    if argv[0] == "spectrum":
+        assert out == ""
+    else:
+        assert out.splitlines()[-1].startswith("PASS detects-tilted-complement")
+    assert err.startswith("error: weak assembly size ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -380,22 +459,34 @@ def test_spectrum_rejects_odd_grid(capsys):
     assert "even" in err
 
 
-def test_spectrum_dense_beyond_dense_limit_is_usage_error(capsys, monkeypatch):
+def test_spectrum_dense_beyond_dense_limit_is_usage_error(
+    capsys, tmp_path, monkeypatch
+):
     # 500 pairs of 18^3 nodes are too many for Lanczos (12 * 500 >= 5832)
-    # and the nodes too many for the dense solve; refuse before the
-    # complement solve
+    # and the nodes too many for the dense solve.  The invariant form is
+    # solved in Fourier space all the same; the bumped form, invariant
+    # along no axis, is refused once it is assembled
     import srlab.cli as cli
 
-    def unreachable(*_):
-        raise AssertionError("complement solved before the grid size check")
-
-    monkeypatch.setattr(cli, "canonical_complement", unreachable)
     code, out, err = run(
         capsys, "spectrum", "contact3torus", "-n", "18", "--count", "500"
     )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: -n 18 gives 5832 grid nodes")
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 500
+
+    assembled = []
+
+    def assemble(*args, **kwargs):
+        assembled.append(args[1].shape)
+        return assemble_weak_laplacian(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_weak_laplacian", assemble)
+    config = bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")
+    code, out, err = run(capsys, "spectrum", config, "-n", "18", "--count", "500")
+    assert (code, out) == (2, "")
+    assert assembled == [(18, 18, 18)]
+    assert err.startswith("error: no solver takes 500 pairs of 5832 grid nodes")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -766,6 +857,11 @@ def test_verify_one_dimensional_line(capsys, tmp_path, flags):
         ("spectrum", "contact3torus", "-n", "6", "--tol", "-0.5"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "nan"),
         ("spectrum", "contact3torus", "-n", "6", "--tol", "inf"),
+        ("verify", "heisenberg", "--samples", str(10**20)),
+        ("check", "heisenberg", "--seed", "-1"),
+        ("canonicalize", "heisenberg", "--seed", "-1"),
+        ("verify", "heisenberg", "--seed", "-1"),
+        ("spectrum", "contact3torus", "-n", "6", "--seed", "-1"),
     ],
 )
 def test_bad_numeric_flag_is_usage_error(capsys, monkeypatch, argv):
@@ -778,6 +874,130 @@ def test_bad_numeric_flag_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: %s " % flag)
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under fuzzed flags
+#
+# Every run either refuses in one error line with nothing on stdout, or
+# exits 0 or 1 without an exception and with well-formed output.  A verify
+# run stopped midway by a usage error keeps the item lines it already
+# wrote, so its stdout may hold a partial report.  Success-side grids stay
+# at n <= 6.
+
+_ITEM = re.compile(r"(PASS|FAIL|SKIP) [a-z-]+ \(.*\)")
+_N = (["4", "6"], ["5", "2", str(10**11)])  # even; odd, below 4, huge
+# (flag, good values, bad values, required); N is the grid's node count and
+# MISSING a path into a directory that does not exist
+_COMMON = [
+    ("--seed", ["0", "7", str(2**64), str(10**30)], ["-1", str(-(2**63))], False),
+    ("--out", [], ["MISSING"], False),
+]
+_FLAGS = {
+    "check": [("--samples", ["0", "3"], [str(10**20)], False)],
+    "canonicalize": [],
+    "spectrum": [
+        ("-n", *_N, True),
+        ("--count", ["1", "N"], ["0", "N+1"], False),
+        ("--eps", ["2,8"], ["", "abc", "8,2", "nan", "0", "-1", "1e400"], False),
+        ("--tol", ["1e-9"], ["abc", "", "0", "-1", "nan", "inf"], False),
+        ("--format", ["csv", "json"], [], False),
+    ],
+    "verify": [("-n", *_N, False), ("--samples", ["5"], ["0", str(10**20)], False)],
+}
+_CONFIGS = FIXTURE_NAMES + ["density-%d" % i for i in range(len(DENSITY_CONFIGS))]
+
+
+@st.composite
+def cli_cases(draw):
+    """argv of one run: good flag values, with one bad value in half the runs."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, draw(st.sampled_from(_CONFIGS))]
+    specs = _COMMON + _FLAGS[command]
+    faulty = [name for name, _, bad, _ in specs if bad]
+    fault = draw(st.sampled_from(faulty + [None] * len(faulty)))
+    for name, good, bad, required in specs:
+        values = bad if name == fault else good + ([] if required else [None])
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [name, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A temporary directory holding the density configs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for i, (name, density) in enumerate(DENSITY_CONFIGS):
+        cfg = load_config(name)
+        cfg["density"] = density
+        write_config(root / ("density-%d.json" % i), cfg)
+    return root
+
+
+def _well_formed(command, argv, code, out):
+    if command == "check":
+        assert {"flag_dims", "points_checked"} <= set(json.loads(out))
+    elif command == "canonicalize":
+        assert "canonicalization" in json.loads(out)
+    elif command == "spectrum":
+        flags = dict(zip(argv[2::2], argv[3::2]))
+        eps = flags.get("--eps")
+        rows = int(flags.get("--count", 6)) * (1 + (len(eps.split(",")) if eps else 0))
+        if flags.get("--format") == "json":
+            assert len(json.loads(out)["rows"]) == rows
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "eps,i,lambda,residual,multiplicity_cluster"
+            assert len(lines) == 1 + rows
+    else:
+        *items, last = out.splitlines()
+        assert all(_ITEM.fullmatch(line) for line in items)
+        failed = sum(line.startswith("FAIL") for line in items)
+        assert last == ("%d item(s) failed" % failed if code else "all items passed")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(argv=cli_cases())
+@example(argv=["check", "trivial", "--seed", "-1"])
+@example(argv=["check", "trivial", "--out", "MISSING"])
+@example(argv=["verify", "contact3torus", "-n", str(10**11)])
+@example(argv=["verify", "heisenberg", "--samples", str(10**20)])
+@example(argv=["spectrum", "contact3torus", "-n", str(10**11)])
+def test_cli_contract_under_fuzzed_flags(fuzz_dir, argv):
+    command, config = argv[:2]
+    if config.startswith("density-"):
+        config = str(fuzz_dir / (config + ".json"))
+    s, _ = build_structure(load_config(config))
+    nodes = int(dict(zip(argv[2::2], argv[3::2])).get("-n", 0)) ** s.dim
+    missing = str(fuzz_dir / "no" / "out.txt")
+    argv = [command, config] + [
+        {"N": str(nodes), "N+1": str(nodes + 1), "MISSING": missing}.get(v, v)
+        for v in argv[2:]
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses a value it cannot convert: its usage lines,
+            # then one "srlab <command>: error: ..." line
+            assert exc.code == 2 and out.getvalue() == "", argv
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("srlab %s: error: " % command), argv
+            return
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2 or err:
+        assert code in (1, 2), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        if command == "verify":
+            assert all(_ITEM.fullmatch(line) for line in out.splitlines()), argv
+        else:
+            assert out == "", argv
+    else:
+        assert code in (0, 1), argv
+        _well_formed(command, argv, code, out)
+    assert not (fuzz_dir / "no").exists()
 
 
 # ---------------------------------------------------------------------------

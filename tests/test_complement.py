@@ -220,6 +220,19 @@ def test_extension_requires_positive_epsilon(heisenberg):
         MetricExtension(heisenberg, epsilon=-2)
 
 
+def test_extension_is_a_structure_sharing_the_base_caches(heisenberg):
+    ext = MetricExtension(heisenberg)
+    assert isinstance(ext, SubRiemannianStructure)
+    assert (ext.structure, ext.epsilon) == (heisenberg, None)
+    assert ext.frame == heisenberg.frame
+    assert ext._bracket_cache is heisenberg._bracket_cache
+    assert ext._flag_layers is heisenberg._flag_layers
+    rescaled = MetricExtension(heisenberg, epsilon=4)
+    assert (rescaled.structure, rescaled.epsilon) == (heisenberg, 4)
+    assert rescaled.horizontal == heisenberg.horizontal
+    assert rescaled._bracket_cache is not heisenberg._bracket_cache
+
+
 def test_volume_density_oracles(heisenberg, contact):
     ext = MetricExtension(heisenberg)
     for p in sample_points(heisenberg, 5):
@@ -252,7 +265,7 @@ def test_rescaled_frame_divides_complement(heisenberg):
     ext = MetricExtension(heisenberg, epsilon=4)
     p = np.array([0.2, 0.5, -0.1])
     T = heisenberg.complement[0].evaluate(p)
-    T_eps = ext.frame_structure.complement[0].evaluate(p)
+    T_eps = ext.complement[0].evaluate(p)
     assert np.allclose(T_eps, T / 4.0, atol=1e-15)
 
 

@@ -98,6 +98,22 @@ def test_grid_geometry_properties():
     assert np.array_equal(pts[1], [0.0, 0.25])
 
 
+def test_grid_size_is_exact_past_int64():
+    # 2^21 nodes per axis give 2^63 nodes, one past the int64 range
+    assert Grid(shape=(2**21,) * 3, periods=(1.0,) * 3).size == 2**63
+
+
+def test_weak_budget_is_checked_before_any_node_array(contact, monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("node array built before the budget check")
+
+    monkeypatch.setattr(Grid, "points", unreachable)
+    monkeypatch.setattr(Grid, "multi_indices", unreachable)
+    grid = Grid(shape=(10**11,) * 3, periods=contact.periods)
+    with pytest.raises(GridError, match="budget"):
+        assemble_weak_laplacian(contact, grid)
+
+
 def test_grid_ravel_wraps_indices():
     g = Grid(shape=(4, 6), periods=(1.0, 1.0))
     multi = np.array([[4, 0], [-1, 7]])

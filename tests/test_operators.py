@@ -212,6 +212,27 @@ def test_penalty_reduces_to_sublaplacian_on_vertical_constants(trivial):
 def test_penalty_requires_epsilon(heisenberg):
     with pytest.raises(FrameError):
         penalty_laplacian(MetricExtension(_adapted(heisenberg)))
+    # a plain structure has no epsilon either
+    with pytest.raises(FrameError):
+        penalty_laplacian(_adapted(heisenberg))
+
+
+def test_operators_take_any_structure(contact):
+    # an extension without epsilon is the structure itself, so every
+    # operator renders the same from either
+    adapted = _adapted(contact)
+    ext = MetricExtension(adapted)
+    for build in (sublaplacian, riemannian_laplacian):
+        assert build(ext).to_dict() == build(adapted).to_dict()
+    f = ex.parse("sin(x2) + cos(x0)")
+    for E in adapted.frame:
+        assert ex.render(riemannian_divergence(ext, E)) == ex.render(
+            riemannian_divergence(adapted, E)
+        )
+    grad = horizontal_gradient(ext, f)[1]
+    assert ex.render(horizontal_divergence(ext, grad)) == ex.render(
+        horizontal_divergence(adapted, horizontal_gradient(adapted, f)[1])
+    )
 
 
 def test_operator_spec_dict_round_trip(contact):
