@@ -671,9 +671,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help=None):
         p.add_argument("config", help="config path or bundled fixture name")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=int, default=42, help=seed_help)
         p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("check", help="structural verdict as JSON")
@@ -695,7 +695,7 @@ def build_parser():
     p = sub.add_parser(
         "canonicalize", help="emit the config with the canonical complement"
     )
-    common(p)
+    common(p, seed_help="ignored: canonicalize draws no random numbers from it")
     p.set_defaults(func=cmd_canonicalize)
 
     p = sub.add_parser("spectrum", help="spectra of the discretized operators")

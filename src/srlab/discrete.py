@@ -20,6 +20,16 @@ every pair exactly when every D_ij is zero, which one ``math.fsum`` per
 entry decides once per weak form; a form whose D is not zero gets each
 pair's defect summed exactly from the same tables of D.
 
+A weak form whose node tables (the exact parts of w v_l v_l2 for every
+field, and the node weights) equal their one-node shift bit for bit
+along some grid axes has an invariant stencil along them, since every
+entry is one fixed function of those tables at shifted nodes.  Its
+entries are rounded once on the slab, the nodes at index 0 along those
+axes, and every other row is copied from its slab image; with no such
+axis the slab is every node.  The exact parts themselves, which only
+the certificates read, are built on first access to
+``SparseOperator.exact``.
+
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) keeps its matrix in one stored form, the offset
 stencil: per row, the column and the value of each stencil offset,
@@ -30,6 +40,7 @@ Lanczos eigensolvers and the Matrix Market writer do.  scipy is
 imported by the functions that need it, not with the module.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -207,10 +218,20 @@ class SparseOperator:
     def __init__(self, stencil, symmetric=False, exact=None):
         self.stencil = stencil
         self.symmetric = symmetric
-        # {offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None; entry
-        # (i, cols[i]) is exactly the sum of the floats parts[i]
-        self.exact = exact
+        # ``exact`` is the dict ``self.exact`` or a function that builds it
+        # on first access
+        self._exact, self._build_exact = exact, None
+        if callable(exact):
+            self._exact, self._build_exact = None, exact
         self._matrix = None
+
+    @property
+    def exact(self):
+        """{offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None;
+        entry (i, cols[i]) is exactly the sum of the floats parts[i]."""
+        if self._build_exact is not None:
+            self._exact, self._build_exact = self._build_exact(), None
+        return self._exact
 
     @property
     def matrix(self):
@@ -442,6 +463,11 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     operator); with a positive eps the complement fields enter with
     weight 1/eps (the penalty operator).  ``density`` optionally
     multiplies the geometric volume density on the nodes.
+
+    Every entry is rounded by ``math.fsum`` on the slab rows only: the
+    nodes at index 0 along the axes where the node tables are invariant
+    (``_invariant_node_axes``).  Every other row is the copy of its slab
+    image's row.  The operator's exact parts are built on first access.
     """
     m = grid.dim
     if structure.dim != m:
@@ -462,11 +488,12 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
             "weak assembly size %d exceeds the supported budget; "
             "use a smaller grid" % (R * m * m * len(fields))
         )
-    for f in fields:
-        for c in f.coefficients:
-            check_periodicity(c, grid)
+    # (N, m) node values of every field, screened before the density
+    coeffs = [
+        np.stack([check_periodicity(c, grid) for c in f.coefficients], axis=1)
+        for f in fields
+    ]
 
-    pts = grid.points()
     rho = volume_density_values(structure, grid)
     if density is not None:
         if isinstance(density, Expr):
@@ -478,16 +505,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         rho = rho * extra
     mass = node_mass(grid, rho)
 
-    multi = grid.multi_indices()
     node_weight = rho * (grid.cell_volume() / (1 << m))
-
-    nodes = {}  # the stencil asks for each of its few offsets many times
-
-    def node(offset):
-        key = tuple(int(d) for d in offset)
-        if key not in nodes:
-            nodes[key] = grid.ravel(multi + offset)
-        return nodes[key]
+    node = _node_index(grid)
 
     # rows: corner sigma of every cell; axis l runs forward from the corner
     # when sigma_l = 0 and backward into it when sigma_l = 1
@@ -500,34 +519,27 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         hi.append(np.stack([node(d) for d in sigma + (1 - sigma)[:, None] * unit], 1))
     corner, lo, hi = (np.concatenate(x) for x in (corner, lo, hi))
 
-    factors = []
-    products = {}  # (l, l2) -> per field, (N, 4) exact parts of w v_l v_l2
-    for f, scale in zip(fields, scales):
-        V = (f.evaluate(pts) * (scale / np.asarray(grid.h))).astype(float)
-        factors.append(FieldFactor(lo=lo, hi=hi, values=V[corner]))
-        live = [l for l in range(m) if np.any(V[:, l])]
-        for l, l2 in itertools.combinations_with_replacement(live, 2):
-            parts = _times(_exact_product(V[:, l], V[:, l2]), node_weight)
-            products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
+    V = [c * (scale / np.asarray(grid.h)) for c, scale in zip(coeffs, scales)]
+    factors = [FieldFactor(lo=lo, hi=hi, values=v[corner]) for v in V]
+    products = _node_products(V, node_weight)
 
+    # row i holds the values of row pos[i] of the slab, its image at index 0
+    # along the invariant axes
+    axes = _invariant_node_axes(
+        grid, [node_weight, *itertools.chain.from_iterable(products.values())]
+    )
+    image = grid.multi_indices()
+    image[:, axes] = 0
+    slab, pos = np.unique(grid.ravel(image), return_inverse=True)
     cols, values = [], []
-    exact = {}
-    for offset, terms in _weak_stencil(m).items():
-        blocks = [
-            coef * P[node(shift)]
-            for shift, l, l2, coef in terms
-            for P in products.get((l, l2), ())
-        ]
-        if not blocks:
-            continue
-        parts = np.hstack(blocks)
+    for offset, parts in _weak_parts(m, products, node, slab):
         if not np.all(np.isfinite(parts)):
             raise GridError("values out of the range of exact float products")
         cols.append(node(offset))
-        values.append(_fsum_rows(parts))
-        exact[offset] = (cols[-1], parts)
+        values.append(np.array(_fsum_rows(parts))[pos])
     cols, values = _row_sorted(cols, values)
     stencil = (cols, values, values != 0)
+    exact = functools.partial(_weak_exact, grid, V, node_weight)
     op = SparseOperator(symmetric=True, exact=exact, stencil=stencil)
     return WeakForm(
         grid=grid,
@@ -537,6 +549,76 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         weights=node_weight[corner],
         eps=eps,
     )
+
+
+def _node_index(grid):
+    """node(offset): the (N,) numbers of the nodes at every node plus
+    offset, each offset's array built once."""
+    multi = grid.multi_indices()
+    nodes = {}
+
+    def node(offset):
+        key = tuple(int(d) for d in offset)
+        if key not in nodes:
+            nodes[key] = grid.ravel(multi + offset)
+        return nodes[key]
+
+    return node
+
+
+def _node_products(V, node_weight):
+    """{(l, l2): per field, the (N, 4) exact parts of w v_l v_l2}, l <= l2
+    over the axes where the field's (N, m) scaled coefficients V are not
+    all zero."""
+    products = {}
+    for v in V:
+        live = [l for l in range(v.shape[1]) if np.any(v[:, l])]
+        for l, l2 in itertools.combinations_with_replacement(live, 2):
+            parts = _times(_exact_product(v[:, l], v[:, l2]), node_weight)
+            products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
+    return products
+
+
+def _invariant_node_axes(grid, tables):
+    """Grid axes along which every (N, ...) node table equals its one-node
+    shift bit for bit, so that +0.0 and -0.0 differ.
+
+    Every weak stencil value is one fixed function of the tables at
+    shifted nodes, so the stencil is invariant along these axes too.
+    """
+    multi = grid.multi_indices()
+    axes = []
+    for a in range(grid.dim):
+        perm = grid.ravel(grid.shifted(multi, a, 1))
+        if all(
+            np.array_equal(t.view(np.uint64)[perm], t.view(np.uint64))
+            for t in tables
+        ):
+            axes.append(a)
+    return axes
+
+
+def _weak_parts(m, products, node, rows):
+    """Yield (offset, parts) over the weak stencil's offsets: row r of
+    parts holds the exact parts of entry (rows[r], rows[r] + offset)."""
+    for offset, terms in _weak_stencil(m).items():
+        blocks = [
+            coef * P[node(shift)[rows]]
+            for shift, l, l2, coef in terms
+            for P in products.get((l, l2), ())
+        ]
+        if blocks:
+            yield offset, np.hstack(blocks)
+
+
+def _weak_exact(grid, V, node_weight):
+    """The exact parts {offset: (cols, parts)} of every row of a weak form."""
+    node = _node_index(grid)
+    products = _node_products(V, node_weight)
+    return {
+        offset: (node(offset), parts)
+        for offset, parts in _weak_parts(grid.dim, products, node, slice(None))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,11 @@ its solves.  Reported residuals are always the generalized
 ones, || L v - lambda M v || / || M v ||, computed from the original
 operator and mass.  The Fourier path reads the weak form's offset
 stencil (``SparseOperator.stencil``) for its invariance test, its slab
-rows and its residuals, and uses numpy's LAPACK only, so it never builds
-the CSR matrix and loads no scipy.  The dense and Lanczos paths take
+rows and its residuals, and uses numpy's LAPACK only, so it builds
+neither the CSR matrix nor the exact entry parts, and loads no scipy.
+The assembler has already rounded only the slab rows of a form whose
+node tables are invariant, but ``_invariant_axes`` on the full stencil
+stays the test this path trusts.  The dense and Lanczos paths take
 ``SparseOperator.matrix``; scipy is imported by the functions that use
 it, on the first such solve, not with the module.
 """

@@ -49,6 +49,7 @@ from srlab.operators import (
     sublaplacian,
     weighted_laplacian,
 )
+from srlab.spectrum import _invariant_axes, solve_weak_form
 
 from conftest import (
     DENSITY_CONFIGS,
@@ -669,6 +670,61 @@ def assert_stencil_matches(op, ref):
 def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
     op = density_form(name, density, n, eps=eps).operator
     assert_stencil_matches(op, coo_reference(op, drop_zeros=True))
+
+
+@pytest.fixture
+def node_axes(monkeypatch):
+    """The axes each weak assembly of the test found with the node
+    criterion, the slabs it rounded, in order."""
+    seen = []
+    criterion = discrete._invariant_node_axes
+
+    def spy(grid, tables):
+        seen.append(criterion(grid, tables))
+        return seen[-1]
+
+    monkeypatch.setattr(discrete, "_invariant_node_axes", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, density, n, eps",
+    STENCIL_CASES
+    + [
+        (name, density, n, eps)
+        for name, density in DENSITY_CONFIGS
+        for n in (4, 8)
+        for eps in (None, 2.0)
+    ],
+)
+def test_node_criterion_finds_the_invariant_axes_of_the_form(
+    node_axes, name, density, n, eps
+):
+    wf = density_form(name, density, n, eps)
+    assert node_axes == [_invariant_axes(wf.operator, wf.mass.diagonal, wf.grid)]
+
+
+def test_one_ulp_of_density_leaves_no_row_to_copy(node_axes, contact):
+    # a slab that covered the changed node's row would copy a value that
+    # the fsum of its exact parts does not give
+    g = Grid(shape=(6, 6, 6), periods=contact.periods)
+    density = np.ones(g.size)
+    assemble_weak_laplacian(contact, g, density=density)
+    density[37] = np.nextafter(1.0, np.inf)
+    wf = assemble_weak_laplacian(contact, g, density=density)
+    assert node_axes == [[0, 1], []]
+    assert_stencil_matches(wf.operator, coo_reference(wf.operator, drop_zeros=True))
+
+
+def test_fourier_solve_leaves_the_exact_parts_unbuilt():
+    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    assert solve_weak_form(wf, 4, 1e-9, 0).method == "fourier"
+    op = wf.operator
+    assert op._exact is None
+    assert op._matrix is None
+    exact = op.exact
+    assert op.exact is exact
+    assert exact_constant_image(op) == 0.0
 
 
 @pytest.mark.parametrize("name", GRID_NAMES)
