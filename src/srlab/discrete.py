@@ -21,13 +21,16 @@ entry decides once per weak form; a form whose D is not zero gets each
 pair's defect summed exactly from the same tables of D.
 
 A weak form whose node tables (the exact parts of w v_l v_l2 for every
-field, and the node weights) equal their one-node shift bit for bit
-along some grid axes has an invariant stencil along them, since every
-entry is one fixed function of those tables at shifted nodes.  Its
-entries are rounded once on the slab, the nodes at index 0 along those
-axes, and every other row is copied from its slab image; with no such
-axis the slab is every node.  The exact parts themselves, which only
-the certificates read, are built on first access to
+field, the node weights and the mass diagonal) equal their one-node
+shift bit for bit along some grid axes has an invariant stencil and
+mass along them, since every entry is one fixed function of those
+tables at shifted nodes.  Its entries are rounded once on the slab, the
+nodes at index 0 along those axes, and every other row is copied from
+its slab image; with no such axis the slab is every node.  The form
+carries that decision, the axes, the slab and every row's slab image,
+as ``WeakForm.invariance``: it is made once, here, and the Fourier
+eigensolver reads it.  The exact parts themselves, which only the
+certificates read, are built on first access to
 ``SparseOperator.exact``.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
@@ -301,6 +304,11 @@ class WeakForm:
     eps: object = None
     # whether the Green residual is exactly zero, decided on first use
     _green_exact: object = field(default=None, init=False, repr=False)
+    # (axes, slab, pos) from the assembler: the grid axes along which the
+    # form is exactly invariant, the nodes at index 0 along them, and the
+    # row of every node's slab image in ``slab``.  Not an init field, so
+    # a form built by hand or by ``dataclasses.replace`` carries none.
+    invariance: object = field(default=None, init=False, repr=False)
 
     def quadratic_form(self, f):
         total = 0.0
@@ -422,8 +430,8 @@ def volume_density_values(structure, grid):
 def node_mass(grid, density):
     """Diagonal mass: nodal density times the cell volume."""
     diag = np.asarray(density, dtype=float) * grid.cell_volume()
-    if np.any(diag <= 0):
-        raise GridError("mass density must be positive on all nodes")
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise GridError("mass density must be finite and positive on all nodes")
     return DiagonalMass(diagonal=diag)
 
 
@@ -467,7 +475,9 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     Every entry is rounded by ``math.fsum`` on the slab rows only: the
     nodes at index 0 along the axes where the node tables are invariant
     (``_invariant_node_axes``).  Every other row is the copy of its slab
-    image's row.  The operator's exact parts are built on first access.
+    image's row.  The form carries the axes, the slab and every row's
+    slab image as ``invariance``.  The operator's exact parts are built
+    on first access.
     """
     m = grid.dim
     if structure.dim != m:
@@ -525,9 +535,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
 
     # row i holds the values of row pos[i] of the slab, its image at index 0
     # along the invariant axes
-    axes = _invariant_node_axes(
-        grid, [node_weight, *itertools.chain.from_iterable(products.values())]
-    )
+    tables = itertools.chain.from_iterable(products.values())
+    axes = _invariant_node_axes(grid, [mass.diagonal, node_weight, *tables])
     image = grid.multi_indices()
     image[:, axes] = 0
     slab, pos = np.unique(grid.ravel(image), return_inverse=True)
@@ -541,7 +550,7 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     stencil = (cols, values, values != 0)
     exact = functools.partial(_weak_exact, grid, V, node_weight)
     op = SparseOperator(symmetric=True, exact=exact, stencil=stencil)
-    return WeakForm(
+    wf = WeakForm(
         grid=grid,
         operator=op,
         mass=mass,
@@ -549,6 +558,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         weights=node_weight[corner],
         eps=eps,
     )
+    wf.invariance = (axes, slab, pos)
+    return wf
 
 
 def _node_index(grid):
@@ -584,7 +595,8 @@ def _invariant_node_axes(grid, tables):
     shift bit for bit, so that +0.0 and -0.0 differ.
 
     Every weak stencil value is one fixed function of the tables at
-    shifted nodes, so the stencil is invariant along these axes too.
+    shifted nodes, so the stencil is invariant along these axes too, and
+    so is the mass when its diagonal is one of the tables.
     """
     multi = grid.multi_indices()
     axes = []

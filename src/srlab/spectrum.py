@@ -1,19 +1,20 @@
 """Generalized eigensolvers for the discretized forms.
 
 Every solver works on the symmetrically scaled standard problem
-A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembled stencil and mass
-diagonal are exactly invariant under the one-node shift along some grid
-axes is block-circulant along them: ``fourier_smallest`` splits it into
-one small Hermitian block per wavevector of those axes (block-circulant
-diagonalization, the discrete Bloch-Floquet reduction) and solves all
-blocks in one batched ``numpy.linalg.eigvalsh``.  ``solve_weak_form``
-tries that path first; the sweeps and ``kernel_check`` both get their
-pairs from it.  Forms with no invariant axis, or with blocks of more
-than FOURIER_BLOCK_LIMIT rows, go by ``choose_solver``, which refuses a
-form no path takes (``GridError``, a usage error in the CLI): the dense
-path hands A~ to LAPACK (``scipy.linalg.eigh`` with the ``evr`` driver,
-restricted to the wanted index range, and the full ``evd`` solve where
-``evr`` fails); the iterative path hands the shift-invert operator
+A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembler found its stencil
+and mass diagonal exactly invariant under the one-node shift along some
+grid axes is block-circulant along them: ``fourier_smallest`` splits
+it into one small Hermitian block per wavevector of those axes
+(block-circulant diagonalization, the discrete Bloch-Floquet reduction)
+and solves all blocks in one batched ``numpy.linalg.eigvalsh``.
+``solve_weak_form`` tries that path first; the sweeps and
+``kernel_check`` both get their pairs from it.  Forms with no invariant
+axis, or with blocks of more than FOURIER_BLOCK_LIMIT rows, go by
+``choose_solver``, which refuses a form no path takes (``GridError``, a
+usage error in the CLI): the dense path hands A~ to LAPACK
+(``scipy.linalg.eigh`` with the ``evr`` driver, restricted to the wanted
+index range, and the full ``evd`` solve where ``evr`` fails); the
+iterative path hands the shift-invert operator
 (A~ + SIGMA I)^{-1} to ARPACK's implicitly restarted Lanczos method
 (``scipy.sparse.linalg.eigsh``) and reruns it on the complement of the
 vectors found until no copy of a multiple eigenvalue is missing.  The
@@ -25,18 +26,19 @@ Each report's ``method`` names the path that produced it: "fourier",
 "dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
 its solves.  Reported residuals are always the generalized
 ones, || L v - lambda M v || / || M v ||, computed from the original
-operator and mass.  The Fourier path reads the weak form's offset
-stencil (``SparseOperator.stencil``) for its invariance test, its slab
-rows and its residuals, and uses numpy's LAPACK only, so it builds
-neither the CSR matrix nor the exact entry parts, and loads no scipy.
-The assembler has already rounded only the slab rows of a form whose
-node tables are invariant, but ``_invariant_axes`` on the full stencil
-stays the test this path trusts.  The dense and Lanczos paths take
-``SparseOperator.matrix``; scipy is imported by the functions that use
-it, on the first such solve, not with the module.
+operator and mass.  The Fourier path takes the invariant axes, the slab
+and every row's slab image from the form (``WeakForm.invariance``), which
+only the assembler sets, from its node tables; a form built by hand or
+by ``dataclasses.replace`` carries none and goes by size.  It reads the
+offset stencil (``SparseOperator.stencil``) for its slab rows and its
+residuals, and uses numpy's LAPACK only, so it builds neither the CSR
+matrix nor the exact entry parts, and loads no scipy.  The dense and
+Lanczos paths take ``SparseOperator.matrix``; scipy is imported by the
+functions that use it, on the first such solve, not with the module.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -88,8 +90,8 @@ def _mass_diagonal(M):
             diag = np.asarray(M, dtype=float)
             if diag.ndim == 2:
                 diag = np.diag(diag)
-    if np.any(diag <= 0):
-        raise SpectrumError("mass diagonal must be positive")
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise SpectrumError("mass diagonal must be finite and positive")
     return diag
 
 
@@ -349,30 +351,6 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0):
 _BLOCK_ENTRIES = 1 << 22  # most block entries the Fourier path builds at once
 
 
-def _invariant_axes(op, diag, grid):
-    """Grid axes under whose one-node shift the stencil of ``op`` and the
-    mass diagonal ``diag`` are exactly invariant.
-
-    With perm the shift, row perm[i] of the column and value tables must
-    be row i moved to the columns perm[cols[i]], re-sorted: then
-    L[perm[i], perm[j]] = L[i, j] for every entry, stored or not.
-    """
-    cols, values, _ = op.stencil
-    multi = grid.multi_indices()
-    axes = []
-    for a in range(grid.dim):
-        perm = grid.ravel(grid.shifted(multi, a, 1))
-        moved = perm[cols]
-        order = np.argsort(moved, axis=1)
-        if (
-            np.array_equal(diag[perm], diag)
-            and np.array_equal(np.take_along_axis(moved, order, 1), cols[perm])
-            and np.array_equal(np.take_along_axis(values, order, 1), values[perm])
-        ):
-            axes.append(a)
-    return axes
-
-
 def _roots_of_unity(n):
     """exp(2 pi i j / n) for j < n (n even): root n - j is the exact
     conjugate of root j, and roots 0 and n/2 are exactly 1 and -1."""
@@ -383,11 +361,12 @@ def _roots_of_unity(n):
 
 def fourier_smallest(wf, count):
     """Smallest generalized eigenpairs of a weak form, block by block in
-    Fourier space; None when the form has no invariant grid axis or its
-    blocks would exceed FOURIER_BLOCK_LIMIT rows.
+    Fourier space; None when the form carries no invariant grid axis from
+    its assembly (``WeakForm.invariance``) or its blocks would exceed
+    FOURIER_BLOCK_LIMIT rows.
 
-    Along the axes I under whose shift the assembled matrix and the mass
-    are exactly invariant, the modes u(x) = z(x_J) exp(i k.x_I) with
+    Along the axes I under whose shift the assembler found the matrix and
+    the mass exactly invariant, the modes u(x) = z(x_J) exp(i k.x_I) with
     x_J the other coordinates reduce L u = lambda M u to one Hermitian
     block per wavevector k,
     B_k[r_J, c_J] = sum of L[r, c] exp(2 pi i sum_a k_a c_a / n_a) over the
@@ -407,20 +386,12 @@ def fourier_smallest(wf, count):
     count = int(count)
     if not 1 <= count <= N:
         raise SpectrumError("count must be between 1 and N")
-    grid = wf.grid
-    inv = _invariant_axes(op, diag, grid)
-    rest = [a for a in range(grid.dim) if a not in inv]
-    n_inv = [grid.shape[a] for a in inv]
-    n_rest = [grid.shape[a] for a in rest]
-    S = int(np.prod(n_rest))
-    if not inv or S > FOURIER_BLOCK_LIMIT:
+    inv, slab, pos = wf.invariance or ([], None, None)
+    if not inv or slab.size > FOURIER_BLOCK_LIMIT:
         return None
-    multi = grid.multi_indices()
-    pos = np.zeros(N, dtype=np.intp)  # row of a node's slab image
-    if rest:
-        pos = np.ravel_multi_index(tuple(multi[:, rest].T), n_rest)
-    at = multi[:, inv]
-    slab = np.flatnonzero(~at.any(axis=1))
+    S = slab.size
+    n_inv = [wf.grid.shape[a] for a in inv]
+    at = wf.grid.multi_indices()[:, inv]
     s = 1.0 / np.sqrt(diag)
     cols, values, stored = (t[slab] for t in op.stencil)
     r, c = np.broadcast_to(slab[:, None], stored.shape)[stored], cols[stored]
@@ -542,13 +513,14 @@ def epsilon_sweep(
     eps_values = [float(e) for e in eps_values]
     if any(a >= b for a, b in zip(eps_values, eps_values[1:])):
         raise SpectrumError("eps values must be strictly increasing")
-    wfH = assemble_weak_laplacian(structure, grid, eps=None, density=density)
-    base = solve_weak_form(wfH, count, tol, seed)
+    # each form goes straight into its solve, so no solved form is held
+    # while the next one is assembled
+    form = partial(assemble_weak_laplacian, structure, grid, density=density)
+    base = solve_weak_form(form(eps=None), count, tol, seed)
     reports = []
     gaps = np.empty((len(eps_values), count))
     for row, eps in enumerate(eps_values):
-        wfe = assemble_weak_laplacian(structure, grid, eps=eps, density=density)
-        rep = solve_weak_form(wfe, count, tol, seed)
+        rep = solve_weak_form(form(eps=eps), count, tol, seed)
         reports.append(rep)
         gaps[row] = np.abs(rep.eigenvalues - base.eigenvalues)
     later = gaps[1:]

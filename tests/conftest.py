@@ -121,6 +121,30 @@ def density_form(name, density, n, eps=None):
     return assemble_weak_laplacian(s, grid, eps=eps, density=rho)
 
 
+def _invariant_axes(op, diag, grid):
+    """Grid axes under whose one-node shift the stencil of ``op`` and the
+    mass diagonal ``diag`` are exactly invariant.
+
+    With perm the shift, row perm[i] of the column and value tables must
+    be row i moved to the columns perm[cols[i]], re-sorted: then
+    L[perm[i], perm[j]] = L[i, j] for every entry, stored or not.
+    """
+    cols, values, _ = op.stencil
+    multi = grid.multi_indices()
+    axes = []
+    for a in range(grid.dim):
+        perm = grid.ravel(grid.shifted(multi, a, 1))
+        moved = perm[cols]
+        order = np.argsort(moved, axis=1)
+        if (
+            np.array_equal(diag[perm], diag)
+            and np.array_equal(np.take_along_axis(moved, order, 1), cols[perm])
+            and np.array_equal(np.take_along_axis(values, order, 1), values[perm])
+        ):
+            axes.append(a)
+    return axes
+
+
 def sample_points(s, count=30, seed=11):
     rng = np.random.default_rng(seed)
     return s.sample_points(count, rng=rng)

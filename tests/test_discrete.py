@@ -49,12 +49,13 @@ from srlab.operators import (
     sublaplacian,
     weighted_laplacian,
 )
-from srlab.spectrum import _invariant_axes, solve_weak_form
+from srlab.spectrum import solve_weak_form
 
 from conftest import (
     DENSITY_CONFIGS,
     GRID_NAMES,
     STENCIL_CASES,
+    _invariant_axes,
     cached_structure,
     density_form,
 )
@@ -559,6 +560,15 @@ def test_node_mass_rejects_nonpositive_density():
         node_mass(g, np.zeros(g.size))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_node_mass_rejects_a_nonfinite_density(bad):
+    g = Grid(shape=(4, 4), periods=(1.0, 1.0))
+    density = np.ones(g.size)
+    density[5] = bad
+    with pytest.raises(GridError, match="^mass density must be finite and positive"):
+        node_mass(g, density)
+
+
 def test_mass_solve_inverts_matvec():
     g = Grid(shape=(4, 4), periods=(1.0, 1.0))
     mass = node_mass(g, np.full(g.size, 2.0))
@@ -672,21 +682,6 @@ def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
     assert_stencil_matches(op, coo_reference(op, drop_zeros=True))
 
 
-@pytest.fixture
-def node_axes(monkeypatch):
-    """The axes each weak assembly of the test found with the node
-    criterion, the slabs it rounded, in order."""
-    seen = []
-    criterion = discrete._invariant_node_axes
-
-    def spy(grid, tables):
-        seen.append(criterion(grid, tables))
-        return seen[-1]
-
-    monkeypatch.setattr(discrete, "_invariant_node_axes", spy)
-    return seen
-
-
 @pytest.mark.parametrize(
     "name, density, n, eps",
     STENCIL_CASES
@@ -697,22 +692,30 @@ def node_axes(monkeypatch):
         for eps in (None, 2.0)
     ],
 )
-def test_node_criterion_finds_the_invariant_axes_of_the_form(
-    node_axes, name, density, n, eps
-):
+def test_node_criterion_finds_the_invariant_axes_of_the_form(name, density, n, eps):
     wf = density_form(name, density, n, eps)
-    assert node_axes == [_invariant_axes(wf.operator, wf.mass.diagonal, wf.grid)]
+    axes, slab, pos = wf.invariance
+    assert axes == _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid)
+    # slab[pos[i]] is node i moved to index 0 along the axes
+    image = wf.grid.multi_indices()
+    image[:, axes] = 0
+    assert np.array_equal(wf.grid.multi_indices()[slab[pos]], image)
+    assert slab.size == wf.grid.size // math.prod(wf.grid.shape[a] for a in axes)
 
 
-def test_one_ulp_of_density_leaves_no_row_to_copy(node_axes, contact):
+def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
     # a slab that covered the changed node's row would copy a value that
     # the fsum of its exact parts does not give
     g = Grid(shape=(6, 6, 6), periods=contact.periods)
     density = np.ones(g.size)
-    assemble_weak_laplacian(contact, g, density=density)
+    wf = assemble_weak_laplacian(contact, g, density=density)
+    assert wf.invariance[0] == [0, 1]
     density[37] = np.nextafter(1.0, np.inf)
     wf = assemble_weak_laplacian(contact, g, density=density)
-    assert node_axes == [[0, 1], []]
+    axes, slab, pos = wf.invariance
+    assert axes == []
+    assert np.array_equal(slab, np.arange(g.size))
+    assert np.array_equal(pos, np.arange(g.size))
     assert_stencil_matches(wf.operator, coo_reference(wf.operator, drop_zeros=True))
 
 

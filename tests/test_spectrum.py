@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -19,13 +20,18 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID_NAMES, STENCIL_CASES, cached_structure, density_form
+from conftest import (
+    GRID_NAMES,
+    STENCIL_CASES,
+    _invariant_axes,
+    cached_structure,
+    density_form,
+)
 from srlab.discrete import DiagonalMass, Grid, SparseOperator, assemble_weak_laplacian
 from srlab.spectrum import (
     DENSE_LIMIT,
     KernelReport,
     SpectrumError,
-    _invariant_axes,
     choose_solver,
     cluster_eigenvalues,
     dense_spectrum,
@@ -160,6 +166,14 @@ def test_mass_diagonal_rejects_nondiagonal_sparse():
         dense_spectrum(sp.identity(2, format="csr"), M)
     with pytest.raises(SpectrumError, match="positive"):
         dense_spectrum(A, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mass_diagonal_rejects_a_nonfinite_entry(bad):
+    with pytest.raises(
+        SpectrumError, match="^mass diagonal must be finite and positive$"
+    ):
+        dense_spectrum(sp.identity(3, format="csr"), np.array([bad, 1.0, 1.0]))
 
 
 def test_rayleigh_quotient_of_eigenvector():
@@ -409,6 +423,20 @@ def test_one_ulp_of_mass_breaks_invariance(contact):
     assert fourier_smallest(bumped, 4) is None
 
 
+def test_a_replaced_form_carries_no_decision_and_goes_by_size(contact):
+    # the assembler proved the invariance from its own tables; a rebuilt
+    # form, even with the same parts, is solved by size
+    wf = assemble_weak_laplacian(contact, Grid(shape=(6, 6, 6), periods=contact.periods))
+    assert wf.invariance[0] == [0, 1]
+    assert solve_weak_form(wf, 4, 1e-9, 0).method == "fourier"
+    copy = dataclasses.replace(wf)
+    assert copy.invariance is None
+    assert fourier_smallest(copy, 4) is None
+    rep = solve_weak_form(copy, 4, 1e-9, 0)
+    assert rep.method == choose_solver(wf.grid.size, 4) == "dense"
+    assert_matches_dense(rep, wf, 4, 1e-10)
+
+
 def permutation_invariant_axes(mat, diag, grid):
     """Reference: the axes whose one-node shift perm keeps the CSR matrix
     and the mass diagonal exactly, (mat[perm][:, perm] != mat).nnz == 0."""
@@ -573,6 +601,23 @@ def test_epsilon_sweep_row_schema(trivial):
     assert set(rows[0]) == {"eps", "i", "lambda", "residual", "multiplicity_cluster"}
     assert rows[2]["eps"] == 2.0
     assert all(r["residual"] < 1e-8 for r in rows)
+
+
+def test_epsilon_sweep_holds_no_earlier_form_while_it_assembles(monkeypatch, trivial):
+    import srlab.spectrum as spec
+
+    forms, alive = [], []
+
+    def assemble(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in forms))
+        wf = assemble_weak_laplacian(*args, **kwargs)
+        forms.append(weakref.ref(wf))
+        return wf
+
+    monkeypatch.setattr(spec, "assemble_weak_laplacian", assemble)
+    epsilon_sweep(trivial, Grid(shape=(8, 8), periods=trivial.periods), [2, 4, 8], 4)
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in forms)
 
 
 def test_epsilon_sweep_requires_ascending_eps(trivial):
