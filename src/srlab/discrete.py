@@ -24,22 +24,28 @@ A weak form whose node tables (the exact parts of w v_l v_l2 for every
 field, the node weights and the mass diagonal) equal their one-node
 shift bit for bit along some grid axes has an invariant stencil and
 mass along them, since every entry is one fixed function of those
-tables at shifted nodes.  Its entries are rounded once on the slab, the
-nodes at index 0 along those axes, and every other row is copied from
-its slab image; with no such axis the slab is every node.  The form
+tables at shifted nodes.  It is stored on its slab, the nodes at index
+0 along those axes: the tables are built at the slab nodes only, its
+entries are rounded once there, and every other row repeats its slab
+image's row; with no such axis the slab is every node.  The form
 carries that decision, the axes, the slab and every row's slab image,
 as ``WeakForm.invariance``: it is made once, here, and the Fourier
-eigensolver reads it.  The exact parts themselves, which only the
-certificates read, are built on first access to
-``SparseOperator.exact``.
+eigensolver reads it.  What only the certificates read is built on
+first access: the exact parts (``SparseOperator.exact``) and the
+quadrature factors and weights (``WeakForm.factors``, ``weights``).
+The assembly budget counts the arrays the assembler holds at once
+(``_weak_size``): per node its coefficient tables and vectors, per slab
+row its stencil tables.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) keeps its matrix in one stored form, the offset
-stencil: per row, the column and the value of each stencil offset,
-sorted by column.  Its shape, nonzero count and products come from
-those tables; the CSR matrix, and with it ``scipy.sparse``, is built
-only when a caller asks for ``SparseOperator.matrix``, as the dense and
-Lanczos eigensolvers and the Matrix Market writer do.  scipy is
+stencil on the grid: per slab row, the value of each stencil offset
+and whether the matrix stores it, with the columns given by the grid
+and the offsets.  Its shape, nonzero count and products come from those
+(S, K) tables; the (N, K) tables, the CSR matrix and with it
+``scipy.sparse`` are built only when a caller asks for
+``SparseOperator.stencil`` or ``matrix``, as the dense and Lanczos
+eigensolvers and the Matrix Market writer do.  scipy is
 imported by the functions that need it, not with the module.
 """
 
@@ -62,7 +68,8 @@ class PeriodicityError(ValueError):
     """A coefficient is not periodic with the declared periods."""
 
 
-_PAIR_BUDGET = 50_000_000
+# most float64 entries a weak assembly may hold at once (``_weak_size``)
+_PAIR_BUDGET = 16_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +214,34 @@ def check_periodicity(e, grid, tol=1e-8):
 class SparseOperator:
     """Sparse operator stored as its offset stencil.
 
-    The stencil ``(cols, values, stored)`` holds (N, K) tables whose row
-    i holds the columns of the row's K offsets in ascending order, the
-    entry values there, and which of them the matrix stores (a weak form
-    or a strong operator stores its nonzero values, a field matrix every
-    entry).  ``shape``, ``nnz`` and ``matvec`` answer from it without
-    scipy; ``matrix`` is the CSR matrix of the stored entries, built from
-    it on first access.  ``matvec`` adds each row's terms in ascending
-    column order, as scipy's CSR product does, so for a finite v it
-    equals ``matrix @ v`` bit for bit.
+    A grid operator (``grid`` given) is built from ``(offsets, values,
+    stored)``: its K offsets in {-1, 0, 1}^m, and (S, K) tables of the
+    entry values of its slab rows at those offsets and of which of them
+    the matrix stores (a weak form or a strong operator stores its nonzero
+    values, a field matrix every entry).  ``pos`` maps each of the N rows
+    to the slab row it repeats (None: the slab is every node), and the
+    column of row i at offset k is node i plus that offset on the periodic
+    grid, so no (N, K) table is held.  Without a grid it is built from
+    ``(cols, values, stored)``, (N, K) tables whose row i holds the
+    columns of its K entries in ascending order: each row is its own slab
+    row and the columns are given.
+
+    ``shape``, ``nnz`` and ``matvec`` answer from these tables without
+    scipy.  ``matvec`` adds one column rank at a time: the r-th entry of
+    every row in ascending column order, as scipy's CSR product adds a
+    row's terms, so for a finite v it equals ``matrix @ v`` bit for bit.
+    ``stencil`` expands the (N, K) tables ``(cols, values, stored)``,
+    rows sorted by column, on every access; ``matrix`` is the CSR matrix
+    of the stored entries, built from them on first access.
     """
 
-    def __init__(self, stencil, symmetric=False, exact=None):
-        self.stencil = stencil
+    def __init__(self, stencil, symmetric=False, exact=None, *, grid=None, pos=None):
+        self._columns, values, stored = stencil
+        if grid is not None:
+            self._columns = np.asarray(self._columns, dtype=np.int64)
+        self._values = np.ascontiguousarray(values)
+        self._stored = np.ascontiguousarray(stored)
+        self._grid, self._pos = grid, pos
         self.symmetric = symmetric
         # ``exact`` is the dict ``self.exact`` or a function that builds it
         # on first access
@@ -227,6 +249,7 @@ class SparseOperator:
         if callable(exact):
             self._exact, self._build_exact = None, exact
         self._matrix = None
+        self._order = None
 
     @property
     def exact(self):
@@ -237,6 +260,21 @@ class SparseOperator:
         return self._exact
 
     @property
+    def stencil(self):
+        """(cols, values, stored): (N, K) tables, row i holding the columns
+        of its K entries in ascending order, their values and which of
+        them the matrix stores."""
+        shape = (self.shape[0], self._values.shape[1])
+        cols = np.empty(shape, dtype=np.int64)
+        values = np.empty(shape, dtype=self._values.dtype)
+        stored = np.empty(shape, dtype=bool)
+        for r, (at, c) in enumerate(self._ranks()):
+            cols[:, r] = c
+            values[:, r] = self._values.ravel()[at]
+            stored[:, r] = self._stored.ravel()[at]
+        return cols, values, stored
+
+    @property
     def matrix(self):
         if self._matrix is None:
             self._matrix = _stencil_csr(*self.stencil)
@@ -244,19 +282,81 @@ class SparseOperator:
 
     @property
     def shape(self):
-        return (len(self.stencil[0]),) * 2
+        return (len(self._values if self._pos is None else self._pos),) * 2
 
     @property
     def nnz(self):
-        return int(np.count_nonzero(self.stencil[2]))
+        per_row = np.count_nonzero(self._stored, axis=1)
+        return int(np.sum(per_row if self._pos is None else per_row[self._pos]))
 
     def matvec(self, v):
-        cols, values, _ = self.stencil
         v = np.asarray(v)
-        out = np.zeros(len(cols), dtype=np.result_type(values, v))
-        for k in range(cols.shape[1]):
-            out += values[:, k] * v[cols[:, k]]
+        out = np.zeros(self.shape[0], dtype=np.result_type(self._values, v))
+        flat = self._values.ravel()
+        for at, cols in self._ranks():
+            out += flat[at] * v[cols]
         return out
+
+    def _ranks(self):
+        """Yield (at, cols) for r = 0, ..., K - 1: the index into the
+        raveled (S, K) tables and the column of the r-th entry of every
+        row in ascending column order."""
+        K = self._values.shape[1]
+        rows = np.arange(self.shape[0])
+        base = K * (rows if self._pos is None else self._pos)
+        if self._grid is None:
+            for r in range(K):
+                yield base + r, self._columns[:, r]
+            return
+        if self._order is None:
+            self._order = _wrap_classes(self._grid, self._columns)
+        cls, orders, shifts = self._order
+        for order, shift in zip(orders, shifts):
+            yield base + order[cls], rows + shift[cls]
+
+    def _row_tables(self, rows):
+        """(cols, values, stored) of the given rows: (len(rows), K) tables,
+        each row's entries in the order of the stored tables."""
+        at = rows if self._pos is None else self._pos[rows]
+        if self._grid is None:
+            cols = self._columns[rows]
+        else:
+            grid = self._grid
+            multi = np.stack(np.unravel_index(rows, grid.shape), axis=1)
+            ends = multi[:, None, :] + self._columns
+            cols = grid.ravel(ends.reshape(-1, grid.dim)).reshape(ends.shape[:2])
+        return cols, self._values[at], self._stored[at]
+
+
+def _wrap_classes(grid, offsets):
+    """(cls, orders, shifts) for a grid stencil's (K, m) offsets in
+    {-1, 0, 1}^m.
+
+    The nodes fall into boxes that every offset wraps alike: along each
+    axis that an offset moves, the first node, the interior and the last
+    node.  cls (N,) numbers every node's box.  In a row of box c, the
+    r-th smallest column is the row plus shifts[r, c], at offset
+    orders[r, c].
+    """
+    shape = np.array(grid.shape)
+    strides = np.array([math.prod(grid.shape[a + 1 :]) for a in range(grid.dim)])
+    spans = [
+        [(0, 1), (1, n - 1), (n - 1, n)] if np.any(offsets[:, a]) else [(0, n)]
+        for a, n in enumerate(grid.shape)
+    ]
+    labels = [np.repeat(np.arange(len(s)), [b - a for a, b in s]) for s in spans]
+    boxes = [len(s) for s in spans]
+    cls = np.ravel_multi_index(np.ix_(*labels), boxes).ravel()
+    orders, shifts = [], []
+    for box in itertools.product(*spans):
+        lo, hi = np.array(box).T
+        below, above = lo + offsets < 0, hi - 1 + offsets >= shape
+        wrap = shape * (below.astype(np.int64) - above)
+        shift = (offsets + wrap) @ strides
+        order = np.argsort(shift)
+        orders.append(order)
+        shifts.append(shift[order])
+    return cls, np.array(orders).T.copy(), np.array(shifts).T.copy()
 
 
 @dataclass
@@ -294,14 +394,20 @@ class FieldFactor:
 
 @dataclass
 class WeakForm:
-    """Quadrature-factored weak Laplacian with exact assembled entries."""
+    """Quadrature-factored weak Laplacian with exact assembled entries.
+
+    ``factors`` (one ``FieldFactor`` per field) and ``weights`` (the (R,)
+    quadrature weights) are built together on first access to either: no
+    solve reads them, only the Green certificate and ``quadratic_form``.
+    Either may be assigned.
+    """
 
     grid: Grid
     operator: SparseOperator
     mass: DiagonalMass
-    factors: list
-    weights: np.ndarray  # (R,) quadrature weights
     eps: object = None
+    # (factors, weights), or a function that builds them on first access
+    _quadrature: object = field(default=None, repr=False)
     # whether the Green residual is exactly zero, decided on first use
     _green_exact: object = field(default=None, init=False, repr=False)
     # (axes, slab, pos) from the assembler: the grid axes along which the
@@ -309,6 +415,27 @@ class WeakForm:
     # row of every node's slab image in ``slab``.  Not an init field, so
     # a form built by hand or by ``dataclasses.replace`` carries none.
     invariance: object = field(default=None, init=False, repr=False)
+
+    def _rows(self):
+        if callable(self._quadrature):
+            self._quadrature = self._quadrature()
+        return self._quadrature
+
+    @property
+    def factors(self):
+        return self._rows()[0]
+
+    @factors.setter
+    def factors(self, factors):
+        self._quadrature = (factors, self.weights)
+
+    @property
+    def weights(self):
+        return self._rows()[1]
+
+    @weights.setter
+    def weights(self, weights):
+        self._quadrature = (self.factors, weights)
 
     def quadratic_form(self, f):
         total = 0.0
@@ -319,14 +446,6 @@ class WeakForm:
 
 
 # ---------------------------------------------------------------------------
-
-
-def _row_sorted(cols, values):
-    """(N, K) column and value tables from K per-offset (N,) arrays, each
-    row in ascending column order, as a CSR row is stored."""
-    cols, values = np.stack(cols, axis=1), np.stack(values, axis=1)
-    order = np.argsort(cols, axis=1)
-    return np.take_along_axis(cols, order, 1), np.take_along_axis(values, order, 1)
 
 
 def _stencil_csr(cols, values, stored):
@@ -349,23 +468,20 @@ def assemble_field(X, grid):
     if X.dim != m:
         raise GridError("field dimension %d does not match grid %d" % (X.dim, m))
     multi = grid.multi_indices()
-    cols, values = [], []
     exact = {}
     for j in range(m):
         coeff = X.coefficients[j]
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
         vals = evaluate_on_grid(coeff, grid) / (2.0 * grid.h[j])
-        up = grid.ravel(grid.shifted(multi, j, +1))
-        dn = grid.ravel(grid.shifted(multi, j, -1))
-        cols.extend([up, dn])
-        values.extend([vals, -vals])
         step = tuple(int(a == j) for a in range(m))
-        exact[step] = (up, vals[:, None])
-        exact[tuple(-a for a in step)] = (dn, -vals[:, None])
-    cols, values = _row_sorted(cols, values)
-    stencil = (cols, values, np.ones(cols.shape, dtype=bool))
-    return SparseOperator(symmetric=False, exact=exact, stencil=stencil)
+        exact[step] = (grid.ravel(grid.shifted(multi, j, +1)), vals[:, None])
+        exact[tuple(-a for a in step)] = (
+            grid.ravel(grid.shifted(multi, j, -1)), -vals[:, None]
+        )
+    values = np.hstack([parts for _, parts in exact.values()])
+    stencil = (list(exact), values, np.ones(values.shape, dtype=bool))
+    return SparseOperator(stencil, exact=exact, grid=grid)
 
 
 def assemble_strong(spec, grid):
@@ -399,7 +515,6 @@ def assemble_strong(spec, grid):
         terms.append((spec.a[j][l], weights))
     terms += [(spec.b[j], [(unit[j], half[j]), (-unit[j], -half[j])]) for j in range(m)]
 
-    multi = grid.multi_indices()
     # offset -> (N,) entry values; the zero offset keeps a spec whose
     # coefficients are all zero a stencil with one unstored column
     sums = {(0,) * m: np.zeros(grid.size)}
@@ -410,9 +525,8 @@ def assemble_strong(spec, grid):
         for offset, w in weights:
             acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
             acc += vals * w
-    cols = [grid.ravel(multi + np.array(offset)) for offset in sums]
-    cols, values = _row_sorted(cols, list(sums.values()))
-    return SparseOperator(symmetric=False, stencil=(cols, values, values != 0))
+    values = np.stack(list(sums.values()), axis=1)
+    return SparseOperator((list(sums), values, values != 0), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +549,7 @@ def node_mass(grid, density):
     return DiagonalMass(diagonal=diag)
 
 
+@functools.lru_cache(maxsize=None)
 def _weak_stencil(m):
     """The node stencil of the corner quadrature in m dimensions.
 
@@ -472,12 +587,16 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     weight 1/eps (the penalty operator).  ``density`` optionally
     multiplies the geometric volume density on the nodes.
 
-    Every entry is rounded by ``math.fsum`` on the slab rows only: the
-    nodes at index 0 along the axes where the node tables are invariant
-    (``_invariant_node_axes``).  Every other row is the copy of its slab
-    image's row.  The form carries the axes, the slab and every row's
-    slab image as ``invariance``.  The operator's exact parts are built
-    on first access.
+    The stencil is stored on its slab: the nodes at index 0 along the axes
+    where the node tables are invariant (``_invariant_node_axes``).  Only
+    the slab rows are built and rounded by ``math.fsum``, into (S, K)
+    tables; every other row repeats its slab image's row, and its columns
+    come from the grid and the offsets (``SparseOperator``).  The form
+    carries the axes, the slab and every row's slab image as
+    ``invariance``.  The operator's exact parts and the form's quadrature
+    factors and weights are built on first access.  A grid whose arrays
+    (``_weak_size``) exceed the budget raises GridError before they are
+    built.
     """
     m = grid.dim
     if structure.dim != m:
@@ -492,16 +611,12 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
             scales.append(1.0 / float(eps))
     # before any node array is built; Grid.size is exact past int64
     N = grid.size
-    R = N * (1 << m)
-    if R * m * m * len(fields) > _PAIR_BUDGET:
-        raise GridError(
-            "weak assembly size %d exceeds the supported budget; "
-            "use a smaller grid" % (R * m * m * len(fields))
-        )
-    # (N, m) node values of every field, screened before the density
-    coeffs = [
+    _check_budget(_weak_size(m, len(fields), N, 0))
+    # (N, m) scaled node values of every field, screened before the density
+    V = [
         np.stack([check_periodicity(c, grid) for c in f.coefficients], axis=1)
-        for f in fields
+        * (scale / np.asarray(grid.h))
+        for f, scale in zip(fields, scales)
     ]
 
     rho = volume_density_values(structure, grid)
@@ -514,10 +629,69 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
                 raise GridError("density array must have one value per node")
         rho = rho * extra
     mass = node_mass(grid, rho)
-
     node_weight = rho * (grid.cell_volume() / (1 << m))
-    node = _node_index(grid)
 
+    # the product tables, one at a time, decide the axes; row i holds the
+    # values of row pos[i] of the slab, its image at index 0 along them
+    tables = (t for _, t in _node_products(V, node_weight))
+    axes = _invariant_node_axes(
+        grid, itertools.chain([mass.diagonal, node_weight], tables)
+    )
+    sub = [1 if a in axes else n for a, n in enumerate(grid.shape)]
+    pos = np.broadcast_to(np.arange(math.prod(sub)).reshape(sub), grid.shape).ravel()
+    slab = np.arange(N).reshape(grid.shape)[tuple(slice(0, n) for n in sub)].ravel()
+    _check_budget(_weak_size(m, len(fields), N, slab.size))
+    # the tables are invariant along the axes, so at any node they equal
+    # their value at the node's slab image: only the slab's are built
+    products = _product_tables(V, node_weight, slab)
+    multi = np.stack(np.unravel_index(slab, grid.shape), axis=1)
+    offsets, values = [], []
+    for offset, parts in _weak_parts(
+        m, products, lambda shift: pos[grid.ravel(multi + shift)]
+    ):
+        if not np.all(np.isfinite(parts)):
+            raise GridError("values out of the range of exact float products")
+        offsets.append(offset)
+        values.append(_fsum_rows(parts))
+    values = np.array(values).T
+    op = SparseOperator(
+        (offsets, values, values != 0),
+        symmetric=True,
+        exact=functools.partial(_weak_exact, grid, V, node_weight),
+        grid=grid,
+        pos=pos,
+    )
+    quadrature = functools.partial(_quadrature, grid, V, node_weight)
+    wf = WeakForm(grid=grid, operator=op, mass=mass, eps=eps, _quadrature=quadrature)
+    wf.invariance = (axes, slab, pos)
+    return wf
+
+
+def _check_budget(size):
+    if size > _PAIR_BUDGET:
+        raise GridError(
+            "weak assembly size %d exceeds the supported budget; "
+            "use a smaller grid" % size
+        )
+
+
+def _weak_size(m, fields, N, S):
+    """Entries of the arrays a weak assembly of N nodes and S slab rows
+    holds at once, counted as float64s: per node, the m scaled
+    coefficients of each field, one table of four exact parts and four
+    vectors (density, mass, node weights, slab images); per slab row, the
+    value of every offset and the exact parts of one offset, four per
+    field and term."""
+    stencil = _weak_stencil(m)
+    terms = max(len(t) for t in stencil.values())
+    return N * (fields * m + 8) + S * (len(stencil) + 4 * fields * terms)
+
+
+def _quadrature(grid, V, node_weight):
+    """(factors, weights) of the corner quadrature: one row per corner of
+    every cell, one ``FieldFactor`` per field's scaled node values V."""
+    m = grid.dim
+    node = _node_index(grid)
     # rows: corner sigma of every cell; axis l runs forward from the corner
     # when sigma_l = 0 and backward into it when sigma_l = 1
     unit = np.eye(m, dtype=np.int64)
@@ -528,38 +702,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         lo.append(np.stack([node(d) for d in sigma - sigma[:, None] * unit], 1))
         hi.append(np.stack([node(d) for d in sigma + (1 - sigma)[:, None] * unit], 1))
     corner, lo, hi = (np.concatenate(x) for x in (corner, lo, hi))
-
-    V = [c * (scale / np.asarray(grid.h)) for c, scale in zip(coeffs, scales)]
     factors = [FieldFactor(lo=lo, hi=hi, values=v[corner]) for v in V]
-    products = _node_products(V, node_weight)
-
-    # row i holds the values of row pos[i] of the slab, its image at index 0
-    # along the invariant axes
-    tables = itertools.chain.from_iterable(products.values())
-    axes = _invariant_node_axes(grid, [mass.diagonal, node_weight, *tables])
-    image = grid.multi_indices()
-    image[:, axes] = 0
-    slab, pos = np.unique(grid.ravel(image), return_inverse=True)
-    cols, values = [], []
-    for offset, parts in _weak_parts(m, products, node, slab):
-        if not np.all(np.isfinite(parts)):
-            raise GridError("values out of the range of exact float products")
-        cols.append(node(offset))
-        values.append(np.array(_fsum_rows(parts))[pos])
-    cols, values = _row_sorted(cols, values)
-    stencil = (cols, values, values != 0)
-    exact = functools.partial(_weak_exact, grid, V, node_weight)
-    op = SparseOperator(symmetric=True, exact=exact, stencil=stencil)
-    wf = WeakForm(
-        grid=grid,
-        operator=op,
-        mass=mass,
-        factors=factors,
-        weights=node_weight[corner],
-        eps=eps,
-    )
-    wf.invariance = (axes, slab, pos)
-    return wf
+    return factors, node_weight[corner]
 
 
 def _node_index(grid):
@@ -577,45 +721,59 @@ def _node_index(grid):
     return node
 
 
-def _node_products(V, node_weight):
-    """{(l, l2): per field, the (N, 4) exact parts of w v_l v_l2}, l <= l2
-    over the axes where the field's (N, m) scaled coefficients V are not
-    all zero."""
-    products = {}
+def _node_products(V, node_weight, rows=slice(None)):
+    """Yield ((l, l2), table) per field and pair l <= l2 of the axes where
+    its (N, m) scaled coefficients V are not all zero: the (len(rows), 4)
+    exact parts of w v_l v_l2 at the nodes ``rows``."""
     for v in V:
         live = [l for l in range(v.shape[1]) if np.any(v[:, l])]
         for l, l2 in itertools.combinations_with_replacement(live, 2):
-            parts = _times(_exact_product(v[:, l], v[:, l2]), node_weight)
-            products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
+            parts = _times(_exact_product(v[rows, l], v[rows, l2]), node_weight[rows])
+            yield (l, l2), np.stack(parts, axis=1)
+
+
+def _product_tables(V, node_weight, rows=slice(None)):
+    """{(l, l2): the tables of ``_node_products``, one per field}."""
+    products = {}
+    for key, table in _node_products(V, node_weight, rows):
+        products.setdefault(key, []).append(table)
     return products
 
 
 def _invariant_node_axes(grid, tables):
     """Grid axes along which every (N, ...) node table equals its one-node
-    shift bit for bit, so that +0.0 and -0.0 differ.
+    shift bit for bit, so that +0.0 and -0.0 differ: along such an axis,
+    each slice of the table equals the next.  The tables are read one at
+    a time.
 
     Every weak stencil value is one fixed function of the tables at
     shifted nodes, so the stencil is invariant along these axes too, and
     so is the mass when its diagonal is one of the tables.
     """
-    multi = grid.multi_indices()
-    axes = []
-    for a in range(grid.dim):
-        perm = grid.ravel(grid.shifted(multi, a, 1))
-        if all(
-            np.array_equal(t.view(np.uint64)[perm], t.view(np.uint64))
-            for t in tables
-        ):
-            axes.append(a)
+    axes = list(range(grid.dim))
+    for t in tables:
+        u = t.view(np.uint64).reshape(grid.shape + t.shape[1:])
+        axes = [
+            a
+            for a in axes
+            if np.array_equal(
+                u[(slice(None),) * a + (slice(1, None),)],
+                u[(slice(None),) * a + (slice(None, -1),)],
+            )
+        ]
+        if not axes:
+            break
     return axes
 
 
-def _weak_parts(m, products, node, rows):
-    """Yield (offset, parts) over the weak stencil's offsets: row r of
-    parts holds the exact parts of entry (rows[r], rows[r] + offset)."""
+def _weak_parts(m, products, node):
+    """Yield (offset, parts) over the weak stencil's offsets: with
+    node(shift) the rows of the product tables that hold every row's node
+    plus shift, row r of parts holds the exact parts of entry (row r,
+    row r + offset)."""
     for offset, terms in _weak_stencil(m).items():
         blocks = [
-            coef * P[node(shift)[rows]]
+            coef * P[node(shift)]
             for shift, l, l2, coef in terms
             for P in products.get((l, l2), ())
         ]
@@ -626,10 +784,10 @@ def _weak_parts(m, products, node, rows):
 def _weak_exact(grid, V, node_weight):
     """The exact parts {offset: (cols, parts)} of every row of a weak form."""
     node = _node_index(grid)
-    products = _node_products(V, node_weight)
+    products = _product_tables(V, node_weight)
     return {
         offset: (node(offset), parts)
-        for offset, parts in _weak_parts(grid.dim, products, node, slice(None))
+        for offset, parts in _weak_parts(grid.dim, products, node)
     }
 
 

@@ -30,11 +30,14 @@ operator and mass.  The Fourier path takes the invariant axes, the slab
 and every row's slab image from the form (``WeakForm.invariance``), which
 only the assembler sets, from its node tables; a form built by hand or
 by ``dataclasses.replace`` carries none and goes by size.  It reads the
-offset stencil (``SparseOperator.stencil``) for its slab rows and its
-residuals, and uses numpy's LAPACK only, so it builds neither the CSR
-matrix nor the exact entry parts, and loads no scipy.  The dense and
-Lanczos paths take ``SparseOperator.matrix``; scipy is imported by the
-functions that use it, on the first such solve, not with the module.
+slab rows of the operator's stored (S, K) tables for its blocks and
+applies ``SparseOperator.matvec`` for its residuals, and uses numpy's
+LAPACK only, so it builds neither the (N, K) stencil tables, the CSR
+matrix, the exact entry parts nor the quadrature factors, and loads no
+scipy.  It builds at most 2^20 block entries at once
+(``_BLOCK_ENTRIES``).  The dense and Lanczos paths take
+``SparseOperator.matrix``; scipy is imported by the functions that use
+it, on the first such solve, not with the module.
 """
 
 from dataclasses import dataclass, field
@@ -121,7 +124,7 @@ def scaled_standard_form(L, M):
 
 
 def _apply(L, v):
-    """L v: from the stencil of a SparseOperator, else by the product."""
+    """L v: by ``SparseOperator.matvec``, else by the product."""
     return L.matvec(v) if isinstance(L, SparseOperator) else L @ v
 
 
@@ -230,10 +233,11 @@ def dense_spectrum(L, M, count=None):
 
 
 def _report(L, diag, s, lams, Z, method, iterations=None):
-    """Report for pairs (lams, Z) of A~: unit vectors v = s z and the
-    generalized residuals from the original operator or matrix ``L`` and
-    mass ``diag``."""
-    V = s[:, None] * Z
+    """Report for pairs (lams, Z) of A~: unit vectors v = s z, scaled in
+    place in Z, and the generalized residuals from the original operator
+    or matrix ``L`` and mass ``diag``."""
+    V = Z
+    V *= s[:, None]
     V /= np.linalg.norm(V, axis=0, keepdims=True)
     res = np.empty(lams.size)
     for j in range(lams.size):
@@ -348,7 +352,7 @@ def lanczos_smallest(L, M, count, tol=1e-10, seed=0):
 # ---------------------------------------------------------------------------
 # Fourier path
 
-_BLOCK_ENTRIES = 1 << 22  # most block entries the Fourier path builds at once
+_BLOCK_ENTRIES = 1 << 20  # most block entries the Fourier path builds at once
 
 
 def _roots_of_unity(n):
@@ -391,9 +395,10 @@ def fourier_smallest(wf, count):
         return None
     S = slab.size
     n_inv = [wf.grid.shape[a] for a in inv]
-    at = wf.grid.multi_indices()[:, inv]
+    index = np.indices(wf.grid.shape, sparse=True)
+    at = np.stack([np.broadcast_to(index[a], wf.grid.shape).ravel() for a in inv], 1)
     s = 1.0 / np.sqrt(diag)
-    cols, values, stored = (t[slab] for t in op.stencil)
+    cols, values, stored = op._row_tables(slab)
     r, c = np.broadcast_to(slab[:, None], stored.shape)[stored], cols[stored]
     val = values[stored] * (s[r] * s[c])  # as in scaled_standard_form
     # entry (r, c) adds val * phase(k, at[c]) to block entry (pos[r], pos[c])
@@ -427,21 +432,24 @@ def fourier_smallest(wf, count):
     weight = np.where(paired, 2, 1).repeat(S)[order]
     chosen = order[: int(np.searchsorted(np.cumsum(weight), count)) + 1]
 
-    solved = {}
-    lams, Z = [], np.empty((N, count))
+    solved, modes = {}, []  # (lambda, block, index, 0 for Re u or 1 for Im u)
     for b, j in zip(chosen // S, chosen % S):
         if b not in solved:
             B = blocks(ks[b : b + 1])[0]
             solved[b] = np.linalg.eigh(B if paired[b] else B.real)
-        w, vecs = solved[b]
-        u = vecs[pos, j] * phases(ks[b : b + 1], at)[0]
-        for part in (u.real, u.imag)[: 1 + paired[b]]:
-            if len(lams) < count:
-                Z[:, len(lams)] = part
-                lams.append(w[j])
-    lams = np.array(lams)
+        modes += [(solved[b][0][j], b, j, part) for part in range(1 + paired[b])]
+    lams = np.array([mode[0] for mode in modes[:count]])
     order = np.argsort(lams, kind="stable")
-    return _report(op, diag, s, lams[order], Z[:, order], "fourier")
+    # each column built in place, in ascending order; Re u and Im u of one
+    # pair are neighbours, so u is built once for both.  Column-major, so
+    # that each vector is contiguous (the norms in _report sum it so)
+    Z, last = np.empty((N, count), order="F"), None
+    for col, i in enumerate(order):
+        _, b, j, part = modes[i]
+        if last != (b, j):
+            u, last = solved[b][1][pos, j] * phases(ks[b : b + 1], at)[0], (b, j)
+        Z[:, col] = u.imag if part else u.real
+    return _report(op, diag, s, lams[order], Z, "fourier")
 
 
 # ---------------------------------------------------------------------------

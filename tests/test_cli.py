@@ -193,7 +193,7 @@ def test_verify_out_flag_writes_nothing_when_the_suite_stops(
     # two-grid item, so the suite stops after its first grid items
     import srlab.discrete as disc
 
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 8 * 9 * 2)
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 14 + 4 * 91)
     target = tmp_path / "report.txt"
     code, out, err = run(
         capsys, "verify", "contact3torus", "-n", "4", "--out", str(target)
@@ -677,15 +677,37 @@ def test_verify_kernel_check_needs_no_dense_solve(capsys, monkeypatch):
 
 
 def test_verify_grid_past_assembly_budget_is_usage_error(capsys, monkeypatch):
-    # the budget admits the n = 4 form (64 nodes, two fields: 64 * 2^3 *
-    # 3^2 * 2 pairs) but not the n = 8 one of the two-grid order item
+    # the budget admits the n = 4 form (64 nodes of 2 * 3 + 8 entries for
+    # two fields in 3-D, 4 slab rows of 19 + 4 * 2 * 9) but not the n = 8
+    # one of the two-grid order item (512 nodes)
     import srlab.discrete as disc
 
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 8 * 9 * 2)
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 14 + 4 * 91)
     code, out, err = run(capsys, "verify", "contact3torus", "-n", "4")
     assert code == 2
     assert out.splitlines()[-1].startswith("PASS weak-exact-green")
     assert "budget" in err
+
+
+def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
+    capsys, monkeypatch
+):
+    # the n grid's Green certificate reads its quadrature rows; the 2n
+    # grid's form is only applied, mass.solve(operator.matvec(u))
+    import srlab.cli as cli
+
+    forms = []
+
+    def assemble(*args, **kwargs):
+        forms.append(assemble_weak_laplacian(*args, **kwargs))
+        return forms[-1]
+
+    monkeypatch.setattr(cli, "assemble_weak_laplacian", assemble)
+    code, out, _ = run(capsys, "verify", "contact3torus", "-n", "4")
+    assert code == 0 and "PASS weak-two-grid-order" in out
+    assert [f.grid.shape[0] for f in forms] == [4, 8]
+    assert not callable(forms[0]._quadrature)
+    assert callable(forms[1]._quadrature)
 
 
 def test_verify_detects_tilted_complement(capsys, tmp_path):

@@ -312,7 +312,9 @@ def test_weak_rejects_nonperiodic_structure(heisenberg):
 def test_pair_budget_guard(monkeypatch):
     import srlab.discrete as disc
 
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 10)
+    # one entry short of the 16 nodes of 1 * 2 + 8 entries (one field in
+    # 2-D), so the grid is refused before any node array is built
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 16 * 10 - 1)
     s = flat_line_structure()
     g = Grid(shape=(4, 4), periods=(1.0, 1.0))
     with pytest.raises(GridError, match="budget"):
@@ -717,6 +719,60 @@ def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
     assert np.array_equal(slab, np.arange(g.size))
     assert np.array_equal(pos, np.arange(g.size))
     assert_stencil_matches(wf.operator, coo_reference(wf.operator, drop_zeros=True))
+
+
+def test_fourier_solve_leaves_the_quadrature_unbuilt():
+    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    assert solve_weak_form(wf, 4, 1e-9, 0).method == "fourier"
+    assert callable(wf._quadrature)
+    # the first read builds factors and weights together, once
+    factors = wf.factors
+    assert wf.factors is factors
+    assert wf.weights.shape == (8 * wf.grid.size,)
+    assert not callable(wf._quadrature)
+
+
+def test_invariant_form_holds_its_stencil_on_the_slab():
+    # no (N, K) table: what the operator holds for its products is
+    # bounded by a multiple of S K + N, before and after a product
+    for density, n in [(None, 16), ("2 + cos(x0)", 8)]:
+        wf = density_form("contact3torus", density, n, eps=2.0)
+        op = wf.operator
+        N, (S, K) = wf.grid.size, op._values.shape
+        assert S == wf.invariance[1].size < N
+        for _ in range(2):
+            held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+            held += [a for a in op._order or () if isinstance(a, np.ndarray)]
+            assert all(a.size < N * K for a in held)
+            assert sum(a.nbytes for a in held) <= 24 * (S * K + N)
+            op.matvec(np.ones(N))
+        assert op._exact is None and op._matrix is None
+
+
+# the stencil cases and every density config, at both grid sizes
+MATVEC_CASES = STENCIL_CASES + [
+    (name, density, n, eps)
+    for name, density in DENSITY_CONFIGS[2:]
+    for n in (4, 6)
+    for eps in (None, 2.0)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(MATVEC_CASES), seed=st.integers(0, 2**32 - 1))
+def test_slab_matvec_and_stencil_match_the_matrix(case, seed):
+    # rows repeated from the slab and columns from the grid give the
+    # product of the CSR matrix bit for bit, and the expanded stencil
+    # holds the entries of the reference built from the exact parts
+    op = density_form(*case).operator
+    v = np.random.default_rng(seed).standard_normal(op.shape[0])
+    assert op.matvec(v).tobytes() == (op.matrix @ v).tobytes()
+    cols, values, stored = op.stencil
+    ref = coo_reference(op, drop_zeros=True)
+    assert np.all(np.diff(cols, axis=1) > 0)
+    assert np.array_equal(np.count_nonzero(stored, axis=1), np.diff(ref.indptr))
+    assert np.array_equal(cols[stored], ref.indices)
+    assert values[stored].tobytes() == ref.data.tobytes()
 
 
 def test_fourier_solve_leaves_the_exact_parts_unbuilt():

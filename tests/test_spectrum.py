@@ -620,6 +620,17 @@ def test_epsilon_sweep_holds_no_earlier_form_while_it_assembles(monkeypatch, tri
     assert all(ref() is None for ref in forms)
 
 
+def test_epsilon_sweep_builds_no_quadrature(monkeypatch, contact):
+    import srlab.discrete as disc
+
+    built = []
+    monkeypatch.setattr(disc, "_quadrature", lambda *args: built.append(args))
+    grid = Grid(shape=(6, 6, 6), periods=contact.periods)
+    sweep = epsilon_sweep(contact, grid, [2, 4], 4)
+    assert {rep.method for rep in [sweep.horizontal, *sweep.penalized]} == {"fourier"}
+    assert built == []
+
+
 def test_epsilon_sweep_requires_ascending_eps(trivial):
     g = Grid(shape=(8, 8), periods=trivial.periods)
     with pytest.raises(SpectrumError, match="increasing"):
