@@ -244,8 +244,8 @@ def cmd_check(args):
     base = np.zeros(s.dim)
     flag = hormander_flag(s, base)
     reg = is_regular(s, points)
-    generating = all(dims[-1] == s.dim for dims in reg.dims)
-    fat = is_fat(s, base, rng=np.random.default_rng(args.seed))
+    generating = bool(np.all(reg.dims[:, -1] == s.dim))
+    fat = is_fat(s, base, rng=args.seed)
     record = {
         "name": s.name or None,
         "point": [float(v) for v in base],

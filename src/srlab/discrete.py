@@ -70,6 +70,8 @@ class PeriodicityError(ValueError):
 
 # most float64 entries a weak assembly may hold at once (``_weak_size``)
 _PAIR_BUDGET = 16_000_000
+# rows per block of SparseOperator.matvec; bounds its rank index arrays
+_MATVEC_ROWS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +181,21 @@ class Grid:
         return float(np.prod(self.h))
 
 
-def evaluate_on_grid(e, grid):
+def evaluate_on_grid(e, grid, points=None):
     """Node values of an expression, checked for declared periodicity."""
-    return check_periodicity(e, grid)
+    return check_periodicity(e, grid, points=points)
 
 
-def check_periodicity(e, grid, tol=1e-8):
+def check_periodicity(e, grid, tol=1e-8, points=None):
     """Compare values at x and x + L_j e_j on the whole node set.
 
     Returns the node values of ``e``, or None when ``e`` is not an
-    expression.
+    expression.  ``points`` is ``grid.points()``, passed in by a caller
+    that screens several coefficients so the nodes are built once.
     """
     if not isinstance(e, Expr):
         return None
-    pts = grid.points()
+    pts = grid.points() if points is None else points
     base = ex.evaluate(e, pts)
     scale = max(1.0, float(np.max(np.abs(base))))
     for j in sorted(ex.variables(e)):
@@ -229,7 +232,8 @@ class SparseOperator:
     ``shape``, ``nnz`` and ``matvec`` answer from these tables without
     scipy.  ``matvec`` adds one column rank at a time: the r-th entry of
     every row in ascending column order, as scipy's CSR product adds a
-    row's terms, so for a finite v it equals ``matrix @ v`` bit for bit.
+    row's terms, so for a finite v it equals ``matrix @ v`` bit for bit;
+    a block (N, c) gets that product column by column.
     ``stencil`` expands the (N, K) tables ``(cols, values, stored)``,
     rows sorted by column, on every access; ``matrix`` is the CSR matrix
     of the stored entries, built from them on first access.
@@ -290,29 +294,40 @@ class SparseOperator:
         return int(np.sum(per_row if self._pos is None else per_row[self._pos]))
 
     def matvec(self, v):
+        """L v for a vector v (N,), or for each column of a block v (N, c):
+        the rank index arrays are built once for the whole block, and
+        every column gets the sums a lone vector would."""
         v = np.asarray(v)
-        out = np.zeros(self.shape[0], dtype=np.result_type(self._values, v))
+        N = self.shape[0]
+        out = np.zeros(
+            (N,) + v.shape[1:], dtype=np.result_type(self._values, v), order="F"
+        )
         flat = self._values.ravel()
-        for at, cols in self._ranks():
-            out += flat[at] * v[cols]
+        for start in range(0, N, _MATVEC_ROWS):
+            rows = slice(start, min(start + _MATVEC_ROWS, N))
+            for at, cols in self._ranks(rows):
+                a = flat[at]
+                for j in np.ndindex(v.shape[1:]):
+                    out[(rows,) + j] += a * v[(cols,) + j]
         return out
 
-    def _ranks(self):
+    def _ranks(self, rows=slice(None)):
         """Yield (at, cols) for r = 0, ..., K - 1: the index into the
         raveled (S, K) tables and the column of the r-th entry of every
-        row in ascending column order."""
+        row in the slice ``rows``, in ascending column order."""
         K = self._values.shape[1]
-        rows = np.arange(self.shape[0])
-        base = K * (rows if self._pos is None else self._pos)
+        index = np.arange(self.shape[0])[rows]
+        base = K * (index if self._pos is None else self._pos[rows])
         if self._grid is None:
             for r in range(K):
-                yield base + r, self._columns[:, r]
+                yield base + r, self._columns[rows, r]
             return
         if self._order is None:
             self._order = _wrap_classes(self._grid, self._columns)
         cls, orders, shifts = self._order
+        cls = cls[rows]
         for order, shift in zip(orders, shifts):
-            yield base + order[cls], rows + shift[cls]
+            yield base + order[cls], index + shift[cls]
 
     def _row_tables(self, rows):
         """(cols, values, stored) of the given rows: (len(rows), K) tables,
@@ -468,12 +483,13 @@ def assemble_field(X, grid):
     if X.dim != m:
         raise GridError("field dimension %d does not match grid %d" % (X.dim, m))
     multi = grid.multi_indices()
+    pts = grid.points()
     exact = {}
     for j in range(m):
         coeff = X.coefficients[j]
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        vals = evaluate_on_grid(coeff, grid) / (2.0 * grid.h[j])
+        vals = evaluate_on_grid(coeff, grid, pts) / (2.0 * grid.h[j])
         step = tuple(int(a == j) for a in range(m))
         exact[step] = (grid.ravel(grid.shifted(multi, j, +1)), vals[:, None])
         exact[tuple(-a for a in step)] = (
@@ -518,10 +534,11 @@ def assemble_strong(spec, grid):
     # offset -> (N,) entry values; the zero offset keeps a spec whose
     # coefficients are all zero a stencil with one unstored column
     sums = {(0,) * m: np.zeros(grid.size)}
+    pts = grid.points()
     for coeff, weights in terms:
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        vals = evaluate_on_grid(coeff, grid)
+        vals = evaluate_on_grid(coeff, grid, pts)
         for offset, w in weights:
             acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
             acc += vals * w
@@ -532,9 +549,10 @@ def assemble_strong(spec, grid):
 # ---------------------------------------------------------------------------
 
 
-def volume_density_values(structure, grid):
-    """Nodal values of 1/|det F| for the structure's frame."""
-    F = structure.frame_matrix(grid.points())
+def volume_density_values(structure, grid, points=None):
+    """Nodal values of 1/|det F| for the structure's frame; ``points`` is
+    ``grid.points()`` when the caller holds it."""
+    F = structure.frame_matrix(grid.points() if points is None else points)
     det = np.abs(np.linalg.det(F))
     if np.any(det < 1e-14):
         raise GridError("frame matrix numerically singular on the grid")
@@ -612,22 +630,27 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     # before any node array is built; Grid.size is exact past int64
     N = grid.size
     _check_budget(_weak_size(m, len(fields), N, 0))
-    # (N, m) scaled node values of every field, screened before the density
+    # (N, m) scaled node values of every field, screened before the density;
+    # the node points are built once for every coefficient
+    pts = grid.points()
     V = [
-        np.stack([check_periodicity(c, grid) for c in f.coefficients], axis=1)
+        np.stack(
+            [check_periodicity(c, grid, points=pts) for c in f.coefficients], axis=1
+        )
         * (scale / np.asarray(grid.h))
         for f, scale in zip(fields, scales)
     ]
 
-    rho = volume_density_values(structure, grid)
+    rho = volume_density_values(structure, grid, pts)
     if density is not None:
         if isinstance(density, Expr):
-            extra = evaluate_on_grid(density, grid)
+            extra = evaluate_on_grid(density, grid, pts)
         else:
             extra = np.asarray(density, dtype=float)
             if extra.shape != (N,):
                 raise GridError("density array must have one value per node")
         rho = rho * extra
+    del pts
     mass = node_mass(grid, rho)
     node_weight = rho * (grid.cell_volume() / (1 << m))
 

@@ -10,7 +10,9 @@ is one dense m-by-m solve.
 Frame evaluation is batch-first: structure constants and Hörmander flags
 take one point (m,) or a batch (n, m) and evaluate each bracket once over
 the batch; the stacked solves and SVDs give every point the arithmetic it
-would get alone.
+would get alone.  The sweeps over many points (the frame check, the flag
+and regularity) take them ``_FLAG_BLOCK`` at a time, so their work
+memory does not grow with the point count.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +21,11 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr, differentiate, evaluate, render, simplify
+
+
+# points per block of a pointwise sweep (frame check, flag); bounds the
+# stacked frame and bracket rows
+_FLAG_BLOCK = 1024
 
 
 class StructureError(ValueError):
@@ -167,19 +174,28 @@ class SubRiemannianStructure:
         return rng.uniform(0.0, self.periods, size=(count, self.dim))
 
     def validate(self, points=None, tol=1e-10):
-        """Check the frame condition: invertible frame matrix at samples."""
+        """Check the frame condition: invertible frame matrix at samples.
+
+        The frame is evaluated a block of ``_FLAG_BLOCK`` points at a time;
+        the first block holding a singular point raises StructureError
+        naming its earliest singular point.
+        """
         if points is None:
             points = self.sample_lattice()
-        F = self.frame_matrix(points)
-        dets = np.linalg.det(F)
-        norms = np.linalg.norm(F, axis=1)  # column 2-norms
-        scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
-        bad = np.abs(dets) <= tol * scale
-        if np.any(bad):
-            p = np.asarray(points)[bad][0]
-            raise StructureError(
-                "frame matrix singular at point %s" % np.array2string(p, precision=6)
-            )
+        points = np.atleast_2d(np.asarray(points))
+        for start in range(0, len(points), _FLAG_BLOCK):
+            block = points[start : start + _FLAG_BLOCK]
+            F = self.frame_matrix(block)
+            dets = np.linalg.det(F)
+            norms = np.linalg.norm(F, axis=1)  # column 2-norms
+            scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
+            bad = np.abs(dets) <= tol * scale
+            if np.any(bad):
+                p = block[bad][0]
+                raise StructureError(
+                    "frame matrix singular at point %s"
+                    % np.array2string(p, precision=6)
+                )
         return True
 
     def volume_density(self, point):
@@ -280,25 +296,18 @@ def _flag_layer(s, depth):
     return layers[depth - 1]
 
 
-# points per block of the flag sweep; bounds the stacked bracket rows
-_FLAG_BLOCK = 1024
+def _flag_ranks(s, points, max_depth):
+    """(n, max_depth) ranks of Sigma_1, ..., Sigma_max_depth at n points.
 
-
-def hormander_flag(s, point, max_depth=6):
-    """Dimensions of Sigma_1 <= Sigma_2 <= ... at one point or a batch.
-
-    Sigma_d is spanned by brackets of the horizontal fields of order up
-    to d.  Returns the dims and the degree (first d with full rank), or
-    degree None when the flag stalls below the manifold dimension.  A
-    batch (n, m) returns a list of n results; each layer is evaluated
-    once per block of points and every point keeps its own rank cutoff.
+    Each layer is evaluated once per block of ``_FLAG_BLOCK`` points, and
+    every point keeps its own SVD rank cutoff max(sigma_0, 1) * 1e-10.  A
+    block stops once all its points have full rank; its later columns
+    stay 0.
     """
-    point = np.asarray(point, dtype=float)
-    pts = np.atleast_2d(point)
     m = s.dim
-    ranks = np.zeros((len(pts), max_depth), dtype=int)
-    for start in range(0, len(pts), _FLAG_BLOCK):
-        block = pts[start : start + _FLAG_BLOCK]
+    ranks = np.zeros((len(points), max_depth), dtype=int)
+    for start in range(0, len(points), _FLAG_BLOCK):
+        block = points[start : start + _FLAG_BLOCK]
         block_ranks = ranks[start : start + len(block)]
         rows = np.empty((len(block), 0, m))
         for depth in range(1, max_depth + 1):
@@ -314,7 +323,21 @@ def hormander_flag(s, point, max_depth=6):
             block_ranks[:, depth - 1] = np.sum(sv > cutoff, axis=1)
             if np.all(np.any(block_ranks[:, :depth] == m, axis=1)):
                 break
-    full = ranks == m
+    return ranks
+
+
+def hormander_flag(s, point, max_depth=6):
+    """Dimensions of Sigma_1 <= Sigma_2 <= ... at one point or a batch.
+
+    Sigma_d is spanned by brackets of the horizontal fields of order up
+    to d.  Returns the dims and the degree (first d with full rank), or
+    degree None when the flag stalls below the manifold dimension.  A
+    batch (n, m) returns a list of n results, from the same blocked sweep
+    (``_flag_ranks``) that ``is_regular`` reads.
+    """
+    point = np.asarray(point, dtype=float)
+    ranks = _flag_ranks(s, np.atleast_2d(point), max_depth)
+    full = ranks == s.dim
     degrees = np.where(full.any(axis=1), full.argmax(axis=1) + 1, 0).tolist()
     results = [
         FlagResult(dims=tuple(r[: d or max_depth]), degree=d or None)
@@ -337,24 +360,24 @@ def hausdorff_dimension(dims):
 class RegularityReport:
     regular: bool
     points: np.ndarray
-    dims: list
+    dims: np.ndarray  # (n, max_depth) int flag dims, padded with m
 
 
 def is_regular(s, points=None, max_depth=6):
     """Same flag dimensions at every sample point.
 
-    Each point's dims are padded with the manifold dimension up to
-    ``max_depth`` once the flag is full.
+    ``dims`` is an (n, max_depth) int array: row i holds point i's flag
+    dims, padded with the manifold dimension m from the first full one
+    on.  The points are swept in blocks (``_flag_ranks``), so besides the
+    points only this array grows with n.
     """
     if points is None:
         points = s.sample_lattice()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    seen = [
-        res.dims + (s.dim,) * (max_depth - len(res.dims))
-        for res in hormander_flag(s, points, max_depth=max_depth)
-    ]
-    regular = len(set(seen)) == 1
-    return RegularityReport(regular=regular, points=points, dims=seen)
+    dims = _flag_ranks(s, points, max_depth)
+    dims[np.maximum.accumulate(dims == s.dim, axis=1)] = s.dim
+    regular = len(dims) > 0 and bool(np.all(dims == dims[0]))
+    return RegularityReport(regular=regular, points=points, dims=dims)
 
 
 @dataclass
@@ -364,33 +387,46 @@ class FatnessResult:
     tested: int
 
 
-def is_fat(s, point, samples=32, rng=None, tol=1e-10):
+def is_fat(s, point, samples=32, rng=42, tol=1e-10):
     """Strong-bracket test at ``point``.
 
-    For every annihilator direction lambda (basis vectors plus random
-    unit covectors), the matrix M(lambda)_ij = sum_b lambda_b C_ij^b must
-    be invertible.  Returns the first singular lambda as a witness.
+    For every annihilator direction lambda (the q basis covectors, then
+    ``samples`` random unit covectors), the matrix
+    M(lambda)_ij = sum_b lambda_b C_ij^b must be invertible.  Returns the
+    first singular lambda as a witness, and ``tested`` = q + samples, the
+    size of the covector set.  ``rng`` is a seed or a Generator, as
+    ``numpy.random.default_rng`` takes it; it is used only when no basis
+    covector is singular, so a basis witness draws no random numbers.
     """
-    if rng is None:
-        rng = np.random.default_rng(42)
     data = structure_constants(s, point)
     C = data.C_vertical
     q = s.dim - s.k
     if q == 0:
         return FatnessResult(fat=True, witness=None, tested=0)
-    lams = [np.eye(q)[b] for b in range(q)]
-    while len(lams) < q + samples:
-        v = rng.normal(size=q)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            lams.append(v / n)
+    witness = _first_singular(C, list(np.eye(q)), tol)
+    if witness is None:
+        rng = np.random.default_rng(rng)
+        lams = []
+        while len(lams) < samples:
+            v = rng.normal(size=q)
+            n = np.linalg.norm(v)
+            if n > 1e-12:
+                lams.append(v / n)
+        witness = _first_singular(C, lams, tol)
+    return FatnessResult(fat=witness is None, witness=witness, tested=q + samples)
+
+
+def _first_singular(C, lams, tol):
+    """The first lambda in ``lams`` whose M(lambda) is singular, or None."""
+    if not lams:
+        return None
+    q = C.shape[-1]
     # M[l] = M(lams[l]), one (k*k, q) @ (q, 1) product each as np.tensordot forms it
     M = (C.reshape(-1, q) @ np.stack(lams)[..., None]).reshape(-1, *C.shape[:2])
     rows = np.linalg.norm(M, axis=-1)
     scale = np.maximum(np.prod(rows, axis=-1), np.finfo(float).tiny)
     singular = np.abs(np.linalg.det(M)) <= tol * scale
-    witness = lams[int(np.argmax(singular))] if singular.any() else None
-    return FatnessResult(fat=witness is None, witness=witness, tested=len(lams))
+    return lams[int(np.argmax(singular))] if singular.any() else None
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,8 @@ def scaled_standard_form(L, M):
 
 
 def _apply(L, v):
-    """L v: by ``SparseOperator.matvec``, else by the product."""
+    """L v for a vector or an (N, c) block: by ``SparseOperator.matvec``,
+    else by the product."""
     return L.matvec(v) if isinstance(L, SparseOperator) else L @ v
 
 
@@ -239,11 +240,14 @@ def _report(L, diag, s, lams, Z, method, iterations=None):
     V = Z
     V *= s[:, None]
     V /= np.linalg.norm(V, axis=0, keepdims=True)
+    # one product for the block; each column becomes its defect in place
+    LV = _apply(L, V)
     res = np.empty(lams.size)
     for j in range(lams.size):
-        v = V[:, j]
-        defect = _apply(L, v) - lams[j] * (diag * v)
-        res[j] = float(np.linalg.norm(defect) / np.linalg.norm(diag * v))
+        Mv = diag * V[:, j]
+        defect = LV[:, j]
+        defect -= lams[j] * Mv
+        res[j] = float(np.linalg.norm(defect) / np.linalg.norm(Mv))
     return SpectrumReport(lams, V, res, method, iterations)
 
 
@@ -449,6 +453,7 @@ def fourier_smallest(wf, count):
         if last != (b, j):
             u, last = solved[b][1][pos, j] * phases(ks[b : b + 1], at)[0], (b, j)
         Z[:, col] = u.imag if part else u.real
+    del u, at  # before the report's (N, count) product
     return _report(op, diag, s, lams[order], Z, "fourier")
 
 

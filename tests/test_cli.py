@@ -1141,6 +1141,15 @@ def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
     assert bool(scipy) == sparse, scipy
 
 
+def test_check_of_a_non_fat_structure_loads_no_random(tmp_path):
+    """carnot-step2 has a singular basis covector at the origin, so the
+    fatness test draws no random covector and numpy.random stays unloaded;
+    ``--samples`` draws its points from it."""
+    assert "numpy.random" not in loaded_modules(tmp_path, ("check", "carnot-step2"))
+    argv = ("check", "carnot-step2", "--samples", "2")
+    assert "numpy.random" in loaded_modules(tmp_path, argv)
+
+
 def test_lanczos_path_loads_the_sparse_solvers(tmp_path):
     # x0 and x1 in the density, x2 in the frame: no invariant axis, and
     # N = 512 > 360 nodes for two pairs takes Lanczos

@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from srlab.discrete import (
     Grid,
     GridError,
     PeriodicityError,
+    SparseOperator,
     _weak_stencil,
     assemble_field,
     assemble_strong,
@@ -167,6 +169,25 @@ def test_evaluate_on_grid_evaluates_nodes_once(monkeypatch):
     vals = evaluate_on_grid(e, g)
     assert calls == [g.size] * 3
     assert vals.tobytes() == evaluate(e, g.points()).tobytes()
+
+
+def test_assemblies_build_the_node_points_once(monkeypatch, contact):
+    # every coefficient is screened on one (N, m) node array
+    calls = []
+    points = Grid.points
+
+    def counted(grid):
+        calls.append(grid.size)
+        return points(grid)
+
+    monkeypatch.setattr(Grid, "points", counted)
+    g = Grid(shape=(4, 4, 4), periods=contact.periods)
+    density = ex.parse("2 + cos(x0)", dim=3)
+    assemble_weak_laplacian(contact, g, eps=2.0, density=density)
+    assert calls == [g.size]
+    assemble_field(contact.horizontal[0], g)
+    assemble_strong(sublaplacian(contact), g)
+    assert calls == [g.size] * 3
 
 
 def test_check_periodicity_accepts_periodic_coefficient():
@@ -773,6 +794,34 @@ def test_slab_matvec_and_stencil_match_the_matrix(case, seed):
     assert np.array_equal(np.count_nonzero(stored, axis=1), np.diff(ref.indptr))
     assert np.array_equal(cols[stored], ref.indices)
     assert values[stored].tobytes() == ref.data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(MATVEC_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 7),
+    rows=st.sampled_from([1, 7, 64, discrete._MATVEC_ROWS]),
+    grid=st.booleans(),
+)
+def test_block_matvec_gives_every_column_the_matrix_product(
+    case, seed, width, rows, grid
+):
+    # a block (N, c) gets, column by column, the CSR product of that
+    # column bit for bit, however the rows are split into blocks; without
+    # a grid the operator reads its columns from the (N, K) tables
+    op = density_form(*case).operator
+    if not grid:
+        op = SparseOperator(op.stencil)
+    N = op.shape[0]
+    V = np.random.default_rng(seed).standard_normal((N, width))
+    with mock.patch.object(discrete, "_MATVEC_ROWS", rows):
+        LV = op.matvec(V)
+        lone = op.matvec(V[:, 0])
+    assert LV.shape == (N, width)
+    for j in range(width):
+        assert LV[:, j].tobytes() == (op.matrix @ V[:, j]).tobytes()
+    assert lone.tobytes() == LV[:, 0].tobytes()
 
 
 def test_fourier_solve_leaves_the_exact_parts_unbuilt():

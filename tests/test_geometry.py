@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from srlab import expr as ex
+from srlab import geometry
 from srlab.geometry import (
     StructureError,
     SubRiemannianStructure,
@@ -190,6 +191,66 @@ def test_regularity_verdicts(heisenberg, carnot, engel, martinet, integrable):
     assert not is_regular(martinet).regular
 
 
+BLOCK_SIZES = (1, 1023, 1024, 1025, 2049)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_blocked_regularity_matches_one_batch_flags(name, monkeypatch):
+    # the points straddle the 1024-point blocks; the origin, on martinet's
+    # singular line, sits in the second block
+    s = cached_structure(name)
+    points = sample_points(s, max(BLOCK_SIZES), seed=5)
+    points[1024] = 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_FLAG_BLOCK", len(points))  # one batch
+        flags = hormander_flag(s, points)
+    padded = [f.dims + (s.dim,) * (6 - len(f.dims)) for f in flags]
+    for i in (0, 1022, 1023, 1024, 1025, 2047, 2048):
+        assert flags[i] == hormander_flag(s, points[i])
+    for n in BLOCK_SIZES:
+        report = is_regular(s, points[:n])
+        assert report.dims.shape == (n, 6)
+        assert [tuple(row) for row in report.dims.tolist()] == padded[:n]
+        assert report.regular == (len(set(padded[:n])) == 1)
+        assert s.validate(points[:n])
+    assert is_regular(s, points[:1024]).regular
+    assert is_regular(s, points).regular == (name != "martinet")
+
+
+def _one_batch_validate(s, points, tol=1e-10):
+    """The frame check on the whole batch at once: the message naming the
+    first singular point, or None."""
+    F = s.frame_matrix(points)
+    norms = np.linalg.norm(F, axis=1)
+    scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
+    bad = np.abs(np.linalg.det(F)) <= tol * scale
+    if not np.any(bad):
+        return None
+    p = np.asarray(points)[bad][0]
+    return "frame matrix singular at point %s" % np.array2string(p, precision=6)
+
+
+def test_validate_names_the_first_singular_point_of_a_later_block():
+    # det F = sin(x1): singular on x1 = 0 only, first met in the second block
+    s = SubRiemannianStructure(
+        dim=2,
+        periods=(2 * np.pi, 2 * np.pi),
+        horizontal=(_vf("1", "0"), _vf("cos(x1)", "sin(x1)")),
+        complement=(),
+    )
+    points = np.random.default_rng(3).uniform(0.5, 2.5, size=(2049, 2))
+    points[[1500, 1800, 2048], 1] = 0.0
+    points[1500, 0] = 1.0 / 3.0
+    want = _one_batch_validate(s, points)
+    assert want == "frame matrix singular at point [0.333333 0.      ]"
+    for n in (1501, 2049):
+        with pytest.raises(StructureError) as info:
+            s.validate(points[:n])
+        assert str(info.value) == want
+    assert s.validate(points[:1500])
+    assert _one_batch_validate(s, points[:1500]) is None
+
+
 def test_hausdorff_dimension_formula():
     assert hausdorff_dimension((2, 3)) == 4
     assert hausdorff_dimension((3, 6)) == 9
@@ -253,6 +314,37 @@ def test_fatness_seeded_and_deterministic(heisenberg):
     a = is_fat(heisenberg, np.zeros(3), rng=np.random.default_rng(42))
     b = is_fat(heisenberg, np.zeros(3), rng=np.random.default_rng(42))
     assert a.fat == b.fat and a.tested == b.tested
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fatness_takes_a_seed_or_a_generator(name):
+    s = cached_structure(name)
+    for point in np.vstack([np.zeros(s.dim), sample_points(s, 3)]):
+        for seed in (0, 7, 42):
+            a = is_fat(s, point, rng=seed)
+            b = is_fat(s, point, rng=np.random.default_rng(seed))
+            assert (a.fat, a.tested) == (b.fat, b.tested)
+            if a.witness is None:
+                assert b.witness is None
+            else:
+                assert a.witness.tobytes() == b.witness.tobytes()
+
+
+def test_fatness_draws_only_past_the_basis_covectors(heisenberg, carnot):
+    # carnot-step2: e_0 is singular at the origin, so no random covector
+    # is drawn; heisenberg is fat, so all 32 are drawn and tested
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    res = is_fat(carnot, np.zeros(6), rng=rng)
+    assert rng.bit_generator.state == state
+    assert not res.fat and res.tested == 3 + 32
+    assert res.witness.tobytes() == np.eye(3)[0].tobytes()
+    res = is_fat(heisenberg, np.zeros(3), rng=rng)
+    assert res.fat and res.witness is None and res.tested == 1 + 32
+    drawn = np.random.default_rng(7)
+    drawn.normal(size=(32, 1))
+    assert rng.bit_generator.state == drawn.bit_generator.state
+    assert is_fat(heisenberg, np.zeros(3)) == res
 
 
 def _is_fat_loop(s, point, samples=32, rng=None, tol=1e-10):
