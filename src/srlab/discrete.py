@@ -71,6 +71,7 @@ class PeriodicityError(ValueError):
 # most float64 entries a weak assembly may hold at once (``_weak_size``)
 _PAIR_BUDGET = 16_000_000
 # rows per block of SparseOperator.matvec; bounds its rank index arrays
+# and its products to this many rows
 _MATVEC_ROWS = 1 << 14
 
 
@@ -295,20 +296,17 @@ class SparseOperator:
 
     def matvec(self, v):
         """L v for a vector v (N,), or for each column of a block v (N, c):
-        the rank index arrays are built once for the whole block, and
-        every column gets the sums a lone vector would."""
+        the rows are swept in blocks of ``_MATVEC_ROWS``, and every
+        column gets the sums a lone vector would."""
         v = np.asarray(v)
         N = self.shape[0]
-        out = np.zeros(
-            (N,) + v.shape[1:], dtype=np.result_type(self._values, v), order="F"
-        )
+        out = np.zeros((N,) + v.shape[1:], dtype=np.result_type(self._values, v))
         flat = self._values.ravel()
         for start in range(0, N, _MATVEC_ROWS):
             rows = slice(start, min(start + _MATVEC_ROWS, N))
             for at, cols in self._ranks(rows):
-                a = flat[at]
-                for j in np.ndindex(v.shape[1:]):
-                    out[(rows,) + j] += a * v[(cols,) + j]
+                a = flat[at].reshape((-1,) + (1,) * (v.ndim - 1))
+                out[rows] += a * v[cols]
         return out
 
     def _ranks(self, rows=slice(None)):

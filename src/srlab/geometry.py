@@ -387,7 +387,7 @@ class FatnessResult:
     tested: int
 
 
-def is_fat(s, point, samples=32, rng=42, tol=1e-10):
+def is_fat(s, point, samples=32, rng=None, tol=1e-10):
     """Strong-bracket test at ``point``.
 
     For every annihilator direction lambda (the q basis covectors, then
@@ -395,8 +395,9 @@ def is_fat(s, point, samples=32, rng=42, tol=1e-10):
     M(lambda)_ij = sum_b lambda_b C_ij^b must be invertible.  Returns the
     first singular lambda as a witness, and ``tested`` = q + samples, the
     size of the covector set.  ``rng`` is a seed or a Generator, as
-    ``numpy.random.default_rng`` takes it; it is used only when no basis
-    covector is singular, so a basis witness draws no random numbers.
+    ``numpy.random.default_rng`` takes it, and None means seed 42; it is
+    used only when no basis covector is singular, so a basis witness
+    draws no random numbers.
     """
     data = structure_constants(s, point)
     C = data.C_vertical
@@ -405,7 +406,7 @@ def is_fat(s, point, samples=32, rng=42, tol=1e-10):
         return FatnessResult(fat=True, witness=None, tested=0)
     witness = _first_singular(C, list(np.eye(q)), tol)
     if witness is None:
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(42 if rng is None else rng)
         lams = []
         while len(lams) < samples:
             v = rng.normal(size=q)

@@ -808,8 +808,10 @@ def test_block_matvec_gives_every_column_the_matrix_product(
     case, seed, width, rows, grid
 ):
     # a block (N, c) gets, column by column, the CSR product of that
-    # column bit for bit, however the rows are split into blocks; without
-    # a grid the operator reads its columns from the (N, K) tables
+    # column bit for bit, however the rows are split into blocks; so does
+    # the CSR product of the block, which the dense and Lanczos reports
+    # apply.  Without a grid the operator reads its columns from the
+    # (N, K) tables
     op = density_form(*case).operator
     if not grid:
         op = SparseOperator(op.stencil)
@@ -818,9 +820,12 @@ def test_block_matvec_gives_every_column_the_matrix_product(
     with mock.patch.object(discrete, "_MATVEC_ROWS", rows):
         LV = op.matvec(V)
         lone = op.matvec(V[:, 0])
-    assert LV.shape == (N, width)
+    block = op.matrix @ V
+    assert LV.shape == block.shape == (N, width)
     for j in range(width):
-        assert LV[:, j].tobytes() == (op.matrix @ V[:, j]).tobytes()
+        column = (op.matrix @ V[:, j]).tobytes()
+        assert LV[:, j].tobytes() == column
+        assert block[:, j].tobytes() == column
     assert lone.tobytes() == LV[:, 0].tobytes()
 
 

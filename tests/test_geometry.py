@@ -328,6 +328,12 @@ def test_fatness_takes_a_seed_or_a_generator(name):
                 assert b.witness is None
             else:
                 assert a.witness.tobytes() == b.witness.tobytes()
+        # None, passed on by a caller with no rng of its own, is seed 42
+        a, b = is_fat(s, point, rng=None), is_fat(s, point, rng=42)
+        assert (a.fat, a.tested) == (b.fat, b.tested)
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            assert a.witness.tobytes() == b.witness.tobytes()
 
 
 def test_fatness_draws_only_past_the_basis_covectors(heisenberg, carnot):
