@@ -31,11 +31,15 @@ image's row; with no such axis the slab is every node.  The form
 carries that decision, the axes, the slab and every row's slab image,
 as ``WeakForm.invariance``: it is made once, here, and the Fourier
 eigensolver reads it.  What only the certificates read is built on
-first access: the exact parts (``SparseOperator.exact``) and the
-quadrature factors and weights (``WeakForm.factors``, ``weights``).
-The assembly budget counts the arrays the assembler holds at once
-(``_weak_size``): per node its coefficient tables and vectors, per slab
-row its stencil tables.
+first access, on the slab too: the exact parts of the slab rows
+(``SparseOperator.exact``) and the quadrature factors and weights of
+the slab cells (``WeakForm.factors``, ``weights``).  Every table the
+certificates read is invariant along the axes, so symmetry, the image
+of constants and the Green residual are decided on the slab rows; only
+a pair's products, which vary per node, are swept over every row, a
+block at a time.  The assembly budget counts the arrays the assembler
+holds at once (``_weak_size``): per node its coefficient tables and
+vectors, per slab row its stencil tables.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) keeps its matrix in one stored form, the offset
@@ -258,8 +262,10 @@ class SparseOperator:
 
     @property
     def exact(self):
-        """{offset in {-1, 0, 1}^m: (cols (N,), parts (N, k))}, or None;
-        entry (i, cols[i]) is exactly the sum of the floats parts[i]."""
+        """{offset in {-1, 0, 1}^m: (cols (S,), parts (S, k))}, or None;
+        the entry of slab row r at cols[r], node r of the slab plus offset,
+        is exactly the sum of the floats parts[r].  Every other row's
+        parts are its slab image's (``pos``)."""
         if self._build_exact is not None:
             self._exact, self._build_exact = self._build_exact(), None
         return self._exact
@@ -410,8 +416,11 @@ class WeakForm:
     """Quadrature-factored weak Laplacian with exact assembled entries.
 
     ``factors`` (one ``FieldFactor`` per field) and ``weights`` (the (R,)
-    quadrature weights) are built together on first access to either: no
-    solve reads them, only the Green certificate and ``quadratic_form``.
+    quadrature weights) are the rows of the slab cells, the cells whose
+    origin node is in the slab, with global node numbers in ``lo`` and
+    ``hi``; every other cell is a slab cell shifted along the invariant
+    axes.  They are built together on first access to either: no solve
+    reads them, only the Green certificate and ``quadratic_form``.
     Either may be assigned.
     """
 
@@ -451,10 +460,20 @@ class WeakForm:
         self._quadrature = (self.factors, weights)
 
     def quadratic_form(self, f):
+        """sum_fields <B f, B f>_W over every cell: the slab cells' rows with
+        every endpoint shifted by each t along the invariant axes, the
+        nodes whose slab image is node 0."""
+        grid = self.grid
+        multi = grid.multi_indices()
         total = 0.0
-        for fac in self.factors:
-            g = fac.apply(f)
-            total += float(np.sum(self.weights * g * g))
+        for t in multi[_images(self.operator) == 0]:
+            for fac in self.factors:
+                lo, hi = (
+                    grid.ravel(multi[x.ravel()] + t).reshape(x.shape)
+                    for x in (fac.lo, fac.hi)
+                )
+                g = np.sum(fac.values * (f[hi] - f[lo]), axis=1)
+                total += float(np.sum(self.weights * g * g))
         return total
 
 
@@ -610,7 +629,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     come from the grid and the offsets (``SparseOperator``).  The form
     carries the axes, the slab and every row's slab image as
     ``invariance``.  The operator's exact parts and the form's quadrature
-    factors and weights are built on first access.  A grid whose arrays
+    factors and weights are built on first access, at the slab rows and
+    the slab cells.  A grid whose arrays
     (``_weak_size``) exceed the budget raises GridError before they are
     built.
     """
@@ -664,12 +684,8 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     _check_budget(_weak_size(m, len(fields), N, slab.size))
     # the tables are invariant along the axes, so at any node they equal
     # their value at the node's slab image: only the slab's are built
-    products = _product_tables(V, node_weight, slab)
-    multi = np.stack(np.unravel_index(slab, grid.shape), axis=1)
     offsets, values = [], []
-    for offset, parts in _weak_parts(
-        m, products, lambda shift: pos[grid.ravel(multi + shift)]
-    ):
+    for offset, _, parts in _slab_parts(grid, V, node_weight, slab, pos):
         if not np.all(np.isfinite(parts)):
             raise GridError("values out of the range of exact float products")
         offsets.append(offset)
@@ -678,11 +694,11 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     op = SparseOperator(
         (offsets, values, values != 0),
         symmetric=True,
-        exact=functools.partial(_weak_exact, grid, V, node_weight),
+        exact=functools.partial(_weak_exact, grid, V, node_weight, slab, pos),
         grid=grid,
         pos=pos,
     )
-    quadrature = functools.partial(_quadrature, grid, V, node_weight)
+    quadrature = functools.partial(_quadrature, grid, V, node_weight, slab)
     wf = WeakForm(grid=grid, operator=op, mass=mass, eps=eps, _quadrature=quadrature)
     wf.invariance = (axes, slab, pos)
     return wf
@@ -702,17 +718,19 @@ def _weak_size(m, fields, N, S):
     coefficients of each field, one table of four exact parts and four
     vectors (density, mass, node weights, slab images); per slab row, the
     value of every offset and the exact parts of one offset, four per
-    field and term."""
+    field and term.  The certificates' tables, built later per slab row,
+    are not counted."""
     stencil = _weak_stencil(m)
     terms = max(len(t) for t in stencil.values())
     return N * (fields * m + 8) + S * (len(stencil) + 4 * fields * terms)
 
 
-def _quadrature(grid, V, node_weight):
-    """(factors, weights) of the corner quadrature: one row per corner of
-    every cell, one ``FieldFactor`` per field's scaled node values V."""
+def _quadrature(grid, V, node_weight, slab):
+    """(factors, weights) of the corner quadrature of the slab cells, the
+    cells whose origin node is in ``slab``: one row per corner of each,
+    one ``FieldFactor`` per field's scaled node values V."""
     m = grid.dim
-    node = _node_index(grid)
+    node = _node_index(grid, slab)
     # rows: corner sigma of every cell; axis l runs forward from the corner
     # when sigma_l = 0 and backward into it when sigma_l = 1
     unit = np.eye(m, dtype=np.int64)
@@ -727,10 +745,10 @@ def _quadrature(grid, V, node_weight):
     return factors, node_weight[corner]
 
 
-def _node_index(grid):
-    """node(offset): the (N,) numbers of the nodes at every node plus
-    offset, each offset's array built once."""
-    multi = grid.multi_indices()
+def _node_index(grid, rows):
+    """node(offset): the numbers of the nodes at every node of ``rows``
+    plus offset, each offset's array built once."""
+    multi = np.stack(np.unravel_index(rows, grid.shape), axis=1)
     nodes = {}
 
     def node(offset):
@@ -787,28 +805,29 @@ def _invariant_node_axes(grid, tables):
     return axes
 
 
-def _weak_parts(m, products, node):
-    """Yield (offset, parts) over the weak stencil's offsets: with
-    node(shift) the rows of the product tables that hold every row's node
-    plus shift, row r of parts holds the exact parts of entry (row r,
-    row r + offset)."""
-    for offset, terms in _weak_stencil(m).items():
+def _slab_parts(grid, V, node_weight, slab, pos):
+    """Yield (offset, cols, parts) over the weak stencil's offsets: row r
+    of parts holds the exact parts of entry (slab[r], cols[r]), cols[r]
+    the node slab[r] + offset.  The product tables are built at the slab
+    nodes, and pos maps every node to its slab image's row in them."""
+    node = _node_index(grid, slab)
+    products = _product_tables(V, node_weight, slab)
+    for offset, terms in _weak_stencil(grid.dim).items():
         blocks = [
-            coef * P[node(shift)]
+            coef * P[pos[node(shift)]]
             for shift, l, l2, coef in terms
             for P in products.get((l, l2), ())
         ]
         if blocks:
-            yield offset, np.hstack(blocks)
+            yield offset, node(offset), np.hstack(blocks)
 
 
-def _weak_exact(grid, V, node_weight):
-    """The exact parts {offset: (cols, parts)} of every row of a weak form."""
-    node = _node_index(grid)
-    products = _product_tables(V, node_weight)
+def _weak_exact(grid, V, node_weight, slab, pos):
+    """The exact parts {offset: (cols, parts)} of the slab rows of a weak
+    form (``_slab_parts``)."""
     return {
-        offset: (node(offset), parts)
-        for offset, parts in _weak_parts(grid.dim, products, node)
+        offset: (cols, parts)
+        for offset, cols, parts in _slab_parts(grid, V, node_weight, slab, pos)
     }
 
 
@@ -816,16 +835,23 @@ def _weak_exact(grid, V, node_weight):
 # exact certificates
 
 
+def _images(op):
+    """Every row's slab row: the operator's ``pos``, or each row its own."""
+    return np.arange(op.shape[0]) if op._pos is None else op._pos
+
+
 def exact_symmetry_defect(op):
     """max |L_ij - L_ji| computed in exact arithmetic, as a float."""
     if op.exact is None:
         raise GridError("operator carries no exact entries")
+    pos = _images(op)
     worst = 0.0
     for offset, (cols, parts) in op.exact.items():
         mirror = op.exact.get(tuple(-d for d in offset))
         if mirror is not None:
-            # entry (cols[i], i) sits at the mirrored offset in row cols[i]
-            parts = np.hstack([parts, -mirror[1][cols]])
+            # entry (cols[r], row r) sits at the mirrored offset in row
+            # cols[r], whose parts are its slab image's
+            parts = np.hstack([parts, -mirror[1][pos[cols]]])
         worst = max(worst, *map(abs, _fsum_rows(parts)))
     return worst
 
@@ -846,22 +872,39 @@ def exact_green_defect(weak, e, f):
     D is exactly zero.  That is decided once per weak form, on the first
     call, and cached on it; a form whose D vanishes answers 0.0 for any
     pair.  Otherwise the pair's defect is summed exactly from D
-    (``_green_pair_defect``).  Either way the entry parts times f and e
-    are split exactly first, so a pair outside the range of exact float
-    products raises GridError instead of answering.
+    (``_green_pair_defect``).  Either way the entry parts of every row
+    times f and e are split exactly first, so a pair outside the range of
+    exact float products raises GridError instead of answering.
     """
     op = weak.operator
     if op.exact is None:
         raise GridError("operator carries no exact entries")
     e = np.asarray(e, dtype=float)
     f = np.asarray(f, dtype=float)
-    for cols, parts in op.exact.values():
-        _times(_times([parts], f[:, None]), e[cols][:, None])
+    for _ in _pair_parts(weak, e, f, ((o, p) for o, (_, p) in op.exact.items())):
+        pass
     if weak._green_exact is None:
         weak._green_exact = _green_residual_vanishes(weak)
     if weak._green_exact:
         return 0.0
     return _green_pair_defect(weak, e, f)
+
+
+def _pair_parts(weak, e, f, tables):
+    """Yield the exact parts of f_i e_j T_ij over every row i, one
+    (offset, T) of ``tables`` and a block of about 2^18 values at a time:
+    T holds the slab rows, row i reads row pos[i] of it, and j is node i
+    plus offset."""
+    grid = weak.grid
+    pos = _images(weak.operator)
+    multi = grid.multi_indices()
+    for offset, table in tables:
+        cols = grid.ravel(multi + offset)
+        step = max(1, (1 << 18) // max(1, table.shape[1]))
+        for i in range(0, grid.size, step):
+            rows = slice(i, i + step)
+            parts = _times([table[pos[rows]]], f[rows, None])
+            yield from _times(parts, e[cols[rows], None])
 
 
 def _green_residual_vanishes(weak):
@@ -874,35 +917,43 @@ def _green_residual_vanishes(weak):
 
 
 def _green_residual(weak):
-    """Yield (cols, table) for the Green residual D, one wrapped offset at a time.
+    """Yield (offset, table) for the Green residual D on the slab rows,
+    one wrapped offset at a time.
 
     D_ij is the exact value of L_ij, from its entry parts, minus
     w * c_a * c_b summed over the quadrature rows of the field factors
     and the row's pairs of edge endpoints (col_a, c_a), (col_b, c_b) with
     (col_a, col_b) = (i, j), where c = +v at hi and -v at lo.  It is built
     from the factor rows, not from the assembly stencil, so it checks the
-    stencil.  Row i of a table holds exact parts that sum to D[i, cols[i]];
-    grouping terms by offset means no array holds every term at once.
+    stencil.  The factor rows are the slab cells'; each term goes to the
+    slab row pos[col_a] at the offset col_b - col_a.  A slab row collects
+    its node's terms shifted along the invariant axes, where every table
+    they read is invariant, so row r of a table holds exact parts that sum
+    to D[slab[r], slab[r] + offset], and row i of D repeats row pos[i].
+    Grouping terms by offset means no array holds every term at once.
     """
     grid = weak.grid
-    N = grid.size
+    pos = _images(weak.operator)
+    S = len(weak.operator._values)
+    # each slab row's node: the first node with that slab image
+    slab = np.unique(pos, return_index=True)[1]
     multi = grid.multi_indices()
-    runs = {}  # offset code -> [(rows, parts, sign)], rows without repeats
+    runs = {}  # offset code -> [(nodes, parts, sign)], slab rows without repeats
 
-    def add(rows, cols, parts, sign):
+    def add(A, B, parts, sign):
         # a corner block of quadrature rows shares one offset: split the
-        # terms where it changes, then into pieces that repeat no row
-        codes = grid.ravel(multi[cols] - multi[rows])
+        # terms where it changes, then into pieces that repeat no slab row
+        codes = grid.ravel(multi[B] - multi[A])
         cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
         for a, b in zip(np.r_[0, cut], np.r_[cut, codes.size]):
-            for piece in _distinct_pieces(rows[a:b], N):
+            for piece in _distinct_pieces(pos[A[a:b]], S):
                 piece = slice(a, b) if piece is None else a + piece
                 runs.setdefault(int(codes[a]), []).append(
-                    (rows[piece], parts[piece], sign)
+                    (A[piece], parts[piece], sign)
                 )
 
     for cols, parts in weak.operator.exact.values():
-        add(np.arange(N), cols, parts, 1.0)
+        add(slab, cols, parts, 1.0)
     for fac in weak.factors:
         v = fac.values
         ends = ((-1.0, fac.lo), (1.0, fac.hi))
@@ -915,13 +966,13 @@ def _green_residual(weak):
 
     # one entry per row of a table whose columns hold each piece's parts
     for code, pieces in runs.items():
-        table = np.zeros((N, sum(p.shape[1] for _, p, _ in pieces)))
+        table = np.zeros((S, sum(p.shape[1] for _, p, _ in pieces)))
         at = 0
-        for rows, parts, sign in pieces:
+        for nodes, parts, sign in pieces:
+            rows = pos[nodes]
             table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
             at += parts.shape[1]
-        offset = np.array(np.unravel_index(code, grid.shape))
-        yield grid.ravel(multi + offset), table
+        yield np.array(np.unravel_index(code, grid.shape)), table
 
 
 def _distinct_pieces(rows, N):
@@ -943,15 +994,12 @@ def _distinct_pieces(rows, N):
 def _green_pair_defect(weak, e, f):
     """The Green defect of one pair, summed exactly from D.
 
-    |sum_i f_i e[cols_i] D[i, cols_i]| over the tables of
+    |sum_i f_i e[j] D[i, j]| over every row i and the tables of
     ``_green_residual``: every product is split exactly and one
     ``math.fsum`` rounds the whole sum.
     """
-    parts = (
-        p.ravel().tolist()
-        for cols, table in _green_residual(weak)
-        for p in _times(_times([table], f[:, None]), e[cols][:, None])
-    )
+    products = _pair_parts(weak, e, f, _green_residual(weak))
+    parts = (p.ravel().tolist() for p in products)
     return abs(math.fsum(itertools.chain.from_iterable(parts)))
 
 

@@ -41,7 +41,6 @@ it, on the first such solve, not with the module.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -154,7 +153,7 @@ def cluster_eigenvalues(values, rel=1e-6):
 @dataclass
 class SpectrumReport:
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # (N, count), generalized eigenvectors
+    vectors: np.ndarray  # (N, count), generalized eigenvectors; None in a sweep
     residuals: np.ndarray
     method: str
     iterations: object = None
@@ -521,19 +520,25 @@ def epsilon_sweep(
 
     Reports per-index gaps |lambda_i(eps) - lambda_i|, whether the gaps
     decrease monotonically (gaps up to GAP_FLOOR count as converged), and
-    the per-index decay order fitted on log(gap) against log(eps).
+    the per-index decay order fitted on log(gap) against log(eps).  Its
+    spectrum reports hold no eigenvectors (``vectors`` is None).
     """
     eps_values = [float(e) for e in eps_values]
     if any(a >= b for a, b in zip(eps_values, eps_values[1:])):
         raise SpectrumError("eps values must be strictly increasing")
     # each form goes straight into its solve, so no solved form is held
-    # while the next one is assembled
-    form = partial(assemble_weak_laplacian, structure, grid, density=density)
-    base = solve_weak_form(form(eps=None), count, tol, seed)
+    # while the next one is assembled, and no report keeps its vectors
+    def solve(eps):
+        wf = assemble_weak_laplacian(structure, grid, eps=eps, density=density)
+        rep = solve_weak_form(wf, count, tol, seed)
+        rep.vectors = None
+        return rep
+
+    base = solve(None)
     reports = []
     gaps = np.empty((len(eps_values), count))
     for row, eps in enumerate(eps_values):
-        rep = solve_weak_form(form(eps=eps), count, tol, seed)
+        rep = solve(eps)
         reports.append(rep)
         gaps[row] = np.abs(rep.eigenvalues - base.eigenvalues)
     later = gaps[1:]

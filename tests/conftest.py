@@ -1,12 +1,15 @@
+import itertools
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import srlab.discrete as discrete
 from srlab.cli import build_structure, load_config
-from srlab.discrete import Grid, assemble_weak_laplacian
+from srlab.discrete import FieldFactor, Grid, assemble_weak_laplacian
 
 FIXTURE_NAMES = [
     "heisenberg",
@@ -143,6 +146,114 @@ def _invariant_axes(op, diag, grid):
         ):
             axes.append(a)
     return axes
+
+
+# ---------------------------------------------------------------------------
+# the exact certificates over every row of the grid, an oracle for the
+# slab rows they are computed on
+
+
+def oracle_tables(wf):
+    """(exact, factors, weights) of a weak form over every row and cell:
+    the (N, k) exact parts {offset: (cols, parts)} of every node's row
+    and the corner quadrature rows of every cell.  Read before the form
+    builds its own, from the node values its builders were given."""
+    grid, V, node_weight = wf._quadrature.args[:3]
+    multi = grid.multi_indices()
+
+    def node(offset):
+        return grid.ravel(multi + offset)
+
+    products = discrete._product_tables(V, node_weight)
+    exact = {}
+    for offset, terms in discrete._weak_stencil(grid.dim).items():
+        blocks = [
+            coef * P[node(shift)]
+            for shift, l, l2, coef in terms
+            for P in products.get((l, l2), ())
+        ]
+        if blocks:
+            exact[offset] = (node(offset), np.hstack(blocks))
+    unit = np.eye(grid.dim, dtype=np.int64)
+    corner, lo, hi = [], [], []
+    for bits in range(1 << grid.dim):
+        sigma = np.array([(bits >> l) & 1 for l in range(grid.dim)])
+        corner.append(node(sigma))
+        lo.append(np.stack([node(d) for d in sigma - sigma[:, None] * unit], 1))
+        hi.append(np.stack([node(d) for d in sigma + (1 - sigma)[:, None] * unit], 1))
+    corner, lo, hi = (np.concatenate(x) for x in (corner, lo, hi))
+    factors = [FieldFactor(lo=lo, hi=hi, values=v[corner]) for v in V]
+    return exact, factors, node_weight[corner]
+
+
+def oracle_symmetry(exact):
+    """max |L_ij - L_ji| from (N, k) exact parts."""
+    worst = 0.0
+    for offset, (cols, parts) in exact.items():
+        mirror = exact.get(tuple(-d for d in offset))
+        if mirror is not None:
+            parts = np.hstack([parts, -mirror[1][cols]])
+        worst = max(worst, *map(abs, discrete._fsum_rows(parts)))
+    return worst
+
+
+def oracle_constant(exact):
+    """max_i |sum_j L_ij| from (N, k) exact parts."""
+    sums = discrete._fsum_rows(np.hstack([parts for _, parts in exact.values()]))
+    return max(map(abs, sums))
+
+
+def oracle_green_residual(grid, exact, factors, weights):
+    """Yield (cols, table) for the Green residual D over every row: row i
+    of a table holds exact parts that sum to D[i, cols[i]]."""
+    N = grid.size
+    multi = grid.multi_indices()
+    runs = {}
+
+    def add(rows, cols, parts, sign):
+        codes = grid.ravel(multi[cols] - multi[rows])
+        cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+        for a, b in zip(np.r_[0, cut], np.r_[cut, codes.size]):
+            for piece in discrete._distinct_pieces(rows[a:b], N):
+                piece = slice(a, b) if piece is None else a + piece
+                runs.setdefault(int(codes[a]), []).append(
+                    (rows[piece], parts[piece], sign)
+                )
+
+    for cols, parts in exact.values():
+        add(np.arange(N), cols, parts, 1.0)
+    for fac in factors:
+        v = fac.values
+        ends = ((-1.0, fac.lo), (1.0, fac.hi))
+        live = np.flatnonzero(np.any(v, axis=0))
+        for l, l2 in itertools.combinations_with_replacement(live, 2):
+            P = np.stack(
+                discrete._times(discrete._exact_product(v[:, l], v[:, l2]), weights), 1
+            )
+            for la, lb in {(l, l2), (l2, l)}:
+                for (sa, A), (sb, B) in itertools.product(ends, repeat=2):
+                    add(A[:, la], B[:, lb], P, -sa * sb)
+
+    for code, pieces in runs.items():
+        table = np.zeros((N, sum(p.shape[1] for _, p, _ in pieces)))
+        at = 0
+        for rows, parts, sign in pieces:
+            table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
+            at += parts.shape[1]
+        offset = np.array(np.unravel_index(code, grid.shape))
+        yield grid.ravel(multi + offset), table
+
+
+def oracle_green(grid, exact, factors, weights, e, f):
+    """(whether D vanishes, the pair's defect |sum_ij f_i e_j D_ij|)."""
+    tables = list(oracle_green_residual(grid, exact, factors, weights))
+    vanishes = not any(any(discrete._fsum_rows(t)) for _, t in tables)
+    parts = (
+        p.ravel().tolist()
+        for cols, t in tables
+        for p in discrete._times(discrete._times([t], f[:, None]), e[cols][:, None])
+    )
+    return vanishes, abs(math.fsum(itertools.chain.from_iterable(parts)))
 
 
 def sample_points(s, count=30, seed=11):

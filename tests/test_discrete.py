@@ -60,6 +60,10 @@ from conftest import (
     _invariant_axes,
     cached_structure,
     density_form,
+    oracle_constant,
+    oracle_green,
+    oracle_symmetry,
+    oracle_tables,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -382,12 +386,20 @@ def fraction_reference(wf):
     """The corner quadrature summed over the rationals, each entry rounded once.
 
     Entry (col_a, col_b) collects w * c_a * c_b over every factor row, where
-    (col, c) runs over the row's edge endpoints (hi, +v) and (lo, -v).
+    (col, c) runs over the row's edge endpoints (hi, +v) and (lo, -v).  The
+    factor rows are the slab cells', so every cell is reached by shifting
+    their endpoints by each t along the invariant axes: the nodes whose
+    slab image is node 0.
     """
+    grid = wf.grid
+    multi = grid.multi_indices()
     exact = {}
-    for fac in wf.factors:
+    for fac, t in itertools.product(wf.factors, multi[wf.operator._pos == 0]):
+        los, his = (
+            grid.ravel(multi[x.ravel()] + t).reshape(x.shape) for x in (fac.lo, fac.hi)
+        )
         for w, lo, hi, vals in zip(
-            wf.weights.tolist(), fac.lo.tolist(), fac.hi.tolist(), fac.values.tolist()
+            wf.weights.tolist(), los.tolist(), his.tolist(), fac.values.tolist()
         ):
             ends = []
             for a, b, v in zip(lo, hi, vals):
@@ -526,7 +538,8 @@ def test_green_verdict_reads_rows_in_any_order(contact, doubled):
 def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, data):
     # both the cached verdict and the full per-pair sum must see a one-ulp
     # change of one entry part and a doubled quadrature coefficient, and
-    # both must give exactly 0.0 on the form as assembled
+    # both must give exactly 0.0 on the form as assembled.  The tables
+    # changed are the slab rows', which every other row repeats
     wf = _grid_form(name, n, eps)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
@@ -549,6 +562,59 @@ def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, dat
     else:
         assert cached > 0.0 and full > 0.0
         assert wf._green_exact is False
+
+
+def _oracle_density(s, grid, kind):
+    """None, a random node density (no invariant axis), or 2 + cos along
+    axis 0 (invariant along the others where the frame is)."""
+    if kind == "random":
+        return np.random.default_rng(3).uniform(0.05, 20.0, grid.size)
+    if kind == "cos":
+        return 2.0 + np.cos(2.0 * np.pi * grid.points()[:, 0] / s.periods[0])
+    return None
+
+
+@pytest.mark.parametrize("name", GRID_NAMES)
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("eps", [None, 0.7, 25.0])
+@pytest.mark.parametrize("density", [None, "random", "cos"])
+def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
+    # the certificates read the slab rows; the oracle builds the exact
+    # parts of every row and the quadrature rows of every cell.  Every
+    # row's parts are its slab image's bit for bit, and the symmetry,
+    # constant and Green verdicts and a pair's Green defect agree, also
+    # once one slab part (and every row repeating it) is one ulp off
+    s = cached_structure(name)
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    wf = assemble_weak_laplacian(
+        s, grid, eps=eps, density=_oracle_density(s, grid, density)
+    )
+    exact, factors, weights = oracle_tables(wf)
+    op = wf.operator
+    pos = op._pos
+    assert sorted(exact) == sorted(op.exact)
+    for offset, (cols, parts) in exact.items():
+        assert np.array_equal(cols[wf.invariance[1]], op.exact[offset][0])
+        assert parts.tobytes() == op.exact[offset][1][pos].tobytes()
+    assert exact_symmetry_defect(op) == oracle_symmetry(exact) == 0.0
+    assert exact_constant_image(op) == oracle_constant(exact) == 0.0
+    rng = np.random.default_rng(n)
+    e, f = rng.standard_normal((2, grid.size))
+
+    def green():
+        pair = discrete._green_pair_defect(wf, e, f)
+        return discrete._green_residual_vanishes(wf), pair
+
+    assert green() == oracle_green(grid, exact, factors, weights, e, f) == (True, 0.0)
+
+    offset = sorted(exact)[rng.integers(len(exact))]
+    parts = op.exact[offset][1]
+    r, j = rng.choice(np.argwhere(parts != 0))
+    parts[r, j] = np.nextafter(parts[r, j], np.inf)
+    exact[offset][1][pos == r, j] = parts[r, j]
+    vanishes, defect = green()
+    assert (vanishes, defect) == oracle_green(grid, exact, factors, weights, e, f)
+    assert vanishes is False and defect > 0.0
 
 
 def test_weak_assembly_rejects_inexact_products(contact):
@@ -671,11 +737,15 @@ def test_matrix_market_rejects_foreign_header(tmp_path):
 def coo_reference(op, drop_zeros):
     """Reference CSR matrix of an offset assembler's entries, built through
     COO without the stencil: one column per offset of ``op.exact``, each
-    entry the fsum of its exact parts, zero values dropped if asked."""
+    entry the fsum of its exact parts, the slab row's for a row it
+    repeats, zero values dropped if asked."""
     N = op.shape[0]
+    multi = op._grid.multi_indices()
     rows, cols, data = [], [], []
-    for col, parts in op.exact.values():
+    for offset, (_, parts) in op.exact.items():
+        col = op._grid.ravel(multi + offset)
         vals = np.array([math.fsum(row) for row in parts.tolist()])
+        vals = vals[discrete._images(op)]
         keep = vals != 0.0 if drop_zeros else np.ones(N, dtype=bool)
         rows.append(np.flatnonzero(keep))
         cols.append(col[keep])
@@ -749,7 +819,8 @@ def test_fourier_solve_leaves_the_quadrature_unbuilt():
     # the first read builds factors and weights together, once
     factors = wf.factors
     assert wf.factors is factors
-    assert wf.weights.shape == (8 * wf.grid.size,)
+    # one row per corner of every slab cell
+    assert wf.weights.shape == (8 * wf.invariance[1].size,)
     assert not callable(wf._quadrature)
 
 

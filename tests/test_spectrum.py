@@ -603,6 +603,14 @@ def test_epsilon_sweep_row_schema(trivial):
     assert all(r["residual"] < 1e-8 for r in rows)
 
 
+def test_epsilon_sweep_keeps_no_eigenvectors(trivial):
+    # the rows read eigenvalues and residuals only
+    grid = Grid(shape=(8, 8), periods=trivial.periods)
+    sweep = epsilon_sweep(trivial, grid, [2, 4], 3)
+    assert [rep.vectors for rep in [sweep.horizontal, *sweep.penalized]] == [None] * 3
+    assert len(sweep.rows()) == 9
+
+
 def test_epsilon_sweep_holds_no_earlier_form_while_it_assembles(monkeypatch, trivial):
     import srlab.spectrum as spec
 
