@@ -79,8 +79,10 @@ class ConfigError(ValueError):
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# most points (lattice**dim + samples) one check takes; its memory grows linearly,
-# to 725 MB peak RSS for carnot-step2 --lattice 10 --samples 48576 (2^20 points)
+# most points (lattice**dim + samples) one check takes.  The sweep holds one
+# block at a time, so the limit bounds the run time and the arrays that do
+# grow with the points: the point set and its (n, max_depth) flag ranks
+# (carnot-step2 --lattice 10, 10^6 points, peaks at 136 MB)
 CHECK_POINT_LIMIT = 2**20
 
 

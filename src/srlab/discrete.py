@@ -27,10 +27,12 @@ mass along them, since every entry is one fixed function of those
 tables at shifted nodes.  It is stored on its slab, the nodes at index
 0 along those axes: the tables are built at the slab nodes only, its
 entries are rounded once there, and every other row repeats its slab
-image's row; with no such axis the slab is every node.  The form
-carries that decision, the axes, the slab and every row's slab image,
-as ``WeakForm.invariance``: it is made once, here, and the Fourier
-eigensolver reads it.  What only the certificates read is built on
+image's row; with no such axis the slab is every node.  The operator
+is the one record of the slab: it holds the slab nodes and every row's
+slab image (``SparseOperator.slab``, ``pos``).  The form carries only
+the decision, the invariant axes, as ``WeakForm.invariance``: it is
+made once, here, and the Fourier eigensolver reads it with the
+operator's slab.  What only the certificates read is built on
 first access, on the slab too: the exact parts of the slab rows
 (``SparseOperator.exact``) and the quadrature factors and weights of
 the slab cells (``WeakForm.factors``, ``weights``).  Every table the
@@ -45,12 +47,13 @@ Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) keeps its matrix in one stored form, the offset
 stencil on the grid: per slab row, the value of each stencil offset
 and whether the matrix stores it, with the columns given by the grid
-and the offsets.  Its shape, nonzero count and products come from those
-(S, K) tables; the (N, K) tables, the CSR matrix and with it
-``scipy.sparse`` are built only when a caller asks for
+and the offsets.  The field and strong operators have no invariant
+axis: their slab is every node.  Shape, nonzero count and products
+come from those (S, K) tables; the (N, K) tables, the CSR matrix and
+with it ``scipy.sparse`` are built only when a caller asks for
 ``SparseOperator.stencil`` or ``matrix``, as the dense and Lanczos
-eigensolvers and the Matrix Market writer do.  scipy is
-imported by the functions that need it, not with the module.
+eigensolvers and the Matrix Market writer do.  scipy is imported by
+the functions that need it, not with the module.
 """
 
 import functools
@@ -220,19 +223,19 @@ def check_periodicity(e, grid, tol=1e-8, points=None):
 
 
 class SparseOperator:
-    """Sparse operator stored as its offset stencil.
+    """Sparse grid operator stored as its offset stencil on a slab.
 
-    A grid operator (``grid`` given) is built from ``(offsets, values,
-    stored)``: its K offsets in {-1, 0, 1}^m, and (S, K) tables of the
-    entry values of its slab rows at those offsets and of which of them
-    the matrix stores (a weak form or a strong operator stores its nonzero
-    values, a field matrix every entry).  ``pos`` maps each of the N rows
-    to the slab row it repeats (None: the slab is every node), and the
-    column of row i at offset k is node i plus that offset on the periodic
-    grid, so no (N, K) table is held.  Without a grid it is built from
-    ``(cols, values, stored)``, (N, K) tables whose row i holds the
-    columns of its K entries in ascending order: each row is its own slab
-    row and the columns are given.
+    It is built from ``(offsets, values, stored)``: its K offsets in
+    {-1, 0, 1}^m, and (S, K) tables of the entry values of its S slab
+    rows at those offsets and of which of them the matrix stores (a weak
+    form or a strong operator stores its nonzero values, a field matrix
+    every entry).  ``slab`` (S,) holds the node of each slab row and
+    ``pos`` (N,) the slab row that each of the N rows repeats, so
+    ``pos[slab]`` is ``arange(S)``; without a slab both are
+    ``arange(N)``, each row its own slab row.  The column of row i at
+    offset k is node i plus that offset on the periodic grid, so no
+    (N, K) table is held.  The operator is the one record of its slab:
+    the Fourier eigensolver and the certificates read it here.
 
     ``shape``, ``nnz`` and ``matvec`` answer from these tables without
     scipy.  ``matvec`` adds one column rank at a time: the r-th entry of
@@ -244,13 +247,17 @@ class SparseOperator:
     of the stored entries, built from them on first access.
     """
 
-    def __init__(self, stencil, symmetric=False, exact=None, *, grid=None, pos=None):
-        self._columns, values, stored = stencil
-        if grid is not None:
-            self._columns = np.asarray(self._columns, dtype=np.int64)
+    def __init__(
+        self, stencil, grid, *, symmetric=False, exact=None, slab=None, pos=None
+    ):
+        offsets, values, stored = stencil
+        self._offsets = np.asarray(offsets, dtype=np.int64)
         self._values = np.ascontiguousarray(values)
         self._stored = np.ascontiguousarray(stored)
-        self._grid, self._pos = grid, pos
+        self._grid = grid
+        if slab is None:
+            slab = pos = np.arange(grid.size)
+        self.slab, self.pos = slab, pos
         self.symmetric = symmetric
         # ``exact`` is the dict ``self.exact`` or a function that builds it
         # on first access
@@ -263,9 +270,9 @@ class SparseOperator:
     @property
     def exact(self):
         """{offset in {-1, 0, 1}^m: (cols (S,), parts (S, k))}, or None;
-        the entry of slab row r at cols[r], node r of the slab plus offset,
-        is exactly the sum of the floats parts[r].  Every other row's
-        parts are its slab image's (``pos``)."""
+        the entry of slab row r at cols[r], node slab[r] plus offset, is
+        exactly the sum of the floats parts[r].  Every other row's parts
+        are its slab image's (``pos``)."""
         if self._build_exact is not None:
             self._exact, self._build_exact = self._build_exact(), None
         return self._exact
@@ -293,12 +300,11 @@ class SparseOperator:
 
     @property
     def shape(self):
-        return (len(self._values if self._pos is None else self._pos),) * 2
+        return (self.pos.size,) * 2
 
     @property
     def nnz(self):
-        per_row = np.count_nonzero(self._stored, axis=1)
-        return int(np.sum(per_row if self._pos is None else per_row[self._pos]))
+        return int(np.sum(np.count_nonzero(self._stored, axis=1)[self.pos]))
 
     def matvec(self, v):
         """L v for a vector v (N,), or for each column of a block v (N, c):
@@ -319,32 +325,21 @@ class SparseOperator:
         """Yield (at, cols) for r = 0, ..., K - 1: the index into the
         raveled (S, K) tables and the column of the r-th entry of every
         row in the slice ``rows``, in ascending column order."""
-        K = self._values.shape[1]
-        index = np.arange(self.shape[0])[rows]
-        base = K * (index if self._pos is None else self._pos[rows])
-        if self._grid is None:
-            for r in range(K):
-                yield base + r, self._columns[rows, r]
-            return
         if self._order is None:
-            self._order = _wrap_classes(self._grid, self._columns)
+            self._order = _wrap_classes(self._grid, self._offsets)
         cls, orders, shifts = self._order
         cls = cls[rows]
+        index = np.arange(self.shape[0])[rows]
+        base = self._values.shape[1] * self.pos[rows]
         for order, shift in zip(orders, shifts):
             yield base + order[cls], index + shift[cls]
 
-    def _row_tables(self, rows):
-        """(cols, values, stored) of the given rows: (len(rows), K) tables,
-        each row's entries in the order of the stored tables."""
-        at = rows if self._pos is None else self._pos[rows]
-        if self._grid is None:
-            cols = self._columns[rows]
-        else:
-            grid = self._grid
-            multi = np.stack(np.unravel_index(rows, grid.shape), axis=1)
-            ends = multi[:, None, :] + self._columns
-            cols = grid.ravel(ends.reshape(-1, grid.dim)).reshape(ends.shape[:2])
-        return cols, self._values[at], self._stored[at]
+    def _slab_tables(self):
+        """(cols, values, stored) of the slab rows: (S, K) tables, cols[r, k]
+        the node slab[r] plus offset k."""
+        node = _node_index(self._grid, self.slab)
+        cols = np.stack([node(offset) for offset in self._offsets], axis=1)
+        return cols, self._values, self._stored
 
 
 def _wrap_classes(grid, offsets):
@@ -407,9 +402,6 @@ class FieldFactor:
     hi: np.ndarray  # (R, m)
     values: np.ndarray  # (R, m) coefficient / h, including any 1/eps
 
-    def apply(self, f):
-        return np.sum(self.values * (f[self.hi] - f[self.lo]), axis=1)
-
 
 @dataclass
 class WeakForm:
@@ -420,8 +412,9 @@ class WeakForm:
     origin node is in the slab, with global node numbers in ``lo`` and
     ``hi``; every other cell is a slab cell shifted along the invariant
     axes.  They are built together on first access to either: no solve
-    reads them, only the Green certificate and ``quadratic_form``.
-    Either may be assigned.
+    reads them, only the Green certificate and ``quadratic_form``.  The
+    slab and every row's slab image are the operator's
+    (``SparseOperator.slab``, ``pos``).
     """
 
     grid: Grid
@@ -432,10 +425,10 @@ class WeakForm:
     _quadrature: object = field(default=None, repr=False)
     # whether the Green residual is exactly zero, decided on first use
     _green_exact: object = field(default=None, init=False, repr=False)
-    # (axes, slab, pos) from the assembler: the grid axes along which the
-    # form is exactly invariant, the nodes at index 0 along them, and the
-    # row of every node's slab image in ``slab``.  Not an init field, so
-    # a form built by hand or by ``dataclasses.replace`` carries none.
+    # the grid axes along which the assembler found the form exactly
+    # invariant, its slab the nodes at index 0 along them.  Not an init
+    # field, so a form built by hand or by ``dataclasses.replace``
+    # carries none.
     invariance: object = field(default=None, init=False, repr=False)
 
     def _rows(self):
@@ -447,17 +440,9 @@ class WeakForm:
     def factors(self):
         return self._rows()[0]
 
-    @factors.setter
-    def factors(self, factors):
-        self._quadrature = (factors, self.weights)
-
     @property
     def weights(self):
         return self._rows()[1]
-
-    @weights.setter
-    def weights(self, weights):
-        self._quadrature = (self.factors, weights)
 
     def quadratic_form(self, f):
         """sum_fields <B f, B f>_W over every cell: the slab cells' rows with
@@ -466,7 +451,7 @@ class WeakForm:
         grid = self.grid
         multi = grid.multi_indices()
         total = 0.0
-        for t in multi[_images(self.operator) == 0]:
+        for t in multi[self.operator.pos == 0]:
             for fac in self.factors:
                 lo, hi = (
                     grid.ravel(multi[x.ravel()] + t).reshape(x.shape)
@@ -514,7 +499,7 @@ def assemble_field(X, grid):
         )
     values = np.hstack([parts for _, parts in exact.values()])
     stencil = (list(exact), values, np.ones(values.shape, dtype=bool))
-    return SparseOperator(stencil, exact=exact, grid=grid)
+    return SparseOperator(stencil, grid, exact=exact)
 
 
 def assemble_strong(spec, grid):
@@ -560,7 +545,7 @@ def assemble_strong(spec, grid):
             acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
             acc += vals * w
     values = np.stack(list(sums.values()), axis=1)
-    return SparseOperator((list(sums), values, values != 0), grid=grid)
+    return SparseOperator((list(sums), values, values != 0), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +611,12 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     where the node tables are invariant (``_invariant_node_axes``).  Only
     the slab rows are built and rounded by ``math.fsum``, into (S, K)
     tables; every other row repeats its slab image's row, and its columns
-    come from the grid and the offsets (``SparseOperator``).  The form
-    carries the axes, the slab and every row's slab image as
+    come from the grid and the offsets (``SparseOperator``), which holds
+    the slab and every row's slab image.  The form carries the axes as
     ``invariance``.  The operator's exact parts and the form's quadrature
     factors and weights are built on first access, at the slab rows and
-    the slab cells.  A grid whose arrays
-    (``_weak_size``) exceed the budget raises GridError before they are
-    built.
+    the slab cells.  A grid whose arrays (``_weak_size``) exceed the
+    budget raises GridError before they are built.
     """
     m = grid.dim
     if structure.dim != m:
@@ -693,14 +677,15 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     values = np.array(values).T
     op = SparseOperator(
         (offsets, values, values != 0),
+        grid,
         symmetric=True,
         exact=functools.partial(_weak_exact, grid, V, node_weight, slab, pos),
-        grid=grid,
+        slab=slab,
         pos=pos,
     )
     quadrature = functools.partial(_quadrature, grid, V, node_weight, slab)
     wf = WeakForm(grid=grid, operator=op, mass=mass, eps=eps, _quadrature=quadrature)
-    wf.invariance = (axes, slab, pos)
+    wf.invariance = axes
     return wf
 
 
@@ -835,23 +820,17 @@ def _weak_exact(grid, V, node_weight, slab, pos):
 # exact certificates
 
 
-def _images(op):
-    """Every row's slab row: the operator's ``pos``, or each row its own."""
-    return np.arange(op.shape[0]) if op._pos is None else op._pos
-
-
 def exact_symmetry_defect(op):
     """max |L_ij - L_ji| computed in exact arithmetic, as a float."""
     if op.exact is None:
         raise GridError("operator carries no exact entries")
-    pos = _images(op)
     worst = 0.0
     for offset, (cols, parts) in op.exact.items():
         mirror = op.exact.get(tuple(-d for d in offset))
         if mirror is not None:
             # entry (cols[r], row r) sits at the mirrored offset in row
             # cols[r], whose parts are its slab image's
-            parts = np.hstack([parts, -mirror[1][pos[cols]]])
+            parts = np.hstack([parts, -mirror[1][op.pos[cols]]])
         worst = max(worst, *map(abs, _fsum_rows(parts)))
     return worst
 
@@ -896,7 +875,7 @@ def _pair_parts(weak, e, f, tables):
     T holds the slab rows, row i reads row pos[i] of it, and j is node i
     plus offset."""
     grid = weak.grid
-    pos = _images(weak.operator)
+    pos = weak.operator.pos
     multi = grid.multi_indices()
     for offset, table in tables:
         cols = grid.ravel(multi + offset)
@@ -933,10 +912,8 @@ def _green_residual(weak):
     Grouping terms by offset means no array holds every term at once.
     """
     grid = weak.grid
-    pos = _images(weak.operator)
-    S = len(weak.operator._values)
-    # each slab row's node: the first node with that slab image
-    slab = np.unique(pos, return_index=True)[1]
+    slab, pos = weak.operator.slab, weak.operator.pos
+    S = slab.size
     multi = grid.multi_indices()
     runs = {}  # offset code -> [(nodes, parts, sign)], slab rows without repeats
 

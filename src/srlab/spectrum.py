@@ -26,11 +26,12 @@ Each report's ``method`` names the path that produced it: "fourier",
 "dense" or "lanczos"; the CLI's JSON ``"solver"`` lists the methods of
 its solves.  Reported residuals are always the generalized
 ones, || L v - lambda M v || / || M v ||, computed from the original
-operator and mass.  The Fourier path takes the invariant axes, the slab
-and every row's slab image from the form (``WeakForm.invariance``), which
-only the assembler sets, from its node tables; a form built by hand or
-by ``dataclasses.replace`` carries none and goes by size.  It reads the
-slab rows of the operator's stored (S, K) tables for its blocks and
+operator and mass.  The Fourier path takes the invariant axes from the
+form (``WeakForm.invariance``), which only the assembler sets, from its
+node tables; a form built by hand or by ``dataclasses.replace`` carries
+none and goes by size.  The slab and every row's slab image are the
+operator's (``SparseOperator.slab``, ``pos``).  It reads the slab rows
+of the operator's stored (S, K) tables for its blocks and
 applies ``SparseOperator.matvec`` for its residuals, and uses numpy's
 LAPACK only, so it builds neither the (N, K) stencil tables, the CSR
 matrix, the exact entry parts nor the quadrature factors, and loads no
@@ -48,9 +49,10 @@ from .discrete import DiagonalMass, GridError, SparseOperator, assemble_weak_lap
 
 
 DENSE_LIMIT = 4096
-# most rows per Fourier block: the largest block timed against the
-# Lanczos path, then a hand-written block Lanczos (a 48^3 grid invariant
-# along one axis, where Fourier still won)
+# most rows per Fourier block: the largest block once timed against a
+# hand-written block Lanczos since replaced by ARPACK (a 48^3 grid
+# invariant along one axis, where Fourier won); the crossover against
+# ARPACK is unmeasured (ROADMAP item 2 re-measures it)
 FOURIER_BLOCK_LIMIT = 2304
 SIGMA = 0.1  # Lanczos shift: A~ + SIGMA I is positive definite
 GAP_FLOOR = 1e-12  # sweep gaps at or below this count as converged
@@ -393,7 +395,7 @@ def fourier_smallest(wf, count):
     count = int(count)
     if not 1 <= count <= N:
         raise SpectrumError("count must be between 1 and N")
-    inv, slab, pos = wf.invariance or ([], None, None)
+    inv, slab, pos = wf.invariance, op.slab, op.pos
     if not inv or slab.size > FOURIER_BLOCK_LIMIT:
         return None
     S = slab.size
@@ -401,7 +403,7 @@ def fourier_smallest(wf, count):
     index = np.indices(wf.grid.shape, sparse=True)
     at = np.stack([np.broadcast_to(index[a], wf.grid.shape).ravel() for a in inv], 1)
     s = 1.0 / np.sqrt(diag)
-    cols, values, stored = op._row_tables(slab)
+    cols, values, stored = op._slab_tables()
     r, c = np.broadcast_to(slab[:, None], stored.shape)[stored], cols[stored]
     val = values[stored] * (s[r] * s[c])  # as in scaled_standard_form
     # entry (r, c) adds val * phase(k, at[c]) to block entry (pos[r], pos[c])

@@ -7,6 +7,7 @@ sin(2 pi x) act diagonally with factor (2 cos(2 pi h) - 2)/h^2.  Both
 are derived by direct computation and frozen below.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -51,7 +52,7 @@ from srlab.operators import (
     sublaplacian,
     weighted_laplacian,
 )
-from srlab.spectrum import solve_weak_form
+from srlab.spectrum import fourier_smallest, solve_weak_form
 
 from conftest import (
     DENSITY_CONFIGS,
@@ -394,7 +395,7 @@ def fraction_reference(wf):
     grid = wf.grid
     multi = grid.multi_indices()
     exact = {}
-    for fac, t in itertools.product(wf.factors, multi[wf.operator._pos == 0]):
+    for fac, t in itertools.product(wf.factors, multi[wf.operator.pos == 0]):
         los, his = (
             grid.ravel(multi[x.ravel()] + t).reshape(x.shape) for x in (fac.lo, fac.hi)
         )
@@ -514,11 +515,11 @@ def test_green_verdict_reads_rows_in_any_order(contact, doubled):
     g, wf = contact_weak(contact, n=4, eps=2)
     rng = np.random.default_rng(4)
     order = np.repeat(rng.permutation(wf.weights.size), 2)
-    wf.weights = wf.weights[order] / 2
-    wf.factors = [
+    factors = [
         FieldFactor(lo=fac.lo[order], hi=fac.hi[order], values=fac.values[order])
         for fac in wf.factors
     ]
+    wf = dataclasses.replace(wf, _quadrature=(factors, wf.weights[order] / 2))
     if doubled:
         wf.factors[1].values[7, 2] *= 2.0
     e = rng.standard_normal(g.size)
@@ -591,10 +592,10 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
     )
     exact, factors, weights = oracle_tables(wf)
     op = wf.operator
-    pos = op._pos
+    pos = op.pos
     assert sorted(exact) == sorted(op.exact)
     for offset, (cols, parts) in exact.items():
-        assert np.array_equal(cols[wf.invariance[1]], op.exact[offset][0])
+        assert np.array_equal(cols[op.slab], op.exact[offset][0])
         assert parts.tobytes() == op.exact[offset][1][pos].tobytes()
     assert exact_symmetry_defect(op) == oracle_symmetry(exact) == 0.0
     assert exact_constant_image(op) == oracle_constant(exact) == 0.0
@@ -745,7 +746,7 @@ def coo_reference(op, drop_zeros):
     for offset, (_, parts) in op.exact.items():
         col = op._grid.ravel(multi + offset)
         vals = np.array([math.fsum(row) for row in parts.tolist()])
-        vals = vals[discrete._images(op)]
+        vals = vals[op.pos]
         keep = vals != 0.0 if drop_zeros else np.ones(N, dtype=bool)
         rows.append(np.flatnonzero(keep))
         cols.append(col[keep])
@@ -787,7 +788,7 @@ def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
 )
 def test_node_criterion_finds_the_invariant_axes_of_the_form(name, density, n, eps):
     wf = density_form(name, density, n, eps)
-    axes, slab, pos = wf.invariance
+    axes, slab, pos = wf.invariance, wf.operator.slab, wf.operator.pos
     assert axes == _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid)
     # slab[pos[i]] is node i moved to index 0 along the axes
     image = wf.grid.multi_indices()
@@ -796,16 +797,50 @@ def test_node_criterion_finds_the_invariant_axes_of_the_form(name, density, n, e
     assert slab.size == wf.grid.size // math.prod(wf.grid.shape[a] for a in axes)
 
 
+@pytest.mark.parametrize("name", GRID_NAMES)
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("eps", [None, 2.0])
+@pytest.mark.parametrize("density", [None, "cos", "random"])
+def test_the_operator_is_the_one_record_of_its_slab(name, n, eps, density):
+    # the slab is the nodes at index 0 along the form's axes, in order,
+    # and every row maps to the slab row of its image there; a form
+    # without the decision keeps the operator and its slab
+    s = cached_structure(name)
+    grid = Grid(shape=(n,) * s.dim, periods=s.periods)
+    wf = assemble_weak_laplacian(
+        s, grid, eps=eps, density=_oracle_density(s, grid, density)
+    )
+    op, axes = wf.operator, wf.invariance
+    multi = grid.multi_indices()
+    assert np.array_equal(op.pos[op.slab], np.arange(op.slab.size))
+    assert np.array_equal(op.slab, np.flatnonzero(~np.any(multi[:, axes], axis=1)))
+    by_axes = op.pos.reshape(grid.shape)
+    for a in axes:
+        assert np.all(by_axes == np.take(by_axes, [0], axis=a))
+    if density == "random":
+        assert axes == []
+    copy = dataclasses.replace(wf)
+    assert copy.operator is op and copy.invariance is None
+    assert fourier_smallest(copy, 4) is None
+    whole = np.arange(grid.size)
+    for other in (
+        assemble_field(s.horizontal[0], grid),
+        assemble_strong(strong_spec(name, None, "sublaplacian"), grid),
+    ):
+        assert np.array_equal(other.slab, whole)
+        assert np.array_equal(other.pos, whole)
+
+
 def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
     # a slab that covered the changed node's row would copy a value that
     # the fsum of its exact parts does not give
     g = Grid(shape=(6, 6, 6), periods=contact.periods)
     density = np.ones(g.size)
     wf = assemble_weak_laplacian(contact, g, density=density)
-    assert wf.invariance[0] == [0, 1]
+    assert wf.invariance == [0, 1]
     density[37] = np.nextafter(1.0, np.inf)
     wf = assemble_weak_laplacian(contact, g, density=density)
-    axes, slab, pos = wf.invariance
+    axes, slab, pos = wf.invariance, wf.operator.slab, wf.operator.pos
     assert axes == []
     assert np.array_equal(slab, np.arange(g.size))
     assert np.array_equal(pos, np.arange(g.size))
@@ -820,7 +855,7 @@ def test_fourier_solve_leaves_the_quadrature_unbuilt():
     factors = wf.factors
     assert wf.factors is factors
     # one row per corner of every slab cell
-    assert wf.weights.shape == (8 * wf.invariance[1].size,)
+    assert wf.weights.shape == (8 * wf.operator.slab.size,)
     assert not callable(wf._quadrature)
 
 
@@ -831,7 +866,7 @@ def test_invariant_form_holds_its_stencil_on_the_slab():
         wf = density_form("contact3torus", density, n, eps=2.0)
         op = wf.operator
         N, (S, K) = wf.grid.size, op._values.shape
-        assert S == wf.invariance[1].size < N
+        assert S == op.slab.size < N
         for _ in range(2):
             held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
             held += [a for a in op._order or () if isinstance(a, np.ndarray)]
@@ -873,19 +908,19 @@ def test_slab_matvec_and_stencil_match_the_matrix(case, seed):
     seed=st.integers(0, 2**32 - 1),
     width=st.integers(1, 7),
     rows=st.sampled_from([1, 7, 64, discrete._MATVEC_ROWS]),
-    grid=st.booleans(),
+    slab=st.booleans(),
 )
 def test_block_matvec_gives_every_column_the_matrix_product(
-    case, seed, width, rows, grid
+    case, seed, width, rows, slab
 ):
     # a block (N, c) gets, column by column, the CSR product of that
     # column bit for bit, however the rows are split into blocks; so does
     # the CSR product of the block, which the dense and Lanczos reports
-    # apply.  Without a grid the operator reads its columns from the
-    # (N, K) tables
+    # apply.  Without the slab every row is its own slab row
     op = density_form(*case).operator
-    if not grid:
-        op = SparseOperator(op.stencil)
+    if not slab:
+        tables = (op._offsets, op._values[op.pos], op._stored[op.pos])
+        op = SparseOperator(tables, op._grid)
     N = op.shape[0]
     V = np.random.default_rng(seed).standard_normal((N, width))
     with mock.patch.object(discrete, "_MATVEC_ROWS", rows):
