@@ -70,7 +70,7 @@ from .operators import (
     sublaplacian,
     weighted_laplacian,
 )
-from .spectrum import SpectrumError, epsilon_sweep, kernel_check, solve_weak_form
+from .spectrum import SpectrumError, epsilon_sweep, kernel_check
 
 
 class ConfigError(ValueError):
@@ -81,7 +81,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 # most points (lattice**dim + samples) one check takes.  The sweep holds one
 # block at a time, so the limit bounds the run time and the arrays that do
-# grow with the points: the point set and its (n, max_depth) flag ranks
+# grow with the points: the point set and its (n, 6) flag ranks
 # (carnot-step2 --lattice 10, 10^6 points, peaks at 136 MB)
 CHECK_POINT_LIMIT = 2**20
 
@@ -297,7 +297,7 @@ def cmd_canonicalize(args):
 
 def _parse_eps_list(text):
     if text is None:
-        return None
+        return []
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -358,24 +358,20 @@ def cmd_spectrum(args):
         "seed": args.seed,
     }
 
-    if eps_values is None:
-        wf = assemble_weak_laplacian(adapted, grid, eps=None, density=density)
-        rep = solve_weak_form(wf, args.count, args.tol, args.seed)
-        reports = [rep]
-        rows = rep.rows("inf")
-        summary = None
-    else:
-        sweep = epsilon_sweep(
-            adapted,
-            grid,
-            eps_values,
-            count=args.count,
-            tol=args.tol,
-            seed=args.seed,
-            density=density,
-        )
-        reports = [sweep.horizontal] + sweep.penalized
-        rows = sweep.rows()
+    # without --eps the sweep is empty: the horizontal solve alone
+    sweep = epsilon_sweep(
+        adapted,
+        grid,
+        eps_values,
+        count=args.count,
+        tol=args.tol,
+        seed=args.seed,
+        density=density,
+    )
+    reports = [sweep.horizontal] + sweep.penalized
+    rows = sweep.rows()
+    summary = None
+    if eps_values:
         summary = {
             "monotone": bool(sweep.monotone),
             "orders": [
@@ -728,10 +724,7 @@ def main(argv=None):
     try:
         _require(args.seed >= 0, "--seed must not be negative")
         return args.func(args)
-    except ConfigError as err:
-        sys.stderr.write("error: %s\n" % err)
-        return USAGE_ERROR
-    except (StructureError, ExprError, GridError, PeriodicityError) as err:
+    except (ConfigError, StructureError, ExprError, GridError, PeriodicityError) as err:
         sys.stderr.write("error: %s\n" % err)
         return USAGE_ERROR
     except (ComplementError, FrameError, SpectrumError) as err:

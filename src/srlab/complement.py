@@ -75,12 +75,14 @@ class PointSolve:
     warnings: list
 
 
-def solve_canonical_complement(s, point, rank_tol=1e-10, residual_tol=1e-8):
+def solve_canonical_complement(s, point):
     """Solve the flatness system at one point (m,) or a batch (n, m).
 
-    Singular C^b falls back to the minimum-norm least-squares solution;
-    if even that leaves a residual beyond tolerance the system is
-    infeasible and a ComplementError is raised for the first such point.
+    C^b counts as singular when its rank, with singular values above
+    1e-10 times the largest, is below k; it then falls back to the
+    minimum-norm least-squares solution.  If even that leaves a residual
+    above 1e-8 * max(1, |Fbar|) the system is infeasible and a
+    ComplementError is raised for the first such point.
     """
     point = np.asarray(point, dtype=float)
     k = s.k
@@ -91,7 +93,7 @@ def solve_canonical_complement(s, point, rank_tol=1e-10, residual_tol=1e-8):
     U, sv, Vt = np.linalg.svd(C)
     smax = sv[..., :1]
     # singular values below 1e-300 count as zero, so 1/sv stays finite
-    rank = np.sum(sv > np.maximum(rank_tol * smax, 1e-300), axis=-1)
+    rank = np.sum(sv > np.maximum(1e-10 * smax, 1e-300), axis=-1)
     unique = rank == k
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.where(unique, smax[..., 0] / sv[..., -1], np.inf)
@@ -100,7 +102,7 @@ def solve_canonical_complement(s, point, rank_tol=1e-10, residual_tol=1e-8):
     Urhs = (U.swapaxes(-1, -2) @ rhs[..., None])[..., 0]
     A = (Vt.swapaxes(-1, -2) @ (inv * Urhs)[..., None])[..., 0]
     residuals = _norms((C @ A[..., None])[..., 0] - rhs)
-    bad = residuals > residual_tol * np.maximum(1.0, _norms(Fbar))
+    bad = residuals > 1e-8 * np.maximum(1.0, _norms(Fbar))
     if np.any(bad):
         where = tuple(np.argwhere(bad)[0])
         raise ComplementError(
@@ -177,24 +179,21 @@ class AdaptedComplement:
         )
 
 
-def canonical_complement(s, points=None, promote_tol=1e-11):
-    """Solve at sample points and promote constant solutions to symbolic.
+def canonical_complement(s):
+    """Solve at ``_default_samples`` and promote constant solutions to symbolic.
 
-    The promotion threshold compares the spread of A entries across the
-    samples; a constant solve yields exact Const coefficients so the
-    adapted fields are honest vector fields.
+    The solve is constant when the spread of A across the samples is at
+    most 1e-11 * max(1, |A at the first sample|); it then yields exact
+    Const coefficients so the adapted fields are honest vector fields.
     """
-    if points is None:
-        points = _default_samples(s)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    solve = solve_canonical_complement(s, points)
+    solve = solve_canonical_complement(s, _default_samples(s))
     A0 = solve.A[0]
     spread = float(np.max(np.abs(solve.A - A0), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(A0), initial=0.0)))
     warnings = sorted(set(solve.warnings))
     conds = np.max(solve.condition_numbers, axis=0)
     solvability = solve.modes[0]
-    if spread <= promote_tol * scale:
+    if spread <= 1e-11 * scale:
         A_exprs = tuple(
             tuple(ex.Const(_clean(v)) for v in row) for row in A0
         )
@@ -232,11 +231,11 @@ def _clean(v):
     return v
 
 
-def _default_samples(s, count=125):
+def _default_samples(s):
     """5^m lattice for small m, a seeded 125-point sample otherwise."""
     if 5 ** s.dim <= 5 ** 3:
         return s.sample_lattice(5)
-    return s.sample_points(count, rng=np.random.default_rng(7))
+    return s.sample_points(125, rng=np.random.default_rng(7))
 
 
 def verify_flat_complement(s, ac, points=None):

@@ -194,12 +194,14 @@ def evaluate_on_grid(e, grid, points=None):
     return check_periodicity(e, grid, points=points)
 
 
-def check_periodicity(e, grid, tol=1e-8, points=None):
+def check_periodicity(e, grid, points=None):
     """Compare values at x and x + L_j e_j on the whole node set.
 
-    Returns the node values of ``e``, or None when ``e`` is not an
-    expression.  ``points`` is ``grid.points()``, passed in by a caller
-    that screens several coefficients so the nodes are built once.
+    A defect above 1e-8 * max(1, |values|) along any axis raises
+    PeriodicityError.  Returns the node values of ``e``, or None when
+    ``e`` is not an expression.  ``points`` is ``grid.points()``, passed
+    in by a caller that screens several coefficients so the nodes are
+    built once.
     """
     if not isinstance(e, Expr):
         return None
@@ -211,7 +213,7 @@ def check_periodicity(e, grid, tol=1e-8, points=None):
         shifted[:, j] += grid.periods[j]
         other = ex.evaluate(e, shifted)
         worst = float(np.max(np.abs(other - base)))
-        if worst > tol * scale:
+        if worst > 1e-8 * scale:
             raise PeriodicityError(
                 "coefficient %s is not periodic along axis %d "
                 "(defect %.3e over period %g)" % (ex.render(e), j, worst, grid.periods[j])

@@ -332,21 +332,17 @@ def variables(expr):
     return out
 
 
-def equivalent(e1, e2, dim, rng=None, samples=30, tol=1e-9, box=None):
-    """Decide equality by evaluation at random sample points.
+def equivalent(e1, e2, dim):
+    """Decide equality by evaluation at 30 random points of (-1, 1)^dim.
 
-    ``box`` is a sequence of per-axis (lo, hi) ranges; default (-1, 1)^dim.
-    Uses a relative tolerance against max(1, |values|).
+    The points are drawn with seed 0; the test is |a - b| <= 1e-9 *
+    max(1, |a|, |b|) at every point.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lo = np.array([b[0] for b in box]) if box else -np.ones(dim)
-    hi = np.array([b[1] for b in box]) if box else np.ones(dim)
-    pts = rng.uniform(lo, hi, size=(samples, dim))
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(30, dim))
     a = evaluate(e1, pts)
     b = evaluate(e2, pts)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return bool(np.all(np.abs(a - b) <= tol * scale))
+    return bool(np.all(np.abs(a - b) <= 1e-9 * scale))
 
 
 # ---------------------------------------------------------------------------

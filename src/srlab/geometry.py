@@ -27,6 +27,8 @@ from .expr import Expr, differentiate, evaluate, render, simplify
 # stacked frame and bracket rows
 _FLAG_BLOCK = 1024
 
+_MAX_DEPTH = 6  # deepest bracket order of hormander_flag and is_regular
+
 
 class StructureError(ValueError):
     """A frame fails its structural preconditions."""
@@ -124,8 +126,8 @@ class SubRiemannianStructure:
     horizontal: tuple
     complement: tuple
     name: str = ""
-    _bracket_cache: dict = field(default_factory=dict, repr=False)
-    _flag_layers: list = field(default_factory=list, repr=False)
+    _bracket_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _flag_layers: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.periods = tuple(float(L) for L in self.periods)
@@ -173,12 +175,13 @@ class SubRiemannianStructure:
             rng = np.random.default_rng(0)
         return rng.uniform(0.0, self.periods, size=(count, self.dim))
 
-    def validate(self, points=None, tol=1e-10):
+    def validate(self, points=None):
         """Check the frame condition: invertible frame matrix at samples.
 
-        The frame is evaluated a block of ``_FLAG_BLOCK`` points at a time;
-        the first block holding a singular point raises StructureError
-        naming its earliest singular point.
+        A point is singular where |det F| <= 1e-10 * prod(column norms of
+        F).  The frame is evaluated a block of ``_FLAG_BLOCK`` points at a
+        time; the first block holding a singular point raises
+        StructureError naming its earliest singular point.
         """
         if points is None:
             points = self.sample_lattice()
@@ -189,7 +192,7 @@ class SubRiemannianStructure:
             dets = np.linalg.det(F)
             norms = np.linalg.norm(F, axis=1)  # column 2-norms
             scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
-            bad = np.abs(dets) <= tol * scale
+            bad = np.abs(dets) <= 1e-10 * scale
             if np.any(bad):
                 p = block[bad][0]
                 raise StructureError(
@@ -296,8 +299,8 @@ def _flag_layer(s, depth):
     return layers[depth - 1]
 
 
-def _flag_ranks(s, points, max_depth):
-    """(n, max_depth) ranks of Sigma_1, ..., Sigma_max_depth at n points.
+def _flag_ranks(s, points):
+    """(n, _MAX_DEPTH) ranks of Sigma_1, ..., Sigma_6 at n points.
 
     Each layer is evaluated once per block of ``_FLAG_BLOCK`` points, and
     every point keeps its own SVD rank cutoff max(sigma_0, 1) * 1e-10.  A
@@ -305,12 +308,12 @@ def _flag_ranks(s, points, max_depth):
     stay 0.
     """
     m = s.dim
-    ranks = np.zeros((len(points), max_depth), dtype=int)
+    ranks = np.zeros((len(points), _MAX_DEPTH), dtype=int)
     for start in range(0, len(points), _FLAG_BLOCK):
         block = points[start : start + _FLAG_BLOCK]
         block_ranks = ranks[start : start + len(block)]
         rows = np.empty((len(block), 0, m))
-        for depth in range(1, max_depth + 1):
+        for depth in range(1, _MAX_DEPTH + 1):
             layer = _flag_layer(s, depth)
             grown = np.empty((len(block), rows.shape[1] + len(layer), m))
             grown[:, : rows.shape[1]] = rows
@@ -326,21 +329,21 @@ def _flag_ranks(s, points, max_depth):
     return ranks
 
 
-def hormander_flag(s, point, max_depth=6):
-    """Dimensions of Sigma_1 <= Sigma_2 <= ... at one point or a batch.
+def hormander_flag(s, point):
+    """Dimensions of Sigma_1 <= Sigma_2 <= ... <= Sigma_6 at one point or a batch.
 
     Sigma_d is spanned by brackets of the horizontal fields of order up
-    to d.  Returns the dims and the degree (first d with full rank), or
-    degree None when the flag stalls below the manifold dimension.  A
+    to d, for d up to 6.  Returns the dims and the degree (first d with
+    full rank), or degree None when the flag is not full by order 6.  A
     batch (n, m) returns a list of n results, from the same blocked sweep
     (``_flag_ranks``) that ``is_regular`` reads.
     """
     point = np.asarray(point, dtype=float)
-    ranks = _flag_ranks(s, np.atleast_2d(point), max_depth)
+    ranks = _flag_ranks(s, np.atleast_2d(point))
     full = ranks == s.dim
     degrees = np.where(full.any(axis=1), full.argmax(axis=1) + 1, 0).tolist()
     results = [
-        FlagResult(dims=tuple(r[: d or max_depth]), degree=d or None)
+        FlagResult(dims=tuple(r[: d or _MAX_DEPTH]), degree=d or None)
         for r, d in zip(ranks.tolist(), degrees)
     ]
     return results[0] if point.ndim == 1 else results
@@ -360,13 +363,13 @@ def hausdorff_dimension(dims):
 class RegularityReport:
     regular: bool
     points: np.ndarray
-    dims: np.ndarray  # (n, max_depth) int flag dims, padded with m
+    dims: np.ndarray  # (n, 6) int flag dims, padded with m
 
 
-def is_regular(s, points=None, max_depth=6):
-    """Same flag dimensions at every sample point.
+def is_regular(s, points=None):
+    """Same flag dimensions, up to bracket order 6, at every sample point.
 
-    ``dims`` is an (n, max_depth) int array: row i holds point i's flag
+    ``dims`` is an (n, 6) int array: row i holds point i's flag
     dims, padded with the manifold dimension m from the first full one
     on.  The points are swept in blocks (``_flag_ranks``), so besides the
     points only this array grows with n.
@@ -374,7 +377,7 @@ def is_regular(s, points=None, max_depth=6):
     if points is None:
         points = s.sample_lattice()
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dims = _flag_ranks(s, points, max_depth)
+    dims = _flag_ranks(s, points)
     dims[np.maximum.accumulate(dims == s.dim, axis=1)] = s.dim
     regular = len(dims) > 0 and bool(np.all(dims == dims[0]))
     return RegularityReport(regular=regular, points=points, dims=dims)
@@ -387,14 +390,15 @@ class FatnessResult:
     tested: int
 
 
-def is_fat(s, point, samples=32, rng=None, tol=1e-10):
+def is_fat(s, point, rng=None):
     """Strong-bracket test at ``point``.
 
     For every annihilator direction lambda (the q basis covectors, then
-    ``samples`` random unit covectors), the matrix
-    M(lambda)_ij = sum_b lambda_b C_ij^b must be invertible.  Returns the
-    first singular lambda as a witness, and ``tested`` = q + samples, the
-    size of the covector set.  ``rng`` is a seed or a Generator, as
+    32 random unit covectors), the matrix M(lambda)_ij = sum_b lambda_b
+    C_ij^b must be invertible: M(lambda) is singular when |det M| <=
+    1e-10 times the product of its row norms.  Returns the first singular
+    lambda as a witness, and ``tested`` = q + 32, the size of the
+    covector set.  ``rng`` is a seed or a Generator, as
     ``numpy.random.default_rng`` takes it, and None means seed 42; it is
     used only when no basis covector is singular, so a basis witness
     draws no random numbers.
@@ -404,20 +408,20 @@ def is_fat(s, point, samples=32, rng=None, tol=1e-10):
     q = s.dim - s.k
     if q == 0:
         return FatnessResult(fat=True, witness=None, tested=0)
-    witness = _first_singular(C, list(np.eye(q)), tol)
+    witness = _first_singular(C, list(np.eye(q)))
     if witness is None:
         rng = np.random.default_rng(42 if rng is None else rng)
         lams = []
-        while len(lams) < samples:
+        while len(lams) < 32:
             v = rng.normal(size=q)
             n = np.linalg.norm(v)
             if n > 1e-12:
                 lams.append(v / n)
-        witness = _first_singular(C, lams, tol)
-    return FatnessResult(fat=witness is None, witness=witness, tested=q + samples)
+        witness = _first_singular(C, lams)
+    return FatnessResult(fat=witness is None, witness=witness, tested=q + 32)
 
 
-def _first_singular(C, lams, tol):
+def _first_singular(C, lams):
     """The first lambda in ``lams`` whose M(lambda) is singular, or None."""
     if not lams:
         return None
@@ -426,7 +430,7 @@ def _first_singular(C, lams, tol):
     M = (C.reshape(-1, q) @ np.stack(lams)[..., None]).reshape(-1, *C.shape[:2])
     rows = np.linalg.norm(M, axis=-1)
     scale = np.maximum(np.prod(rows, axis=-1), np.finfo(float).tiny)
-    singular = np.abs(np.linalg.det(M)) <= tol * scale
+    singular = np.abs(np.linalg.det(M)) <= 1e-10 * scale
     return lams[int(np.argmax(singular))] if singular.any() else None
 
 

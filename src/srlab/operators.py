@@ -31,31 +31,31 @@ class FrameError(ValueError):
     """Frame data violates an assumption (e.g. non-constant constants)."""
 
 
-def _default_frame_samples(s, points):
-    if points is None:
-        pts = [np.zeros(s.dim)]
-        pts.extend(s.sample_points(9, rng=np.random.default_rng(3)))
-        return np.stack(pts)
-    return np.atleast_2d(np.asarray(points, dtype=float))
+def _frame_samples(s):
+    """The origin and 9 points drawn with seed 3."""
+    pts = [np.zeros(s.dim)]
+    pts.extend(s.sample_points(9, rng=np.random.default_rng(3)))
+    return np.stack(pts)
 
 
-def _promote_constants(samples, what, tol, snap):
+def _promote_constants(samples, what):
     """Require stacked per-point arrays to agree; snap and return the base.
 
-    Zeroes entries below ``snap`` and rounds near-integer and
+    The arrays agree when their spread is at most 1e-9 * max(1, |base|).
+    Zeroes entries below 1e-12 and rounds near-integer and
     near-half-integer values so downstream algebra is exact.
     """
     samples = np.asarray(samples, dtype=float)
     base = samples[0]
     spread = float(np.max(np.abs(samples - base[None])))
     scale = max(1.0, float(np.max(np.abs(base))))
-    if spread > tol * scale:
+    if spread > 1e-9 * scale:
         raise FrameError(
             "%s vary over the sample set (spread %.3e); "
             "constant-coefficient reduction does not apply" % (what, spread)
         )
     out = base.copy()
-    out[np.abs(out) < snap] = 0.0
+    out[np.abs(out) < 1e-12] = 0.0
     doubled = 2.0 * out
     near = np.abs(doubled - np.round(doubled)) < 1e-12 * np.maximum(
         1.0, np.abs(np.round(doubled))
@@ -64,24 +64,24 @@ def _promote_constants(samples, what, tol, snap):
     return out
 
 
-def promoted_structure_constants(s, points=None, tol=1e-9, snap=1e-12):
+def promoted_structure_constants(s):
     """The full table of frame structure constants, verified constant."""
-    tables = structure_constants(s, _default_frame_samples(s, points)).table
-    return _promote_constants(tables, "frame structure constants", tol, snap)
+    tables = structure_constants(s, _frame_samples(s)).table
+    return _promote_constants(tables, "frame structure constants")
 
 
-def connection_sums(s, use, project, points=None, tol=1e-9, snap=1e-12):
+def connection_sums(s, use, project):
     """The constants sum_{u in use} Gamma_uuw for w in ``project``.
 
     These sums are the only connection data the divergence-form
     operators need, and they can stay constant over the torus even when
     the full table of structure constants does not (the table may vary
-    while its diagonal traces are fixed).
+    while its diagonal traces are fixed).  They must agree, to 1e-9
+    relative, at the origin and 9 points drawn with seed 3.
     """
-    points = _default_frame_samples(s, points)
-    gamma = connection_coefficients(structure_constants(s, points).table)
+    gamma = connection_coefficients(structure_constants(s, _frame_samples(s)).table)
     rows = np.stack([sum(gamma[:, u, u, w] for u in use) for w in project], axis=-1)
-    return _promote_constants(rows, "connection sums", tol, snap)
+    return _promote_constants(rows, "connection sums")
 
 
 def connection_coefficients(table):
@@ -321,22 +321,20 @@ class HorizontalField:
         return (comp[..., None, :] @ X)[..., 0, :]
 
 
-def mean_curvature_field(s, samples=None):
+def mean_curvature_field(s):
     """Mean curvature of the complement of ``s`` as a horizontal field.
 
     Components H_i(p) = sum_b gbar(T_b, [X_i, T_b])(p); the field is
-    promoted to constant symbolic components when sampling shows them
-    constant.
+    promoted to constant symbolic components when they agree, to 1e-10
+    relative, at the origin and 6 points drawn with seed 5.
     """
     def comps(p):
         return reference_mean_curvature(s, p).sum(axis=-2)
 
     exprs = None
-    if samples is None:
-        pts = [np.zeros(s.dim)]
-        pts.extend(s.sample_points(6, rng=np.random.default_rng(5)))
-        samples = np.stack(pts)
-    vals = comps(np.atleast_2d(np.asarray(samples, dtype=float)))
+    pts = [np.zeros(s.dim)]
+    pts.extend(s.sample_points(6, rng=np.random.default_rng(5)))
+    vals = comps(np.stack(pts))
     if float(np.max(np.abs(vals - vals[0][None]))) <= 1e-10 * max(
         1.0, float(np.max(np.abs(vals[0])))
     ):

@@ -138,12 +138,12 @@ def rayleigh(L, M, v):
     return float((v @ _apply(L, v)) / (v @ (diag * v)))
 
 
-def cluster_eigenvalues(values, rel=1e-6):
-    """Group indices whose eigenvalues agree to rel * max(1, |value|)."""
+def cluster_eigenvalues(values):
+    """Group indices whose eigenvalues agree to 1e-6 * max(1, |value|)."""
     values = np.asarray(values, dtype=float)
     clusters = []
     for i, lam in enumerate(values):
-        if clusters and abs(lam - values[clusters[-1][-1]]) <= rel * max(
+        if clusters and abs(lam - values[clusters[-1][-1]]) <= 1e-6 * max(
             1.0, abs(lam)
         ):
             clusters[-1].append(i)
@@ -159,11 +159,10 @@ class SpectrumReport:
     residuals: np.ndarray
     method: str
     iterations: object = None
-    clusters: list = field(default_factory=list)
+    clusters: list = field(init=False)
 
     def __post_init__(self):
-        if not self.clusters:
-            self.clusters = cluster_eigenvalues(self.eigenvalues)
+        self.clusters = cluster_eigenvalues(self.eigenvalues)
 
     def cluster_index(self):
         """Per-eigenvalue cluster label, in ascending order."""
@@ -470,7 +469,6 @@ class SweepReport:
     gaps: np.ndarray  # (n_eps, count)
     orders: np.ndarray  # per-index fitted decay order
     monotone: bool
-    floor: float = GAP_FLOOR
 
     def rows(self):
         out = self.horizontal.rows("inf")
@@ -571,22 +569,23 @@ class KernelReport:
     gap: float
 
 
-def kernel_check(wf, count=12, kernel_tol=1e-8):
+def kernel_check(wf, count=12):
     """Kernel dimension, flatness of the ground vector, and spectral gap
     of a weak form.
 
     The smallest min(count, N) pairs come from ``solve_weak_form`` with
     tol 1e-9 (the spectrum command's default) and seed 0, so the form
     takes the Fourier path, Lanczos or the dense solve by the same rule,
-    and residuals above 1e-8 raise SpectrumError.  On the Lanczos path the
-    kernel's multiplicity is found by rerunning ARPACK outside the vectors
-    found so far, which is measured, not guaranteed: the integrable
-    control with a density varying along every axis takes that path at
-    n = 8 and 10 and finds all 8 and 10 kernel vectors.
+    and residuals above 1e-8 raise SpectrumError.  An eigenvalue below
+    1e-8 * max(1, largest eigenvalue) counts toward the kernel.  On the
+    Lanczos path the kernel's multiplicity is found by rerunning ARPACK
+    outside the vectors found so far, which is measured, not guaranteed:
+    the integrable control with a density varying along every axis takes
+    that path at n = 8 and 10 and finds all 8 and 10 kernel vectors.
     """
     rep = solve_weak_form(wf, min(count, wf.operator.shape[0]), 1e-9, 0)
     lams = rep.eigenvalues
-    kernel = int(np.sum(lams < kernel_tol * max(1.0, float(np.max(lams)))))
+    kernel = int(np.sum(lams < 1e-8 * max(1.0, float(np.max(lams)))))
     v = rep.vectors[:, 0]
     mean = float(np.mean(v))
     if abs(mean) < 1e-300:

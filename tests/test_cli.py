@@ -466,7 +466,7 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(
     # and the nodes too many for the dense solve.  The invariant form is
     # solved in Fourier space all the same; the bumped form, invariant
     # along no axis, is refused once it is assembled
-    import srlab.cli as cli
+    import srlab.spectrum as spectrum
 
     code, out, err = run(
         capsys, "spectrum", "contact3torus", "-n", "18", "--count", "500"
@@ -480,7 +480,7 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(
         assembled.append(args[1].shape)
         return assemble_weak_laplacian(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "assemble_weak_laplacian", assemble)
+    monkeypatch.setattr(spectrum, "assemble_weak_laplacian", assemble)
     config = bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")
     code, out, err = run(capsys, "spectrum", config, "-n", "18", "--count", "500")
     assert (code, out) == (2, "")

@@ -30,6 +30,7 @@ from conftest import (
 from srlab.discrete import DiagonalMass, Grid, SparseOperator, assemble_weak_laplacian
 from srlab.spectrum import (
     DENSE_LIMIT,
+    GAP_FLOOR,
     KernelReport,
     SpectrumError,
     choose_solver,
@@ -585,7 +586,7 @@ def test_epsilon_sweep_monotone_with_quadratic_order(trivial):
     # recompute monotonicity independently: each gap either shrinks or
     # has already converged below the floor
     later, earlier = sweep.gaps[1:], sweep.gaps[:-1]
-    assert np.all((later <= earlier) | (later <= sweep.floor))
+    assert np.all((later <= earlier) | (later <= GAP_FLOOR))
     # flat penalty directions converge at second order in eps
     fitted = sweep.orders[np.isfinite(sweep.orders)]
     assert fitted.size > 0
@@ -602,6 +603,17 @@ def test_epsilon_sweep_row_schema(trivial):
     assert set(rows[0]) == {"eps", "i", "lambda", "residual", "multiplicity_cluster"}
     assert rows[2]["eps"] == 2.0
     assert all(r["residual"] < 1e-8 for r in rows)
+
+    # an empty sweep is the horizontal solve alone, as `spectrum` without
+    # --eps runs it
+    empty = epsilon_sweep(trivial, g, [], count=2)
+    assert [r["eps"] for r in empty.rows()] == ["inf"] * 2
+    assert empty.gaps.shape == (0, 2)
+    assert empty.monotone
+    assert np.all(np.isnan(empty.orders))
+    direct = solve_weak_form(assemble_weak_laplacian(trivial, g), 2, 1e-9, 0)
+    assert np.array_equal(empty.horizontal.eigenvalues, direct.eigenvalues)
+    assert np.array_equal(empty.horizontal.residuals, direct.residuals)
 
 
 def test_epsilon_sweep_keeps_no_eigenvectors(trivial):
