@@ -80,7 +80,6 @@ from .discrete import (
     assemble_strong,
     assemble_weak_laplacian,
     check_periodicity,
-    evaluate_on_grid,
     exact_constant_image,
     exact_green_defect,
     exact_symmetry_defect,

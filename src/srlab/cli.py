@@ -82,7 +82,6 @@ CHECK_FAILED = 1
 # most points (lattice**dim + samples) one check takes.  The sweep holds one
 # block at a time, so the limit bounds the run time and the arrays that do
 # grow with the points: the point set and its (n, 6) flag ranks
-# (carnot-step2 --lattice 10, 10^6 points, peaks at 136 MB)
 CHECK_POINT_LIMIT = 2**20
 
 

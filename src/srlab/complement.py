@@ -263,7 +263,7 @@ class MetricExtension(SubRiemannianStructure):
 
     The rescaled frame is declared orthonormal: the penalty-metric frame.
     epsilon=None keeps the frame {X_i, T_b} and shares the base
-    structure's bracket caches.  The volume density against coordinate
+    structure's bracket store.  The volume density against coordinate
     Lebesgue measure is 1/|det F| for the frame matrix F, so the rescaled
     volume is eps^(m-k) times the unscaled one.
     """
@@ -271,8 +271,8 @@ class MetricExtension(SubRiemannianStructure):
     def __init__(self, structure, epsilon=None):
         complement = structure.complement
         if epsilon is not None:
-            if epsilon <= 0:
-                raise ValueError("epsilon must be positive")
+            if not 0 < epsilon < float("inf"):  # refuses nan too
+                raise ValueError("epsilon must be finite and positive")
             scale = ex.Const(_eps_inverse(epsilon))
             complement = tuple(
                 VectorField([simplify(ex.Mul(scale, c)) for c in T.coefficients])
@@ -287,14 +287,11 @@ class MetricExtension(SubRiemannianStructure):
         )
         self.structure = structure
         self.epsilon = epsilon
-        if epsilon is None:  # the same frame: reuse the brackets found so far
-            self._bracket_cache = structure._bracket_cache
-            self._flag_layers = structure._flag_layers
+        if epsilon is None:  # the same frame: share the bracket store
+            self._brackets = structure._brackets
 
 
 def _eps_inverse(epsilon):
     if isinstance(epsilon, int):
         return Fraction(1, epsilon)
-    if isinstance(epsilon, Fraction):
-        return 1 / epsilon
     return 1.0 / float(epsilon)

@@ -189,22 +189,14 @@ class Grid:
         return float(np.prod(self.h))
 
 
-def evaluate_on_grid(e, grid, points=None):
-    """Node values of an expression, checked for declared periodicity."""
-    return check_periodicity(e, grid, points=points)
-
-
 def check_periodicity(e, grid, points=None):
     """Compare values at x and x + L_j e_j on the whole node set.
 
     A defect above 1e-8 * max(1, |values|) along any axis raises
-    PeriodicityError.  Returns the node values of ``e``, or None when
-    ``e`` is not an expression.  ``points`` is ``grid.points()``, passed
-    in by a caller that screens several coefficients so the nodes are
-    built once.
+    PeriodicityError.  Returns the node values of ``e``.  ``points`` is
+    ``grid.points()``, passed in by a caller that screens several
+    coefficients so the nodes are built once.
     """
-    if not isinstance(e, Expr):
-        return None
     pts = grid.points() if points is None else points
     base = ex.evaluate(e, pts)
     scale = max(1.0, float(np.max(np.abs(base))))
@@ -381,10 +373,6 @@ class DiagonalMass:
 
     diagonal: np.ndarray
 
-    @property
-    def shape(self):
-        return (self.diagonal.size, self.diagonal.size)
-
     def matvec(self, v):
         return self.diagonal * v
 
@@ -493,14 +481,17 @@ def assemble_field(X, grid):
         coeff = X.coefficients[j]
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        vals = evaluate_on_grid(coeff, grid, pts) / (2.0 * grid.h[j])
+        vals = check_periodicity(coeff, grid, pts) / (2.0 * grid.h[j])
         step = tuple(int(a == j) for a in range(m))
         exact[step] = (grid.ravel(grid.shifted(multi, j, +1)), vals[:, None])
         exact[tuple(-a for a in step)] = (
             grid.ravel(grid.shifted(multi, j, -1)), -vals[:, None]
         )
+    nonzero = bool(exact)
+    if not nonzero:  # the zero field: one zero offset, no stored entry
+        exact[(0,) * m] = (np.arange(grid.size), np.zeros((grid.size, 1)))
     values = np.hstack([parts for _, parts in exact.values()])
-    stencil = (list(exact), values, np.ones(values.shape, dtype=bool))
+    stencil = (list(exact), values, np.full(values.shape, nonzero))
     return SparseOperator(stencil, grid, exact=exact)
 
 
@@ -542,7 +533,7 @@ def assemble_strong(spec, grid):
     for coeff, weights in terms:
         if isinstance(coeff, ex.Const) and coeff.value == 0:
             continue
-        vals = evaluate_on_grid(coeff, grid, pts)
+        vals = check_periodicity(coeff, grid, pts)
         for offset, w in weights:
             acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
             acc += vals * w
@@ -648,7 +639,7 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     rho = volume_density_values(structure, grid, pts)
     if density is not None:
         if isinstance(density, Expr):
-            extra = evaluate_on_grid(density, grid, pts)
+            extra = check_periodicity(density, grid, pts)
         else:
             extra = np.asarray(density, dtype=float)
             if extra.shape != (N,):
@@ -992,10 +983,8 @@ def write_matrix_market(path, op, comment=""):
 
     if isinstance(op, DiagonalMass):
         mat, symmetric = sp.diags(op.diagonal), True
-    elif isinstance(op, SparseOperator):
-        mat, symmetric = op.matrix, op.symmetric
     else:
-        mat, symmetric = sp.coo_matrix(op), False
+        mat, symmetric = op.matrix, op.symmetric
     with open(path, "wb") as fh:  # a path would gain a ".mtx" suffix
         mmwrite(fh, mat, comment=comment, symmetry="general")
     return symmetric

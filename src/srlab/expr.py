@@ -39,10 +39,6 @@ class EvalError(ExprError):
 def _coerce(value):
     if isinstance(value, Expr):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
-    if isinstance(value, float):
-        return Const(value)
     raise TypeError("cannot use %r in an expression" % (value,))
 
 
@@ -53,38 +49,6 @@ class Expr:
 
     def __setattr__(self, *a):
         raise AttributeError("expressions are immutable")
-
-    def __add__(self, other):
-        return Add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return Add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return Add(self, Neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return Add(_coerce(other), Neg(self))
-
-    def __mul__(self, other):
-        return Mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be a Python int")
-        return Pow(self, n)
-
-    def __neg__(self):
-        return Neg(self)
 
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, render(self))

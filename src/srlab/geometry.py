@@ -40,14 +40,13 @@ class VectorField:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        coeffs = []
-        for c in coefficients:
-            if isinstance(c, str):
-                raise TypeError("parse coefficient strings before building fields")
+        self.coefficients = tuple(coefficients)
+        for c in self.coefficients:
             if not isinstance(c, Expr):
-                c = ex.Const(c)
-            coeffs.append(c)
-        self.coefficients = tuple(coeffs)
+                raise TypeError(
+                    "coefficients must be expressions; parse strings first, got %r"
+                    % (c,)
+                )
 
     @property
     def dim(self):
@@ -87,11 +86,8 @@ def lie_bracket(X, Y):
 
 
 def linear_combination(coeffs, fields, base=None):
-    """sum_i coeffs[i] * fields[i] (+ base), coefficients Expr or numeric."""
-    rows = [
-        [ex.Mul(c if isinstance(c, Expr) else ex.Const(c), fc) for fc in f.coefficients]
-        for c, f in zip(coeffs, fields)
-    ]
+    """sum_i coeffs[i] * fields[i] (+ base), coefficients expressions."""
+    rows = [[ex.Mul(c, fc) for fc in f.coefficients] for c, f in zip(coeffs, fields)]
     if base is not None:
         rows.insert(0, base.coefficients)
     return VectorField([ex.add_terms(terms) for terms in zip(*rows)])
@@ -126,8 +122,7 @@ class SubRiemannianStructure:
     horizontal: tuple
     complement: tuple
     name: str = ""
-    _bracket_cache: dict = field(default_factory=dict, init=False, repr=False)
-    _flag_layers: list = field(default_factory=list, init=False, repr=False)
+    _brackets: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.periods = tuple(float(L) for L in self.periods)
@@ -169,10 +164,8 @@ class SubRiemannianStructure:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def sample_points(self, count, rng=None):
-        """Seeded uniform sample inside the period box."""
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def sample_points(self, count, rng):
+        """Uniform sample inside the period box, drawn from ``rng``."""
         return rng.uniform(0.0, self.periods, size=(count, self.dim))
 
     def validate(self, points=None):
@@ -217,22 +210,21 @@ class SubRiemannianStructure:
             det = simplify(ex.Neg(det))
         return simplify(ex.Div(ex.ONE, det)), det
 
-    # -- cached symbolic brackets ------------------------------------------
+    # -- the bracket store ---------------------------------------------------
 
-    def frame_bracket(self, u, v):
-        """Symbolic [E_u, E_v] of frame fields, cached."""
-        if u == v:
-            return VectorField([ex.ZERO] * self.dim)
-        if (u, v) in self._bracket_cache:
-            return self._bracket_cache[(u, v)]
-        if (v, u) in self._bracket_cache:
-            w = self._bracket_cache[(v, u)]
-            neg = VectorField([simplify(ex.Neg(c)) for c in w.coefficients])
-            self._bracket_cache[(u, v)] = neg
-            return neg
-        w = lie_bracket(self.frame[u], self.frame[v])
-        self._bracket_cache[(u, v)] = w
-        return w
+    def bracket(self, word):
+        """Symbolic [E_w0, [E_w1, [..., E_wn]]] of a word of frame indices.
+
+        A one-index word is the frame field itself; a longer word is
+        ``lie_bracket(frame[w0], bracket(word[1:]))``, built once and
+        kept in ``_brackets``.
+        """
+        if len(word) == 1:
+            return self.frame[word[0]]
+        if word not in self._brackets:
+            inner = self.bracket(word[1:])
+            self._brackets[word] = lie_bracket(self.frame[word[0]], inner)
+        return self._brackets[word]
 
 
 @dataclass
@@ -272,7 +264,7 @@ def structure_constants(s, point):
     table = np.zeros(point.shape[:-1] + (m, m, m))
     for u in range(m):
         for v in range(u + 1, m):
-            w = s.frame_bracket(u, v).evaluate(point)
+            w = s.bracket((u, v)).evaluate(point)
             c = np.linalg.solve(F, w[..., None])[..., 0]
             table[..., u, v, :] = c
             table[..., v, u, :] = -c
@@ -289,16 +281,6 @@ class FlagResult:
     degree: object  # int or None
 
 
-def _flag_layer(s, depth):
-    """Symbolic bracket layers: layer d holds brackets of order d."""
-    layers = s._flag_layers
-    if not layers:
-        layers.append(list(s.horizontal))
-    while len(layers) < depth:
-        layers.append([lie_bracket(X, f) for f in layers[-1] for X in s.horizontal])
-    return layers[depth - 1]
-
-
 def _flag_ranks(s, points):
     """(n, _MAX_DEPTH) ranks of Sigma_1, ..., Sigma_6 at n points.
 
@@ -313,8 +295,12 @@ def _flag_ranks(s, points):
         block = points[start : start + _FLAG_BLOCK]
         block_ranks = ranks[start : start + len(block)]
         rows = np.empty((len(block), 0, m))
+        words = [()]
         for depth in range(1, _MAX_DEPTH + 1):
-            layer = _flag_layer(s, depth)
+            # the words of order depth: (i,) + w for every word w of the
+            # order below and every horizontal index i
+            words = [(i,) + w for w in words for i in range(s.k)]
+            layer = [s.bracket(w) for w in words]
             grown = np.empty((len(block), rows.shape[1] + len(layer), m))
             grown[:, : rows.shape[1]] = rows
             grown[:, rows.shape[1] :] = ex.evaluate_array(
@@ -423,8 +409,6 @@ def is_fat(s, point, rng=None):
 
 def _first_singular(C, lams):
     """The first lambda in ``lams`` whose M(lambda) is singular, or None."""
-    if not lams:
-        return None
     q = C.shape[-1]
     # M[l] = M(lams[l]), one (k*k, q) @ (q, 1) product each as np.tensordot forms it
     M = (C.reshape(-1, q) @ np.stack(lams)[..., None]).reshape(-1, *C.shape[:2])
@@ -441,12 +425,12 @@ def _first_singular(C, lams):
 def cartan_residual(omega, X, Y, point):
     """|d(omega)(X,Y) - (X(omega(Y)) - Y(omega(X)) - omega([X,Y]))| at a point.
 
-    ``omega`` is a covector field given by coordinate coefficients, so
-    both sides are computable independently: the left through coefficient
-    partials, the right through directional derivatives and the bracket.
+    ``omega`` is a covector field given by coordinate coefficient
+    expressions, so both sides are computable independently: the left
+    through coefficient partials, the right through directional
+    derivatives and the bracket.
     A batch of points (n, m) gives one residual per point.
     """
-    omega = [c if isinstance(c, Expr) else ex.Const(c) for c in omega]
     m = X.dim
     point = np.asarray(point, dtype=float)
 

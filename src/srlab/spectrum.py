@@ -49,10 +49,8 @@ from .discrete import DiagonalMass, GridError, SparseOperator, assemble_weak_lap
 
 
 DENSE_LIMIT = 4096
-# most rows per Fourier block: the largest block once timed against a
-# hand-written block Lanczos since replaced by ARPACK (a 48^3 grid
-# invariant along one axis, where Fourier won); the crossover against
-# ARPACK is unmeasured (ROADMAP item 2 re-measures it)
+# most rows per Fourier block; the crossover against ARPACK is
+# unmeasured (ROADMAP item 2 re-measures it)
 FOURIER_BLOCK_LIMIT = 2304
 SIGMA = 0.1  # Lanczos shift: A~ + SIGMA I is positive definite
 GAP_FLOOR = 1e-12  # sweep gaps at or below this count as converged

@@ -86,7 +86,7 @@ def integrable():
 
 @lru_cache(maxsize=None)
 def cached_structure(name):
-    """One structure per fixture name, shared so its bracket caches fill once."""
+    """One structure per fixture name, shared so its bracket store fills once."""
     return structure(name)
 
 

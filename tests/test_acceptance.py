@@ -22,7 +22,7 @@ from srlab.discrete import (
     Grid,
     assemble_strong,
     assemble_weak_laplacian,
-    evaluate_on_grid,
+    check_periodicity,
     exact_green_defect,
     exact_symmetry_defect,
 )
@@ -344,8 +344,8 @@ def test_criterion_5_discrete_green_identity(capsys):
         gn = Grid(shape=(n, n, n), periods=adapted.periods)
         wfn = assemble_weak_laplacian(adapted, gn)
         S = assemble_strong(op, gn)
-        fvals = evaluate_on_grid(f_expr, gn)
-        ref = evaluate_on_grid(action, gn)
+        fvals = check_periodicity(f_expr, gn)
+        ref = check_periodicity(action, gn)
         weak = -wfn.mass.solve(wfn.operator.matvec(fvals))
         strong = S.matvec(fvals)
         if np.max(np.abs(strong - weak)) > 1e-9 * max(1.0, np.max(np.abs(ref))):

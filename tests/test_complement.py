@@ -106,7 +106,7 @@ def test_batched_complement_solve_equals_pointwise(case, tilt):
         frame = s.frame_matrix(p)
         for b in range(s.dim - k):
             for i in range(k):
-                w = s.frame_bracket(i, k + b).evaluate(p)
+                w = s.bracket((i, k + b)).evaluate(p)
                 assert F[b, i] == np.linalg.solve(frame, w)[k + b]
     try:
         batch = solve_canonical_complement(s, pts)
@@ -213,24 +213,22 @@ def test_wide_bracket_scale_spread_warns():
 # metric extensions
 
 
-def test_extension_requires_positive_epsilon(heisenberg):
-    with pytest.raises(ValueError):
-        MetricExtension(heisenberg, epsilon=0)
-    with pytest.raises(ValueError):
-        MetricExtension(heisenberg, epsilon=-2)
+@pytest.mark.parametrize("epsilon", [0, -2, float("nan"), float("inf"), -float("inf")])
+def test_extension_requires_finite_positive_epsilon(heisenberg, epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        MetricExtension(heisenberg, epsilon=epsilon)
 
 
-def test_extension_is_a_structure_sharing_the_base_caches(heisenberg):
+def test_extension_is_a_structure_sharing_the_bracket_store(heisenberg):
     ext = MetricExtension(heisenberg)
     assert isinstance(ext, SubRiemannianStructure)
     assert (ext.structure, ext.epsilon) == (heisenberg, None)
     assert ext.frame == heisenberg.frame
-    assert ext._bracket_cache is heisenberg._bracket_cache
-    assert ext._flag_layers is heisenberg._flag_layers
+    assert ext._brackets is heisenberg._brackets
     rescaled = MetricExtension(heisenberg, epsilon=4)
     assert (rescaled.structure, rescaled.epsilon) == (heisenberg, 4)
     assert rescaled.horizontal == heisenberg.horizontal
-    assert rescaled._bracket_cache is not heisenberg._bracket_cache
+    assert rescaled._brackets is not heisenberg._brackets
 
 
 def test_volume_density_oracles(heisenberg, contact):

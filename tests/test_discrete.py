@@ -36,7 +36,6 @@ from srlab.discrete import (
     assemble_strong,
     assemble_weak_laplacian,
     check_periodicity,
-    evaluate_on_grid,
     exact_constant_image,
     exact_green_defect,
     exact_symmetry_defect,
@@ -144,22 +143,22 @@ def test_grid_shifted_wraps_along_axis():
 # node values and periodicity screening
 
 
-def test_evaluate_on_grid_matches_numpy():
+def test_check_periodicity_matches_numpy():
     g = Grid(shape=(8, 4), periods=(1.0, 1.0))
     e = ex.parse("sin(6.283185307179586*x0)", dim=2)
-    vals = evaluate_on_grid(e, g)
+    vals = check_periodicity(e, g)
     pts = g.points()
     assert np.allclose(vals, np.sin(TWO_PI * pts[:, 0]), atol=1e-14)
 
 
 def test_constant_expression_broadcasts():
     g = Grid(shape=(4, 4), periods=(1.0, 1.0))
-    vals = evaluate_on_grid(ex.parse("3/2", dim=2), g)
+    vals = check_periodicity(ex.parse("3/2", dim=2), g)
     assert vals.shape == (16,)
     assert np.all(vals == 1.5)
 
 
-def test_evaluate_on_grid_evaluates_nodes_once(monkeypatch):
+def test_check_periodicity_evaluates_nodes_once(monkeypatch):
     # one evaluation at the nodes, then one per axis the coefficient reads
     calls = []
     evaluate = ex.evaluate
@@ -171,7 +170,7 @@ def test_evaluate_on_grid_evaluates_nodes_once(monkeypatch):
     monkeypatch.setattr(ex, "evaluate", counted)
     g = Grid(shape=(4, 4, 4), periods=(1.0, 1.0, TWO_PI))
     e = ex.parse("cos(6.283185307179586*x0) + sin(x2)", dim=3)
-    vals = evaluate_on_grid(e, g)
+    vals = check_periodicity(e, g)
     assert calls == [g.size] * 3
     assert vals.tobytes() == evaluate(e, g.points()).tobytes()
 
@@ -238,6 +237,19 @@ def test_field_matrix_central_difference_error_bound():
     assert err <= bound
     # frozen measurement guards against silent stencil changes
     assert abs(err - 0.6263310576872065) < 1e-12
+
+
+def test_zero_field_matrix_is_empty():
+    # one zero offset with no stored entry, and zero exact parts there
+    g = Grid(shape=(4, 4), periods=(1.0, 1.0))
+    op = assemble_field(VectorField([ex.ZERO, ex.ZERO]), g)
+    N = g.size
+    assert op.shape == (N, N)
+    assert op.nnz == 0
+    v = np.arange(N, dtype=float)
+    assert op.matvec(v).tobytes() == np.zeros(N).tobytes()
+    assert op.matrix.shape == (N, N) and op.matrix.nnz == 0
+    assert exact_constant_image(op) == exact_symmetry_defect(op) == 0.0
 
 
 def test_field_matrix_rejects_dimension_mismatch():
@@ -686,7 +698,7 @@ def test_strong_operator_diagonalizes_fourier_mode():
 def test_strong_matches_weak_on_smooth_function(contact):
     g, wf = contact_weak(contact, n=8)
     S = assemble_strong(sublaplacian(contact), g)
-    f = evaluate_on_grid(ex.parse("sin(x2)", dim=3), g)
+    f = check_periodicity(ex.parse("sin(x2)", dim=3), g)
     strong = S.matvec(f)
     weak = -wf.mass.solve(wf.operator.matvec(f))
     scale = np.max(np.abs(strong))
@@ -1010,7 +1022,7 @@ def strong_reference(spec, grid):
     ] + [(spec.b[j], first(j)) for j in range(grid.dim)]
     for coeff, diff in terms:
         if not (isinstance(coeff, ex.Const) and coeff.value == 0):
-            total = total + sp.diags(evaluate_on_grid(coeff, grid)) @ diff
+            total = total + sp.diags(check_periodicity(coeff, grid)) @ diff
     total = sp.csr_matrix(total)
     total.sort_indices()
     return total

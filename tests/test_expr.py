@@ -93,6 +93,18 @@ def test_render_parse_round_trip_examples():
 # evaluation
 
 
+def test_expressions_are_built_from_expressions():
+    # no arithmetic operators and no number coercion: one way to build
+    with pytest.raises(TypeError):
+        ex.parse("x0") + 1
+    with pytest.raises(TypeError):
+        ex.parse("x0") * ex.parse("x1")
+    with pytest.raises(TypeError):
+        ex.Add(1, ex.Var(0))
+    with pytest.raises(TypeError):
+        ex.Mul(ex.Var(0), 0.5)
+
+
 def test_evaluate_batched_points():
     e = ex.parse("x0^2 + x1")
     pts = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])

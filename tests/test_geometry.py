@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 
 from srlab import expr as ex
 from srlab import geometry
+from srlab.cli import main
 from srlab.geometry import (
     StructureError,
     SubRiemannianStructure,
@@ -26,6 +27,7 @@ from conftest import (
     batch_points,
     cached_structure,
     sample_points,
+    structure,
 )
 
 
@@ -97,6 +99,48 @@ def test_linear_combination_matches_pointwise(heisenberg):
     p = np.array([0.4, -0.3, 0.2])
     want = 2 * X1.evaluate(p) + (-0.3) * X2.evaluate(p) + T.evaluate(p)
     assert np.allclose(combo.evaluate(p), want, atol=1e-15)
+
+
+def test_fields_take_expressions_only(heisenberg):
+    with pytest.raises(TypeError, match="parse strings first"):
+        VectorField([1, 0])
+    with pytest.raises(TypeError, match="parse strings first"):
+        VectorField([ex.ONE, "x0"])
+    with pytest.raises(TypeError):
+        linear_combination([0.5], heisenberg.horizontal[:1])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_bracket_store_renders_as_the_layer_construction(name):
+    # each flag layer as [X, f] for f in the layer below and X horizontal,
+    # and each frame pair as [E_u, E_v], built here without the store
+    s = structure(name)
+    layer = list(s.horizontal)
+    words = [(i,) for i in range(s.k)]
+    for _ in range(3):
+        assert [repr(s.bracket(w)) for w in words] == [repr(f) for f in layer]
+        layer = [lie_bracket(X, f) for f in layer for X in s.horizontal]
+        words = [(i,) + w for w in words for i in range(s.k)]
+    for u in range(s.dim):
+        for v in range(u + 1, s.dim):
+            want = lie_bracket(s.frame[u], s.frame[v])
+            assert repr(s.bracket((u, v))) == repr(want)
+
+
+def test_check_builds_each_bracket_once(capsys, monkeypatch):
+    # the flag and the structure constants share [X_i, X_j]: 21 brackets
+    # for carnot-step2, where one store per use built 24
+    calls = []
+    bracket = geometry.lie_bracket
+
+    def counted(X, Y):
+        calls.append(1)
+        return bracket(X, Y)
+
+    monkeypatch.setattr(geometry, "lie_bracket", counted)
+    assert main(["check", "carnot-step2", "--lattice", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 21
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +324,7 @@ def test_batched_flag_and_constants_equal_pointwise(case):
         for u in range(s.dim):
             assert not np.any(table[u, u])
             for v in range(u + 1, s.dim):
-                want = np.linalg.solve(F, s.frame_bracket(u, v).evaluate(p))
+                want = np.linalg.solve(F, s.bracket((u, v)).evaluate(p))
                 assert np.array_equal(table[u, v], want)
                 assert np.array_equal(table[v, u], -want)
 

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from srlab import expr as ex
-from srlab.complement import MetricExtension, canonical_complement
+from srlab.complement import (
+    MetricExtension,
+    canonical_complement,
+    reference_mean_curvature,
+)
 from srlab.geometry import (
     SubRiemannianStructure,
     VectorField,
@@ -353,6 +357,34 @@ def test_mean_curvature_of_tilted_complement(heisenberg):
         assert np.allclose(curv.components_at(p), [0.0, -0.3], atol=1e-12)
     vec = curv.vector_at(np.zeros(3))
     assert np.allclose(vec, -0.3 * np.array([0.0, 1.0, 0.0]), atol=1e-12)
+
+
+def test_mean_curvature_of_varying_tilt_is_pointwise(heisenberg):
+    # a complement tilted by sin(x1) X_1 has a varying mean curvature, so
+    # the field keeps its pointwise components
+    X1 = heisenberg.horizontal[0]
+    T = linear_combination(
+        [ex.parse("sin(x1)", dim=3)], [X1], base=heisenberg.complement[0]
+    )
+    tilted = SubRiemannianStructure(
+        dim=3,
+        periods=heisenberg.periods,
+        horizontal=heisenberg.horizontal,
+        complement=(T,),
+    )
+    curv = mean_curvature_field(tilted)
+    assert curv.exprs is None
+    pts = sample_points(tilted, 12, seed=4)
+    comps = curv.components_at(pts)
+    want = reference_mean_curvature(tilted, pts).sum(axis=-2)
+    assert comps.tobytes() == want.tobytes()
+    assert np.ptp(comps[:, 1]) > 0.1  # H_2 varies with x1
+    frame = np.stack([X.evaluate(pts) for X in tilted.horizontal], axis=1)
+    vec = (comps[:, None, :] @ frame)[:, 0, :]
+    assert curv.vector_at(pts).tobytes() == vec.tobytes()
+    # with u = 1 the logarithmic derivative vanishes: the defect is |H|
+    worst = np.max(np.sqrt(np.sum(comps * comps, axis=-1)))
+    assert potential_residual(tilted, curv, ex.ONE, pts) == worst
 
 
 def test_potential_flat_case(heisenberg):

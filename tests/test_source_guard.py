@@ -5,9 +5,12 @@ code fail the suite: an import that its module never uses (``__init__``
 re-exports are exempt), a module-level ``_private`` function or class
 that nothing in the package refers to, and a parameter or dataclass
 field with a default that no call in src/, tests/ or perfbench/ sets.
+README.md and the modules state contracts, not measurements: a number
+with the unit s, ms, MB or GB in them fails the suite too.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -202,3 +205,23 @@ def test_default_guard_sees_unset_parameters():
     assert [d[:2] for d in unset] == [
         ("f", "c"), ("K", "y"), ("D", "v"), ("g", "s"), ("g", "t"),
     ]
+
+
+# a number followed by a time or memory unit: "3.8 s", "307 MB", "12ms"
+MEASUREMENT = re.compile(r"(?<![\w.])\d+(?:\.\d+)?\s?(?:s|ms|MB|GB)\b")
+
+
+def test_no_measured_figures_in_readme_or_source():
+    figures = [
+        "%s:%d %s" % (path.name, line, match.group())
+        for path in [ROOT / "README.md"] + MODULES
+        for line, text in enumerate(path.read_text().splitlines(), start=1)
+        for match in MEASUREMENT.finditer(text)
+    ]
+    assert figures == []
+
+
+def test_figure_guard_sees_measurements():
+    text = "takes 3.8 s and 307 MB; 12ms, 1.5 GB; float64s, 2 seconds, x0s"
+    found = [match.group() for match in MEASUREMENT.finditer(text)]
+    assert found == ["3.8 s", "307 MB", "12ms", "1.5 GB"]
