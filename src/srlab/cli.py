@@ -25,24 +25,6 @@ from importlib import resources
 import numpy as np
 
 from . import expr as ex
-from .complement import (
-    ComplementError,
-    MetricExtension,
-    _norms,
-    canonical_complement,
-    reference_mean_curvature,
-    verify_flat_complement,
-)
-from .discrete import (
-    Grid,
-    GridError,
-    PeriodicityError,
-    assemble_strong,
-    assemble_weak_laplacian,
-    exact_constant_image,
-    exact_green_defect,
-    exact_symmetry_defect,
-)
 from .expr import ExprError, ParseError
 from .geometry import (
     StructureError,
@@ -57,20 +39,9 @@ from .geometry import (
     linear_combination,
     structure_constants,
 )
-from .operators import (
-    FrameError,
-    connection_coefficients,
-    horizontal_divergence,
-    horizontal_gradient,
-    mean_curvature_field,
-    penalty_laplacian,
-    potential_residual,
-    product_rule_residual,
-    riemannian_divergence,
-    sublaplacian,
-    weighted_laplacian,
-)
-from .spectrum import SpectrumError, epsilon_sweep, kernel_check
+
+# complement, discrete, operators and spectrum are imported by the
+# commands that use them, so ``check`` never loads them
 
 
 class ConfigError(ValueError):
@@ -266,6 +237,8 @@ def cmd_check(args):
 
 
 def cmd_canonicalize(args):
+    from .complement import canonical_complement, verify_flat_complement
+
     cfg = load_config(args.config)
     s, _density = build_structure(cfg)
     ac = canonical_complement(s)
@@ -331,6 +304,10 @@ def _spectrum_rows_csv(rows):
 
 
 def cmd_spectrum(args):
+    from .complement import canonical_complement
+    from .discrete import Grid
+    from .spectrum import epsilon_sweep
+
     _require(args.count >= 1, "--count must be at least 1")
     _require(
         np.isfinite(args.tol) and args.tol > 0, "--tol must be finite and positive"
@@ -400,6 +377,36 @@ def _verify_items(s, density, grid, args):
 
     ``grid`` is None when no grid items were asked for.
     """
+    from .complement import (
+        MetricExtension,
+        _norms,
+        canonical_complement,
+        reference_mean_curvature,
+        verify_flat_complement,
+    )
+    from .discrete import (
+        Grid,
+        assemble_strong,
+        assemble_weak_laplacian,
+        exact_constant_image,
+        exact_green_defect,
+        exact_symmetry_defect,
+    )
+    from .operators import (
+        FrameError,
+        connection_coefficients,
+        horizontal_divergence,
+        horizontal_gradient,
+        mean_curvature_field,
+        penalty_laplacian,
+        potential_residual,
+        product_rule_residual,
+        riemannian_divergence,
+        sublaplacian,
+        weighted_laplacian,
+    )
+    from .spectrum import kernel_check
+
     pts = s.sample_points(args.samples, rng=np.random.default_rng(args.seed))
     m, k = s.dim, s.k
 
@@ -628,12 +635,15 @@ def cmd_verify(args):
     _require(args.n >= 0, "-n must not be negative")
     cfg = load_config(args.config)
     s, density = build_structure(cfg)
-    # an invalid grid (odd resolution) fails before any item runs; a grid
-    # past the weak assembly budget fails with the same usage error when
-    # the grid items are reached, after the items already written
+    # an invalid grid (odd resolution), or an n or 2n grid past the weak
+    # assembly budget of the horizontal fields, fails before any item runs
     grid = None
     if args.n:
+        from .discrete import Grid, _check_budget, _weak_size
+
         grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
+        for n in (args.n, 2 * args.n):
+            _check_budget(_weak_size(s.dim, s.k, n**s.dim, 0))
     # with --out the report is written whole once the suite has run, so an
     # error midway writes no file; without it each line streams to stdout
     lines = []
@@ -717,16 +727,32 @@ def build_parser():
     return parser
 
 
+def _usage_errors():
+    from .discrete import GridError, PeriodicityError
+
+    return ConfigError, StructureError, ExprError, GridError, PeriodicityError
+
+
+def _failures():
+    from .complement import ComplementError
+    from .operators import FrameError
+    from .spectrum import SpectrumError
+
+    return ComplementError, FrameError, SpectrumError
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an except clause's classes are looked up only when an exception
+    # reaches it, so a run that raises none imports none of their modules
     try:
         _require(args.seed >= 0, "--seed must not be negative")
         return args.func(args)
-    except (ConfigError, StructureError, ExprError, GridError, PeriodicityError) as err:
+    except _usage_errors() as err:
         sys.stderr.write("error: %s\n" % err)
         return USAGE_ERROR
-    except (ComplementError, FrameError, SpectrumError) as err:
+    except _failures() as err:
         sys.stderr.write("error: %s\n" % err)
         return CHECK_FAILED
 

@@ -11,8 +11,11 @@ Frame evaluation is batch-first: structure constants and Hörmander flags
 take one point (m,) or a batch (n, m) and evaluate each bracket once over
 the batch; the stacked solves and SVDs give every point the arithmetic it
 would get alone.  The sweeps over many points (the frame check, the flag
-and regularity) take them ``_FLAG_BLOCK`` at a time, so their work
-memory does not grow with the point count.
+and regularity) evaluate once per distinct point, telling points apart
+by their float64 bits on the axes the frame reads, and take those
+``_FLAG_BLOCK`` at a time, so their work memory does not grow with the
+point count.  A field differentiates its coefficients once, on its first
+bracket.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +40,7 @@ class StructureError(ValueError):
 class VectorField:
     """A vector field given by m coordinate coefficient expressions."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_partials")
 
     def __init__(self, coefficients):
         self.coefficients = tuple(coefficients)
@@ -47,10 +50,20 @@ class VectorField:
                     "coefficients must be expressions; parse strings first, got %r"
                     % (c,)
                 )
+        self._partials = None
 
     @property
     def dim(self):
         return len(self.coefficients)
+
+    def _partial_table(self):
+        """table[i][j] = d_i c_j, differentiated once, on first use."""
+        if self._partials is None:
+            self._partials = [
+                [differentiate(c, i) for c in self.coefficients]
+                for i in range(self.dim)
+            ]
+        return self._partials
 
     def evaluate(self, point):
         """Coordinate components at one point (m,) or a batch (n, m)."""
@@ -71,12 +84,13 @@ def lie_bracket(X, Y):
     if X.dim != Y.dim:
         raise ValueError("bracket of fields with different dimensions")
     Xc, Yc = X.coefficients, Y.coefficients
+    dX, dY = X._partial_table(), Y._partial_table()
     return VectorField(
         [
             ex.add_terms(
                 ex.Add(
-                    ex.Mul(Xc[i], differentiate(Yc[j], i)),
-                    ex.Neg(ex.Mul(Yc[i], differentiate(Xc[j], i))),
+                    ex.Mul(Xc[i], dY[i][j]),
+                    ex.Neg(ex.Mul(Yc[i], dX[i][j])),
                 )
                 for i in range(X.dim)
             )
@@ -172,15 +186,17 @@ class SubRiemannianStructure:
         """Check the frame condition: invertible frame matrix at samples.
 
         A point is singular where |det F| <= 1e-10 * prod(column norms of
-        F).  The frame is evaluated a block of ``_FLAG_BLOCK`` points at a
+        F).  The frame is evaluated once per distinct point
+        (``_distinct_points``), a block of ``_FLAG_BLOCK`` of them at a
         time; the first block holding a singular point raises
-        StructureError naming its earliest singular point.
+        StructureError naming the earliest singular point.
         """
         if points is None:
             points = self.sample_lattice()
         points = np.atleast_2d(np.asarray(points))
-        for start in range(0, len(points), _FLAG_BLOCK):
-            block = points[start : start + _FLAG_BLOCK]
+        index, _ = _distinct_points(self, points)
+        for start in range(0, len(index), _FLAG_BLOCK):
+            block = points[index[start : start + _FLAG_BLOCK]]
             F = self.frame_matrix(block)
             dets = np.linalg.det(F)
             norms = np.linalg.norm(F, axis=1)  # column 2-norms
@@ -281,18 +297,53 @@ class FlagResult:
     degree: object  # int or None
 
 
+def _distinct_points(s, points):
+    """(index, inverse) of the distinct points of an (n, m) batch.
+
+    Points are the same when their coordinates on the axes the frame
+    reads have the same float64 bits; brackets read no other axis, so
+    the frame and every bracket evaluate alike at them.  ``index`` holds
+    the first point of each distinct one, in first-seen order, and
+    ``points[index][inverse]`` stands for ``points``.  A frame that reads
+    no axis has one distinct point.  The points are told apart one axis
+    at a time, by an int64 code per point, so the work memory is a few
+    int64 per point.
+    """
+    read = set().union(*(ex.variables(c) for f in s.frame for c in f.coefficients))
+    # an axis past the points' own is left to fail in evaluation
+    axes = sorted(a for a in read if a < points.shape[-1])
+    # code = a point's bit patterns on the axes so far, as mixed-radix digits
+    code, count = np.zeros(len(points), dtype=np.int64), 1
+    for a in axes:
+        bits = np.asarray(points[:, a], dtype=float).view(np.uint64)
+        patterns, digit = np.unique(bits, return_inverse=True)
+        if count * len(patterns) > np.iinfo(np.int64).max:
+            codes, code = np.unique(code, return_inverse=True)
+            count = len(codes)
+        code = code * len(patterns) + digit
+        count *= len(patterns)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def _flag_ranks(s, points):
     """(n, _MAX_DEPTH) ranks of Sigma_1, ..., Sigma_6 at n points.
 
-    Each layer is evaluated once per block of ``_FLAG_BLOCK`` points, and
-    every point keeps its own SVD rank cutoff max(sigma_0, 1) * 1e-10.  A
-    block stops once all its points have full rank; its later columns
-    stay 0.
+    The ranks are decided once per distinct point (``_distinct_points``)
+    and copied to the others.  Each layer is evaluated once per block of
+    ``_FLAG_BLOCK`` distinct points, and every point keeps its own SVD
+    rank cutoff max(sigma_0, 1) * 1e-10.  A block stops once all its
+    points have full rank; its later columns stay 0, so a column past a
+    point's first full rank depends on its block.
     """
     m = s.dim
-    ranks = np.zeros((len(points), _MAX_DEPTH), dtype=int)
-    for start in range(0, len(points), _FLAG_BLOCK):
-        block = points[start : start + _FLAG_BLOCK]
+    index, inverse = _distinct_points(s, points)
+    ranks = np.zeros((len(index), _MAX_DEPTH), dtype=int)
+    for start in range(0, len(index), _FLAG_BLOCK):
+        block = points[index[start : start + _FLAG_BLOCK]]
         block_ranks = ranks[start : start + len(block)]
         rows = np.empty((len(block), 0, m))
         words = [()]
@@ -312,7 +363,7 @@ def _flag_ranks(s, points):
             block_ranks[:, depth - 1] = np.sum(sv > cutoff, axis=1)
             if np.all(np.any(block_ranks[:, :depth] == m, axis=1)):
                 break
-    return ranks
+    return ranks[inverse]
 
 
 def hormander_flag(s, point):
@@ -387,11 +438,15 @@ def is_fat(s, point, rng=None):
     covector set.  ``rng`` is a seed or a Generator, as
     ``numpy.random.default_rng`` takes it, and None means seed 42; it is
     used only when no basis covector is singular, so a basis witness
-    draws no random numbers.
+    draws no random numbers.  An odd k is decided by parity: every
+    M(lambda) is then an odd skew matrix, singular, so the witness is
+    the first basis covector and no bracket is built.
     """
+    q = s.dim - s.k
+    if q and s.k % 2:
+        return FatnessResult(fat=False, witness=np.eye(q)[0], tested=q + 32)
     data = structure_constants(s, point)
     C = data.C_vertical
-    q = s.dim - s.k
     if q == 0:
         return FatnessResult(fat=True, witness=None, tested=0)
     witness = _first_singular(C, list(np.eye(q)))

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import strategies as st
 
 import srlab.discrete as discrete
+from srlab import expr as ex
+from srlab import geometry
 from srlab.cli import build_structure, load_config
 from srlab.discrete import FieldFactor, Grid, assemble_weak_laplacian
+from srlab.geometry import VectorField
 
 FIXTURE_NAMES = [
     "heisenberg",
@@ -254,6 +257,70 @@ def oracle_green(grid, exact, factors, weights, e, f):
         for p in discrete._times(discrete._times([t], f[:, None]), e[cols][:, None])
     )
     return vanishes, abs(math.fsum(itertools.chain.from_iterable(parts)))
+
+
+# ---------------------------------------------------------------------------
+# the per-point blocked sweeps, an oracle for the sweeps over distinct points
+
+
+def oracle_validate(s, points):
+    """The frame check over every point, ``geometry._FLAG_BLOCK`` at a
+    time: the message naming the first singular point, or None."""
+    points = np.atleast_2d(np.asarray(points))
+    for start in range(0, len(points), geometry._FLAG_BLOCK):
+        block = points[start : start + geometry._FLAG_BLOCK]
+        F = s.frame_matrix(block)
+        norms = np.linalg.norm(F, axis=1)
+        scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
+        bad = np.abs(np.linalg.det(F)) <= 1e-10 * scale
+        if np.any(bad):
+            p = block[bad][0]
+            return "frame matrix singular at point %s" % np.array2string(
+                p, precision=6
+            )
+    return None
+
+
+def oracle_flag_dims(s, points):
+    """(n, 6) flag dims of every point, padded with m from the first full
+    one on, from the flag swept over every point ``geometry._FLAG_BLOCK``
+    at a time."""
+    m = s.dim
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    ranks = np.zeros((len(points), 6), dtype=int)
+    for start in range(0, len(points), geometry._FLAG_BLOCK):
+        block = points[start : start + geometry._FLAG_BLOCK]
+        block_ranks = ranks[start : start + len(block)]
+        rows = np.empty((len(block), 0, m))
+        words = [()]
+        for depth in range(1, 7):
+            words = [(i,) + w for w in words for i in range(s.k)]
+            layer = ex.evaluate_array([s.bracket(w).coefficients for w in words], block)
+            rows = np.concatenate([rows, layer], axis=1)
+            sv = np.linalg.svd(rows, compute_uv=False)
+            cutoff = np.maximum(sv[:, :1], 1.0) * 1e-10
+            block_ranks[:, depth - 1] = np.sum(sv > cutoff, axis=1)
+            if np.all(np.any(block_ranks[:, :depth] == m, axis=1)):
+                break
+    ranks[np.maximum.accumulate(ranks == m, axis=1)] = m
+    return ranks
+
+
+def oracle_lie_bracket(X, Y):
+    """[X, Y] by the formula, differentiating every coefficient per term."""
+    Xc, Yc = X.coefficients, Y.coefficients
+    return VectorField(
+        [
+            ex.add_terms(
+                ex.Add(
+                    ex.Mul(Xc[i], ex.differentiate(Yc[j], i)),
+                    ex.Neg(ex.Mul(Yc[i], ex.differentiate(Xc[j], i))),
+                )
+                for i in range(X.dim)
+            )
+            for j in range(X.dim)
+        ]
+    )
 
 
 def sample_points(s, count=30, seed=11):

@@ -215,14 +215,10 @@ def test_verify_out_flag_writes_nothing_when_the_suite_stops(
 )
 def test_oversized_grid_is_usage_error(capsys, argv):
     # numpy refuses arrays this large outright; srlab must refuse first,
-    # with the exact node count past the int64 range at 2^21 per axis.
-    # verify writes its pointwise items before the grid items refuse
+    # with the exact node count past the int64 range at 2^21 per axis,
+    # and verify refuses before its first item
     code, out, err = run(capsys, *argv)
-    assert code == 2
-    if argv[0] == "spectrum":
-        assert out == ""
-    else:
-        assert out.splitlines()[-1].startswith("PASS detects-tilted-complement")
+    assert (code, out) == (2, "")
     assert err.startswith("error: weak assembly size ")
     assert len(err.splitlines()) == 1
 
@@ -567,13 +563,13 @@ def test_spectrum_json_joins_the_paths_taken(capsys, monkeypatch):
 def test_spectrum_count_against_grid_size(capsys, monkeypatch, argv, code, limit):
     # count <= N; a count beyond that is rejected before the complement
     # solve (patched to fail here)
-    import srlab.cli as cli
+    import srlab.complement as comp
 
     if limit is not None:
         def unreachable(*_):
             raise AssertionError("complement solved before the count check")
 
-        monkeypatch.setattr(cli, "canonical_complement", unreachable)
+        monkeypatch.setattr(comp, "canonical_complement", unreachable)
     got, out, err = run(capsys, "spectrum", argv[0], "-n", "4", *argv[1:])
     assert got == code
     if limit is None:
@@ -679,14 +675,17 @@ def test_verify_kernel_check_needs_no_dense_solve(capsys, monkeypatch):
 def test_verify_grid_past_assembly_budget_is_usage_error(capsys, monkeypatch):
     # the budget admits the n = 4 form (64 nodes of 2 * 3 + 8 entries for
     # two fields in 3-D, 4 slab rows of 19 + 4 * 2 * 9) but not the n = 8
-    # one of the two-grid order item (512 nodes)
+    # one of the two-grid order item (512 nodes), which is refused before
+    # the first item runs
     import srlab.discrete as disc
 
     monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 14 + 4 * 91)
     code, out, err = run(capsys, "verify", "contact3torus", "-n", "4")
-    assert code == 2
-    assert out.splitlines()[-1].startswith("PASS weak-exact-green")
-    assert "budget" in err
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: weak assembly size 7168 exceeds the supported budget; "
+        "use a smaller grid\n"
+    )
 
 
 def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
@@ -694,7 +693,7 @@ def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
 ):
     # the n grid's Green certificate reads its quadrature rows; the 2n
     # grid's form is only applied, mass.solve(operator.matvec(u))
-    import srlab.cli as cli
+    import srlab.discrete as disc
 
     forms = []
 
@@ -702,7 +701,7 @@ def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
         forms.append(assemble_weak_laplacian(*args, **kwargs))
         return forms[-1]
 
-    monkeypatch.setattr(cli, "assemble_weak_laplacian", assemble)
+    monkeypatch.setattr(disc, "assemble_weak_laplacian", assemble)
     code, out, _ = run(capsys, "verify", "contact3torus", "-n", "4")
     assert code == 0 and "PASS weak-two-grid-order" in out
     assert [f.grid.shape[0] for f in forms] == [4, 8]
@@ -1139,6 +1138,42 @@ def test_scipy_loads_only_for_a_sparse_build(tmp_path, argv, sparse):
     that does."""
     scipy = [m for m in loaded_modules(tmp_path, argv) if m.startswith("scipy")]
     assert bool(scipy) == sparse, scipy
+
+
+LIBRARY = ["complement", "discrete", "expr", "geometry", "operators", "spectrum"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("import", "srlab"), []),
+        (("import", "srlab.cli"), ["expr", "geometry"]),
+        (("check", "heisenberg"), ["expr", "geometry"]),
+        (("check", "carnot-step2", "--lattice", "2"), ["expr", "geometry"]),
+        (("canonicalize", "heisenberg"), ["complement", "expr", "geometry"]),
+        (("verify", "heisenberg"), LIBRARY),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    modules = loaded_modules(tmp_path, argv)
+    assert [m for m in LIBRARY if "srlab." + m in modules] == loaded
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    import importlib
+
+    namespace = {}
+    exec("from srlab import *", namespace)
+    for name in srlab.__all__:
+        value = getattr(srlab, name)
+        assert namespace[name] is value
+        if name in LIBRARY:
+            assert value is importlib.import_module("srlab." + name)
+        else:
+            assert getattr(importlib.import_module(value.__module__), name) is value
+    assert set(srlab.__all__) <= set(dir(srlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        srlab.no_such_name
 
 
 def test_check_of_a_non_fat_structure_loads_no_random(tmp_path):

@@ -1,13 +1,18 @@
 """Frames, brackets, flags, regularity, fatness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from srlab import expr as ex
 from srlab import geometry
 from srlab.cli import main
+from srlab.expr import render
 from srlab.geometry import (
+    FlagResult,
     StructureError,
     SubRiemannianStructure,
     VectorField,
@@ -22,10 +27,14 @@ from srlab.geometry import (
 )
 
 from conftest import (
+    _FRACTIONS,
     FIXTURE_NAMES,
     batch_cases,
     batch_points,
     cached_structure,
+    oracle_flag_dims,
+    oracle_lie_bracket,
+    oracle_validate,
     sample_points,
     structure,
 )
@@ -113,34 +122,57 @@ def test_fields_take_expressions_only(heisenberg):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_bracket_store_renders_as_the_layer_construction(name):
     # each flag layer as [X, f] for f in the layer below and X horizontal,
-    # and each frame pair as [E_u, E_v], built here without the store
+    # and each frame pair as [E_u, E_v], built here without the store or
+    # the cached partials; every field's partials are d_i c_j
     s = structure(name)
     layer = list(s.horizontal)
     words = [(i,) for i in range(s.k)]
-    for _ in range(3):
-        assert [repr(s.bracket(w)) for w in words] == [repr(f) for f in layer]
-        layer = [lie_bracket(X, f) for f in layer for X in s.horizontal]
+    for depth in range(1, 4):
+        fields = [s.bracket(w) for w in words]
+        assert [repr(f) for f in fields] == [repr(f) for f in layer]
+        for f in fields:
+            assert [[render(d) for d in row] for row in f._partial_table()] == [
+                [render(ex.differentiate(c, i)) for c in f.coefficients]
+                for i in range(s.dim)
+            ]
+        layer = [oracle_lie_bracket(X, f) for f in layer for X in s.horizontal]
         words = [(i,) + w for w in words for i in range(s.k)]
     for u in range(s.dim):
         for v in range(u + 1, s.dim):
-            want = lie_bracket(s.frame[u], s.frame[v])
+            want = oracle_lie_bracket(s.frame[u], s.frame[v])
             assert repr(s.bracket((u, v))) == repr(want)
 
 
-def test_check_builds_each_bracket_once(capsys, monkeypatch):
-    # the flag and the structure constants share [X_i, X_j]: 21 brackets
-    # for carnot-step2, where one store per use built 24
-    calls = []
-    bracket = geometry.lie_bracket
+@pytest.mark.parametrize(
+    "argv, brackets, partials",
+    [
+        # k = 3 is odd, so fatness needs no structure constant: the 9
+        # brackets of the flag's second layer, whose partials read the 3
+        # horizontal fields' tables of 6 * 6 entries
+        (("carnot-step2", "--lattice", "4"), 9, 3 * 36),
+        # k = 2: the flag's 4 + 8 brackets and the 6 frame pairs share
+        # [X_0, X_1], and 8 fields (the frame and 4 brackets) are
+        # differentiated, 4 * 4 entries each
+        (("engel",), 17, 8 * 16),
+    ],
+)
+def test_check_builds_each_bracket_once(
+    capsys, monkeypatch, argv, brackets, partials
+):
+    calls = {"lie_bracket": 0, "differentiate": 0}
 
-    def counted(X, Y):
-        calls.append(1)
-        return bracket(X, Y)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(geometry, "lie_bracket", counted)
-    assert main(["check", "carnot-step2", "--lattice", "4"]) == 0
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counted(name, getattr(geometry, name)))
+    assert main(["check", *argv]) == 0
     capsys.readouterr()
-    assert len(calls) == 21
+    assert calls == {"lie_bracket": brackets, "differentiate": partials}
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +293,6 @@ def test_blocked_regularity_matches_one_batch_flags(name, monkeypatch):
     assert is_regular(s, points).regular == (name != "martinet")
 
 
-def _one_batch_validate(s, points, tol=1e-10):
-    """The frame check on the whole batch at once: the message naming the
-    first singular point, or None."""
-    F = s.frame_matrix(points)
-    norms = np.linalg.norm(F, axis=1)
-    scale = np.maximum(np.prod(norms, axis=-1), np.finfo(float).tiny)
-    bad = np.abs(np.linalg.det(F)) <= tol * scale
-    if not np.any(bad):
-        return None
-    p = np.asarray(points)[bad][0]
-    return "frame matrix singular at point %s" % np.array2string(p, precision=6)
-
-
 def test_validate_names_the_first_singular_point_of_a_later_block():
     # det F = sin(x1): singular on x1 = 0 only, first met in the second block
     s = SubRiemannianStructure(
@@ -285,14 +304,133 @@ def test_validate_names_the_first_singular_point_of_a_later_block():
     points = np.random.default_rng(3).uniform(0.5, 2.5, size=(2049, 2))
     points[[1500, 1800, 2048], 1] = 0.0
     points[1500, 0] = 1.0 / 3.0
-    want = _one_batch_validate(s, points)
+    want = oracle_validate(s, points)
     assert want == "frame matrix singular at point [0.333333 0.      ]"
     for n in (1501, 2049):
         with pytest.raises(StructureError) as info:
             s.validate(points[:n])
         assert str(info.value) == want
     assert s.validate(points[:1500])
-    assert _one_batch_validate(s, points[:1500]) is None
+    assert oracle_validate(s, points[:1500]) is None
+
+
+def _singular_structure():
+    """det F = cos(x0) on the 2 pi torus: singular on x0 = pi / 2, a point
+    of every lattice with a multiple of 4 points per axis."""
+    return SubRiemannianStructure(
+        dim=3,
+        periods=(2 * np.pi,) * 3,
+        horizontal=(_vf("1", "0", "0"), _vf("0", "cos(x0)", "sin(x0)")),
+        complement=(_vf("0", "0", "1"),),
+    )
+
+
+@st.composite
+def swept_points(draw):
+    """(structure, points, block): a fixture's lattice, or the singular
+    frame's lattice of 4 per axis, and random points, with some points
+    repeated, shuffled, swept in blocks of ``block``; at most 416 points,
+    so a block of 3 stays fast."""
+    name = draw(st.sampled_from(FIXTURE_NAMES + ["singular"]))
+    if name == "singular":
+        s, per_axis = _singular_structure(), 4
+    else:
+        s = cached_structure(name)
+        per_axis = draw(st.integers(1, max(1, int(200 ** (1 / s.dim)))))
+    fractions = draw(st.lists(st.lists(_FRACTIONS, min_size=6, max_size=6), max_size=8))
+    points = s.sample_lattice(per_axis)
+    if fractions:
+        points = np.vstack(
+            [points, np.asarray(fractions)[:, : s.dim] * np.asarray(s.periods)]
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    repeats = rng.integers(0, len(points), size=draw(st.integers(0, len(points))))
+    points = rng.permutation(np.vstack([points, points[repeats]]))
+    return s, points, draw(st.sampled_from([3, 64, 1024]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=swept_points())
+@example(case=(_singular_structure(), _singular_structure().sample_lattice(4), 3))
+def test_distinct_point_sweeps_match_the_per_point_oracle(case):
+    s, points, block = case
+    with mock.patch.object(geometry, "_FLAG_BLOCK", block):
+        want = oracle_validate(s, points)
+        try:
+            got = s.validate(points) and None
+        except StructureError as err:
+            got = str(err)
+        assert got == want
+        dims = oracle_flag_dims(s, points)
+        report = is_regular(s, points)
+        assert np.array_equal(report.dims, dims)
+        assert report.regular == bool(np.all(dims == dims[0]))
+        flags = hormander_flag(s, points)
+    full = dims == s.dim
+    for row, is_full, flag in zip(dims.tolist(), full, flags):
+        degree = int(is_full.argmax()) + 1 if is_full.any() else None
+        assert flag == FlagResult(dims=tuple(row[: degree or 6]), degree=degree)
+
+
+def test_distinct_points_read_only_the_axes_of_the_frame(carnot):
+    # carnot-step2's frame reads x0..x2: its 4^6 lattice has 4^3 distinct
+    # points, first seen in lattice order
+    points = carnot.sample_lattice(4)
+    index, inverse = geometry._distinct_points(carnot, points)
+    assert len(index) == 64 and list(index) == sorted(index)
+    assert np.array_equal(points[index][inverse][:, :3], points[:, :3])
+    constant = SubRiemannianStructure(
+        dim=2,
+        periods=(1.0, 1.0),
+        horizontal=(_vf("1", "0"),),
+        complement=(_vf("0", "1"),),
+    )
+    index, inverse = geometry._distinct_points(constant, constant.sample_lattice(3))
+    assert list(index) == [0] and list(inverse) == [0] * 9
+    # a frame reading all six axes: 2000^6 codes overflow int64 at the last
+    # axis, so the codes are renumbered first; -0.0 and 0.0 differ in bits
+    wide = SubRiemannianStructure(
+        dim=6,
+        periods=(1.0,) * 6,
+        horizontal=tuple(
+            _vf(*("x%d" % j if i == j else "0" for i in range(6))) for j in range(6)
+        ),
+        complement=(),
+    )
+    rng = np.random.default_rng(4)
+    points = rng.uniform(size=(2000, 6))
+    points[:2] = [[0.0] * 6, [-0.0] + [0.0] * 5]
+    points = rng.permutation(np.vstack([points, points[::3]]))
+    index, inverse = geometry._distinct_points(wide, points)
+    assert len(index) == 2000 and list(index) == sorted(index)
+    assert points[index][inverse].tobytes() == points.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7]),
+    q=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_odd_rank_parity_is_the_first_singular_answer(k, q, seed, scale):
+    # an odd skew M(lambda) is singular: the parity answer e_0 is the
+    # covector _first_singular picks among the basis covectors
+    upper = np.random.default_rng(seed).normal(size=(k, k, q)) * scale
+    C = np.triu(upper.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+    C = C - C.transpose(1, 0, 2)
+    witness = geometry._first_singular(C, list(np.eye(q)))
+    assert witness.tobytes() == np.eye(q)[0].tobytes()
+
+
+def test_odd_rank_is_decided_without_structure_constants(carnot, monkeypatch):
+    def unreachable(*_):
+        raise AssertionError("structure constants built for an odd rank")
+
+    monkeypatch.setattr(geometry, "structure_constants", unreachable)
+    res = is_fat(carnot, np.zeros(6))
+    assert (res.fat, res.tested) == (False, 3 + 32)
+    assert res.witness.tobytes() == np.eye(3)[0].tobytes()
 
 
 def test_hausdorff_dimension_formula():

@@ -7,7 +7,8 @@ defaults to the checkout that holds this script.  Every command of
 ``COMMANDS`` runs as ``python -m srlab`` in one temporary directory, with
 ``SRLAB_THREADS=1`` and ``PYTHONPATH=<tree>/src``, once per tree.  That
 directory holds ``d1.json`` and ``d2.json``: HEAD's contact3torus fixture
-with the density ``2 + cos(x0)`` and with ``3 + cos(x0) + cos(x1)``.
+with the density ``2 + cos(x0)`` and with ``3 + cos(x0) + cos(x1)``; and
+``singular.json``, a frame singular at a lattice point (``SINGULAR``).
 One line is printed per command whose stdout, stderr or exit code
 differs, and the exit code is 1 if any command differs.
 """
@@ -31,12 +32,26 @@ FIXTURES = [
 
 DENSITIES = {"d1.json": "2 + cos(x0)", "d2.json": "3 + cos(x0) + cos(x1)"}
 
+# det F = cos(x0): singular on x0 = pi / 2, a point of the 4-point lattice
+SINGULAR = {
+    "name": "singular",
+    "dim": 3,
+    "periods": [6.283185307179586] * 3,
+    "horizontal": [["1", "0", "0"], ["0", "cos(x0)", "sin(x0)"]],
+    "complement": [["0", "0", "1"]],
+}
+
 COMMANDS = (
     [("check", name) for name in FIXTURES]
     + [
         ("check", "carnot-step2", "--lattice", "4"),
         ("check", "engel", "--lattice", "3", "--samples", "7", "--seed", "3"),
         ("check", "martinet", "--samples", "5", "--seed", "9"),
+        # the distinct-point sweep across block edges, and the parity answer
+        ("check", "carnot-step2", "--lattice", "6"),
+        ("check", "carnot-step2", "--lattice", "5", "--samples", "40", "--seed", "7"),
+        ("check", "engel", "--lattice", "6"),
+        ("check", "singular.json", "--lattice", "4"),
     ]
     + [("canonicalize", name) for name in FIXTURES]
     + [("verify", name) for name in ("heisenberg", "carnot-step2", "engel", "martinet")]
@@ -85,6 +100,7 @@ def differences(base, head, commands=COMMANDS):
         for name, density in DENSITIES.items():
             cfg = dict(json.loads(fixture.read_text()), density=density)
             (Path(cwd) / name).write_text(json.dumps(cfg))
+        (Path(cwd) / "singular.json").write_text(json.dumps(SINGULAR))
         for command in commands:
             a, b = run(base, command, cwd), run(head, command, cwd)
             parts = [
