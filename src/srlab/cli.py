@@ -50,8 +50,9 @@ class ConfigError(ValueError):
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-# most points (lattice**dim + samples) one check takes.  The sweep holds one
-# block at a time, so the limit bounds the run time and the arrays that do
+# most points (lattice**dim + samples) one check takes.  Only the lattice
+# points on the axes the frame reads are built, and the sweep holds one
+# block at a time, so the limit bounds the run time and the arrays that
 # grow with the points: the point set and its (n, 6) flag ranks
 CHECK_POINT_LIMIT = 2**20
 
@@ -230,7 +231,7 @@ def cmd_check(args):
         if fat.witness is None
         else [float(v) for v in fat.witness],
         "bracket_generating": bool(generating),
-        "points_checked": int(len(points)),
+        "points_checked": total,
     }
     _emit(_json_text(record), args.out)
     return 0 if generating else CHECK_FAILED

@@ -11,11 +11,10 @@ Frame evaluation is batch-first: structure constants and Hörmander flags
 take one point (m,) or a batch (n, m) and evaluate each bracket once over
 the batch; the stacked solves and SVDs give every point the arithmetic it
 would get alone.  The sweeps over many points (the frame check, the flag
-and regularity) evaluate once per distinct point, telling points apart
-by their float64 bits on the axes the frame reads, and take those
-``_FLAG_BLOCK`` at a time, so their work memory does not grow with the
-point count.  A field differentiates its coefficients once, on its first
-bracket.
+and regularity) take them ``_FLAG_BLOCK`` at a time, so their work
+memory does not grow with the point count, and the lattice they sweep
+(``sample_lattice``) varies only the axes the frame reads.  A field
+differentiates its coefficients once, on its first bracket.
 """
 
 from dataclasses import dataclass, field
@@ -173,8 +172,18 @@ class SubRiemannianStructure:
         return ex.evaluate_array(list(zip(*(f.coefficients for f in self.frame))), point)
 
     def sample_lattice(self, per_axis=5):
-        """Uniform lattice i * L_j / per_axis including the origin."""
-        axes = [np.arange(per_axis) * (L / per_axis) for L in self.periods]
+        """Uniform lattice i * L_j / per_axis including the origin.
+
+        Only the axes some frame coefficient reads get the per_axis
+        values; every other axis is 0.  The frame and its brackets read no
+        other axis, so this is one point per lattice point they can tell
+        apart, in lattice order.
+        """
+        read = set().union(*(ex.variables(c) for f in self.frame for c in f.coefficients))
+        axes = [
+            np.arange(per_axis if j in read else 1) * (L / per_axis)
+            for j, L in enumerate(self.periods)
+        ]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -186,17 +195,15 @@ class SubRiemannianStructure:
         """Check the frame condition: invertible frame matrix at samples.
 
         A point is singular where |det F| <= 1e-10 * prod(column norms of
-        F).  The frame is evaluated once per distinct point
-        (``_distinct_points``), a block of ``_FLAG_BLOCK`` of them at a
-        time; the first block holding a singular point raises
-        StructureError naming the earliest singular point.
+        F).  The frame is evaluated ``_FLAG_BLOCK`` points at a time; the
+        first block holding a singular point raises StructureError naming
+        the earliest singular point.
         """
         if points is None:
             points = self.sample_lattice()
         points = np.atleast_2d(np.asarray(points))
-        index, _ = _distinct_points(self, points)
-        for start in range(0, len(index), _FLAG_BLOCK):
-            block = points[index[start : start + _FLAG_BLOCK]]
+        for start in range(0, len(points), _FLAG_BLOCK):
+            block = points[start : start + _FLAG_BLOCK]
             F = self.frame_matrix(block)
             dets = np.linalg.det(F)
             norms = np.linalg.norm(F, axis=1)  # column 2-norms
@@ -297,53 +304,19 @@ class FlagResult:
     degree: object  # int or None
 
 
-def _distinct_points(s, points):
-    """(index, inverse) of the distinct points of an (n, m) batch.
-
-    Points are the same when their coordinates on the axes the frame
-    reads have the same float64 bits; brackets read no other axis, so
-    the frame and every bracket evaluate alike at them.  ``index`` holds
-    the first point of each distinct one, in first-seen order, and
-    ``points[index][inverse]`` stands for ``points``.  A frame that reads
-    no axis has one distinct point.  The points are told apart one axis
-    at a time, by an int64 code per point, so the work memory is a few
-    int64 per point.
-    """
-    read = set().union(*(ex.variables(c) for f in s.frame for c in f.coefficients))
-    # an axis past the points' own is left to fail in evaluation
-    axes = sorted(a for a in read if a < points.shape[-1])
-    # code = a point's bit patterns on the axes so far, as mixed-radix digits
-    code, count = np.zeros(len(points), dtype=np.int64), 1
-    for a in axes:
-        bits = np.asarray(points[:, a], dtype=float).view(np.uint64)
-        patterns, digit = np.unique(bits, return_inverse=True)
-        if count * len(patterns) > np.iinfo(np.int64).max:
-            codes, code = np.unique(code, return_inverse=True)
-            count = len(codes)
-        code = code * len(patterns) + digit
-        count *= len(patterns)
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
-
-
 def _flag_ranks(s, points):
     """(n, _MAX_DEPTH) ranks of Sigma_1, ..., Sigma_6 at n points.
 
-    The ranks are decided once per distinct point (``_distinct_points``)
-    and copied to the others.  Each layer is evaluated once per block of
-    ``_FLAG_BLOCK`` distinct points, and every point keeps its own SVD
-    rank cutoff max(sigma_0, 1) * 1e-10.  A block stops once all its
-    points have full rank; its later columns stay 0, so a column past a
-    point's first full rank depends on its block.
+    Each layer is evaluated once per block of ``_FLAG_BLOCK`` points,
+    and every point keeps its own SVD rank cutoff max(sigma_0, 1) *
+    1e-10.  A block stops once all its points have full rank; its later
+    columns stay 0, so a column past a point's first full rank depends
+    on its block.
     """
     m = s.dim
-    index, inverse = _distinct_points(s, points)
-    ranks = np.zeros((len(index), _MAX_DEPTH), dtype=int)
-    for start in range(0, len(index), _FLAG_BLOCK):
-        block = points[index[start : start + _FLAG_BLOCK]]
+    ranks = np.zeros((len(points), _MAX_DEPTH), dtype=int)
+    for start in range(0, len(points), _FLAG_BLOCK):
+        block = points[start : start + _FLAG_BLOCK]
         block_ranks = ranks[start : start + len(block)]
         rows = np.empty((len(block), 0, m))
         words = [()]
@@ -363,7 +336,7 @@ def _flag_ranks(s, points):
             block_ranks[:, depth - 1] = np.sum(sv > cutoff, axis=1)
             if np.all(np.any(block_ranks[:, :depth] == m, axis=1)):
                 break
-    return ranks[inverse]
+    return ranks
 
 
 def hormander_flag(s, point):
@@ -430,27 +403,36 @@ class FatnessResult:
 def is_fat(s, point, rng=None):
     """Strong-bracket test at ``point``.
 
-    For every annihilator direction lambda (the q basis covectors, then
-    32 random unit covectors), the matrix M(lambda)_ij = sum_b lambda_b
-    C_ij^b must be invertible: M(lambda) is singular when |det M| <=
-    1e-10 times the product of its row norms.  Returns the first singular
-    lambda as a witness, and ``tested`` = q + 32, the size of the
-    covector set.  ``rng`` is a seed or a Generator, as
-    ``numpy.random.default_rng`` takes it, and None means seed 42; it is
-    used only when no basis covector is singular, so a basis witness
-    draws no random numbers.  An odd k is decided by parity: every
-    M(lambda) is then an odd skew matrix, singular, so the witness is
-    the first basis covector and no bracket is built.
+    For every annihilator direction lambda, the matrix M(lambda)_ij =
+    sum_b lambda_b C_ij^b must be invertible: M(lambda) is singular when
+    |det M| <= 1e-10 times the product of its row norms.  The q basis
+    covectors are tested first.  For q = 1 that is every direction up to
+    sign.  For q = 2, M(lambda) = lambda_0 A + lambda_1 B with B = M(e_1)
+    invertible is singular exactly at lambda ~ (1, -mu) for a real
+    eigenvalue mu of B^-1 A, so (1, -Re mu), normalised, is tested for
+    each of the k eigenvalues.  For q >= 3, 32 random unit covectors
+    follow, drawn from ``rng`` only when no basis covector is singular:
+    a seed or a Generator, as ``numpy.random.default_rng`` takes it, and
+    None means seed 42.  Returns the first singular lambda as a witness,
+    and ``tested``, the size of the covector set: q, q + k or q + 32.  An
+    odd k is decided by parity: every M(lambda) is then an odd skew
+    matrix, singular, so the witness is the first basis covector and no
+    bracket is built.
     """
     q = s.dim - s.k
+    tested = q + {1: 0, 2: s.k}.get(q, 32)
     if q and s.k % 2:
-        return FatnessResult(fat=False, witness=np.eye(q)[0], tested=q + 32)
+        return FatnessResult(fat=False, witness=np.eye(q)[0], tested=tested)
     data = structure_constants(s, point)
     C = data.C_vertical
     if q == 0:
         return FatnessResult(fat=True, witness=None, tested=0)
     witness = _first_singular(C, list(np.eye(q)))
-    if witness is None:
+    if witness is None and q == 2:
+        mu = np.linalg.eigvals(np.linalg.solve(C[..., 1], C[..., 0])).real
+        lams = np.stack([np.ones_like(mu), -mu], axis=-1)
+        witness = _first_singular(C, list(lams / np.linalg.norm(lams, axis=-1)[:, None]))
+    elif witness is None and q > 2:
         rng = np.random.default_rng(42 if rng is None else rng)
         lams = []
         while len(lams) < 32:
@@ -459,7 +441,7 @@ def is_fat(s, point, rng=None):
             if n > 1e-12:
                 lams.append(v / n)
         witness = _first_singular(C, lams)
-    return FatnessResult(fat=witness is None, witness=witness, tested=q + 32)
+    return FatnessResult(fat=witness is None, witness=witness, tested=tested)
 
 
 def _first_singular(C, lams):

@@ -260,7 +260,50 @@ def oracle_green(grid, exact, factors, weights, e, f):
 
 
 # ---------------------------------------------------------------------------
-# the per-point blocked sweeps, an oracle for the sweeps over distinct points
+# the full lattice and its distinct points, an oracle for the lattice
+# ``sample_lattice`` builds on the axes the frame reads
+
+
+def full_lattice(s, per_axis):
+    """The per_axis^m lattice i * L_j / per_axis on every axis, in lattice
+    (C) order."""
+    axes = [np.arange(per_axis) * (L / per_axis) for L in s.periods]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def oracle_distinct_points(s, points):
+    """(index, inverse) of the distinct points of an (n, m) batch.
+
+    Points are the same when their coordinates on the axes the frame
+    reads have the same float64 bits; brackets read no other axis, so
+    the frame and every bracket evaluate alike at them.  ``index`` holds
+    the first point of each distinct one, in first-seen order, and
+    ``points[index][inverse]`` stands for ``points``.  A frame that reads
+    no axis has one distinct point.  The points are told apart one axis
+    at a time, by an int64 code per point.
+    """
+    read = set().union(*(ex.variables(c) for f in s.frame for c in f.coefficients))
+    axes = sorted(a for a in read if a < points.shape[-1])
+    # code = a point's bit patterns on the axes so far, as mixed-radix digits
+    code, count = np.zeros(len(points), dtype=np.int64), 1
+    for a in axes:
+        bits = np.asarray(points[:, a], dtype=float).view(np.uint64)
+        patterns, digit = np.unique(bits, return_inverse=True)
+        if count * len(patterns) > np.iinfo(np.int64).max:
+            codes, code = np.unique(code, return_inverse=True)
+            count = len(codes)
+        code = code * len(patterns) + digit
+        count *= len(patterns)
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+# ---------------------------------------------------------------------------
+# the per-point blocked sweeps, an oracle for the geometry sweeps
 
 
 def oracle_validate(s, points):

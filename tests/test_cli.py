@@ -20,7 +20,7 @@ import srlab
 from srlab.cli import build_structure, load_config, main
 from srlab.complement import canonical_complement, verify_flat_complement
 from srlab.discrete import Grid, assemble_weak_laplacian
-from srlab.geometry import SubRiemannianStructure
+from srlab.geometry import SubRiemannianStructure, is_regular
 from srlab.spectrum import dense_spectrum
 
 from conftest import DENSITY_CONFIGS, FIXTURE_NAMES, GRID_NAMES, write_config
@@ -252,6 +252,47 @@ def test_check_point_limit_counts_lattice_and_samples(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --lattice 3 and --samples 6 give 735 points")
+
+
+def test_check_reports_a_witness_between_the_basis_covectors(capsys, tmp_path):
+    # [X0, X1] = T0 + T1 and [X2, X3] = T0 - T1: M(lambda) is singular at
+    # lambda ~ (1, -1), though at neither basis covector
+    cfg = {
+        "name": "notfat",
+        "dim": 6,
+        "periods": [1.0] * 6,
+        "horizontal": [
+            ["1", "0", "0", "0", "-x1/2", "-x1/2"],
+            ["0", "1", "0", "0", "x0/2", "x0/2"],
+            ["0", "0", "1", "0", "-x3/2", "x3/2"],
+            ["0", "0", "0", "1", "x2/2", "-x2/2"],
+        ],
+        "complement": [["0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "1"]],
+    }
+    code, out, _ = run(capsys, "check", write_config(tmp_path / "notfat.json", cfg))
+    record = json.loads(out)
+    assert code == 0 and record["bracket_generating"] is True
+    assert record["fat"] is False
+    assert record["witness"] == [1 / math.sqrt(2), -1 / math.sqrt(2)]
+    assert record["points_checked"] == 3**6
+
+
+def test_check_sweeps_the_lattice_on_the_read_axes(capsys, monkeypatch):
+    # carnot-step2's frame reads x0..x2: --lattice 10 sweeps 10^3 lattice
+    # points and still counts 10^6
+    import srlab.cli as cli
+
+    swept = []
+
+    def recording(s, points):
+        swept.append(len(points))
+        return is_regular(s, points)
+
+    monkeypatch.setattr(cli, "is_regular", recording)
+    code, out, _ = run(capsys, "check", "carnot-step2", "--lattice", "10", "--samples", "3")
+    assert code == 0
+    assert json.loads(out)["points_checked"] == 10**6 + 3
+    assert swept == [10**3 + 3]
 
 
 def test_check_martinet_irregular(capsys):
@@ -1177,10 +1218,12 @@ def test_every_public_name_resolves_to_its_defining_module():
 
 
 def test_check_of_a_non_fat_structure_loads_no_random(tmp_path):
-    """carnot-step2 has a singular basis covector at the origin, so the
+    """carnot-step2 has a singular basis covector at the origin, and
+    heisenberg's one vertical direction is its only covector, so the
     fatness test draws no random covector and numpy.random stays unloaded;
     ``--samples`` draws its points from it."""
     assert "numpy.random" not in loaded_modules(tmp_path, ("check", "carnot-step2"))
+    assert "numpy.random" not in loaded_modules(tmp_path, ("check", "heisenberg"))
     argv = ("check", "carnot-step2", "--samples", "2")
     assert "numpy.random" in loaded_modules(tmp_path, argv)
 

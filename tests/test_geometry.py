@@ -32,6 +32,8 @@ from conftest import (
     batch_cases,
     batch_points,
     cached_structure,
+    full_lattice,
+    oracle_distinct_points,
     oracle_flag_dims,
     oracle_lie_bracket,
     oracle_validate,
@@ -374,21 +376,27 @@ def test_distinct_point_sweeps_match_the_per_point_oracle(case):
 
 def test_distinct_points_read_only_the_axes_of_the_frame(carnot):
     # carnot-step2's frame reads x0..x2: its 4^6 lattice has 4^3 distinct
-    # points, first seen in lattice order
-    points = carnot.sample_lattice(4)
-    index, inverse = geometry._distinct_points(carnot, points)
+    # points, first seen in lattice order, and sample_lattice builds those
+    full = full_lattice(carnot, 4)
+    index, inverse = oracle_distinct_points(carnot, full)
     assert len(index) == 64 and list(index) == sorted(index)
-    assert np.array_equal(points[index][inverse][:, :3], points[:, :3])
+    assert np.array_equal(full[index][inverse][:, :3], full[:, :3])
+    points = carnot.sample_lattice(4)
+    assert points.tobytes() == full[index].tobytes()
+    assert not np.any(points[:, 3:])
+    # a frame that reads no axis has one lattice point, the origin
     constant = SubRiemannianStructure(
         dim=2,
         periods=(1.0, 1.0),
         horizontal=(_vf("1", "0"),),
         complement=(_vf("0", "1"),),
     )
-    index, inverse = geometry._distinct_points(constant, constant.sample_lattice(3))
+    index, inverse = oracle_distinct_points(constant, full_lattice(constant, 3))
     assert list(index) == [0] and list(inverse) == [0] * 9
+    assert constant.sample_lattice(3).tobytes() == np.zeros((1, 2)).tobytes()
     # a frame reading all six axes: 2000^6 codes overflow int64 at the last
-    # axis, so the codes are renumbered first; -0.0 and 0.0 differ in bits
+    # axis, so the oracle renumbers its codes first; -0.0 and 0.0 differ in
+    # bits; its lattice is the full one
     wide = SubRiemannianStructure(
         dim=6,
         periods=(1.0,) * 6,
@@ -401,9 +409,21 @@ def test_distinct_points_read_only_the_axes_of_the_frame(carnot):
     points = rng.uniform(size=(2000, 6))
     points[:2] = [[0.0] * 6, [-0.0] + [0.0] * 5]
     points = rng.permutation(np.vstack([points, points[::3]]))
-    index, inverse = geometry._distinct_points(wide, points)
+    index, inverse = oracle_distinct_points(wide, points)
     assert len(index) == 2000 and list(index) == sorted(index)
     assert points[index][inverse].tobytes() == points.tobytes()
+    assert wide.sample_lattice(3).tobytes() == full_lattice(wide, 3).tobytes()
+
+
+@pytest.mark.parametrize("per_axis", range(1, 7))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_sample_lattice_is_the_first_of_each_distinct_point(name, per_axis):
+    # the lattice on the read axes is, bit for bit and in order, the first
+    # occurrence of each distinct point of the full per_axis^m lattice
+    s = cached_structure(name)
+    full = full_lattice(s, per_axis)
+    index, _ = oracle_distinct_points(s, full)
+    assert s.sample_lattice(per_axis).tobytes() == full[index].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -518,45 +538,174 @@ def test_fatness_takes_a_seed_or_a_generator(name):
             assert a.witness.tobytes() == b.witness.tobytes()
 
 
+def _step2(C):
+    """The step-2 frame on the unit (k + q)-torus whose vertical structure
+    constants are a skew (k, k, q) table C at every point:
+    X_i = d_i + sum_(j, b) C_ji^b x_j / 2 d_(k+b) and T_b = d_(k+b)."""
+    k, _, q = C.shape
+    m = k + q
+
+    def unit(a):
+        return [ex.ONE if j == a else ex.ZERO for j in range(m)]
+
+    horizontal = []
+    for i in range(k):
+        coefficients = unit(i)[:k] + [
+            ex.add_terms(
+                ex.Mul(ex.Const(float(C[j, i, b]) / 2), ex.Var(j))
+                for j in range(k)
+                if C[j, i, b]
+            )
+            for b in range(q)
+        ]
+        horizontal.append(VectorField(coefficients))
+    return SubRiemannianStructure(
+        dim=m,
+        periods=(1.0,) * m,
+        horizontal=tuple(horizontal),
+        complement=tuple(VectorField(unit(k + b)) for b in range(q)),
+    )
+
+
+def _skew(pairs, k, q):
+    """(k, k, q) table with C[i, j] = -C[j, i] = c for (i, j, c) in pairs."""
+    C = np.zeros((k, k, q))
+    for i, j, c in pairs:
+        C[i, j], C[j, i] = c, -np.asarray(c, dtype=float)
+    return C
+
+
+# ROADMAP's notfat: [X0, X1] = T0 + T1 and [X2, X3] = T0 - T1, so M(lambda)
+# is singular at lambda ~ (1, -1) and (1, 1), at neither basis covector
+_NOTFAT = _skew([(0, 1, (1, 1)), (2, 3, (1, -1))], 4, 2)
+# left multiplication by i, j and k on the quaternions: M(lambda)^2 =
+# -|lambda|^2, so every pencil of them is fat
+_QUATERNION = _skew(
+    [(1, 0, (1, 0, 0)), (3, 2, (1, 0, 0)), (2, 0, (0, 1, 0)), (1, 3, (0, 1, 0)),
+     (3, 0, (0, 0, 1)), (2, 1, (0, 0, 1))],
+    4,
+    3,
+)
+STEP2_TABLES = {
+    "notfat": _NOTFAT,
+    "quat2": _QUATERNION[..., :2],
+    "quat3": _QUATERNION,
+}
+
+
+def _fatness_structure(name):
+    if name in STEP2_TABLES:
+        return _step2(STEP2_TABLES[name])
+    return cached_structure(name)
+
+
 def test_fatness_draws_only_past_the_basis_covectors(heisenberg, carnot):
-    # carnot-step2: e_0 is singular at the origin, so no random covector
-    # is drawn; heisenberg is fat, so all 32 are drawn and tested
+    # carnot-step2: e_0 is singular at the origin; heisenberg (q = 1) and
+    # quat2 (q = 2) are decided without random covectors; quat3 (q = 3) is
+    # fat, so all 32 are drawn and tested
     rng = np.random.default_rng(7)
     state = rng.bit_generator.state
     res = is_fat(carnot, np.zeros(6), rng=rng)
-    assert rng.bit_generator.state == state
     assert not res.fat and res.tested == 3 + 32
     assert res.witness.tobytes() == np.eye(3)[0].tobytes()
     res = is_fat(heisenberg, np.zeros(3), rng=rng)
-    assert res.fat and res.witness is None and res.tested == 1 + 32
+    assert res.fat and res.witness is None and res.tested == 1
+    res = is_fat(_fatness_structure("quat2"), np.zeros(6), rng=rng)
+    assert res.fat and res.witness is None and res.tested == 2 + 4
+    assert rng.bit_generator.state == state
+    quat3 = _fatness_structure("quat3")
+    res = is_fat(quat3, np.zeros(7), rng=rng)
+    assert res.fat and res.witness is None and res.tested == 3 + 32
     drawn = np.random.default_rng(7)
-    drawn.normal(size=(32, 1))
+    drawn.normal(size=(32, 3))
     assert rng.bit_generator.state == drawn.bit_generator.state
-    assert is_fat(heisenberg, np.zeros(3)) == res
+    assert is_fat(quat3, np.zeros(7)) == res
+
+
+def test_q2_fatness_is_decided_by_the_pencil_eigenvalues():
+    # notfat: B^-1 A has the eigenvalues 1, 1, -1, -1; the first gives the
+    # witness (1, -1) / sqrt(2).  quat2: B^-1 A has the eigenvalues +-i, so
+    # no covector is singular
+    notfat, quat2 = _fatness_structure("notfat"), _fatness_structure("quat2")
+    for point in np.vstack([np.zeros(6), sample_points(notfat, 3)]):
+        res = is_fat(notfat, point)
+        assert (res.fat, res.tested) == (False, 2 + 4)
+        assert np.allclose(res.witness, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
+        res = is_fat(quat2, point)
+        assert (res.fat, res.witness, res.tested) == (True, None, 2 + 4)
+    assert is_fat(notfat, np.zeros(6)).witness.tobytes() == (
+        np.array([1.0, -1.0]) / np.sqrt(2)
+    ).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.one_of(
+        st.floats(-np.pi / 2, np.pi / 2),
+        st.sampled_from([0.0, np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2]),
+    ),
+    apart=st.floats(0.2, np.pi - 0.2),
+    scales=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+)
+def test_q2_planted_singular_covector_is_the_witness(seed, theta, apart, scales):
+    # M(lambda) = P^T diag(r_0 <lambda, n_0> J, r_1 <lambda, n_1> J) P with
+    # n_i normal to the planted unit covectors lambda_i: M(lambda) is
+    # singular at lambda ~ lambda_0 and lambda_1 only.  A 4 x 4 pencil with
+    # one real singular direction has a second one, so both are planted,
+    # at least 0.2 apart; the witness is parallel to one of them
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    P = Q * rng.uniform(0.5, 2.0, size=4)
+    planted = [np.array([np.cos(t), np.sin(t)]) for t in (theta, theta + apart)]
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    C = np.zeros((4, 4, 2))
+    for b in range(2):
+        D = np.zeros((4, 4))
+        for i, (lam, r) in enumerate(zip(planted, scales)):
+            D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = r * (-lam[1], lam[0])[b] * J
+        C[..., b] = P.T @ D @ P
+    C = (C - C.transpose(1, 0, 2)) / 2
+    res = is_fat(_step2(C), np.zeros(6))
+    assert not res.fat and res.tested == 2 + 4
+    assert abs(np.linalg.norm(res.witness) - 1.0) < 1e-12
+    assert max(abs(res.witness @ lam) for lam in planted) > 1 - 1e-9
 
 
 def _is_fat_loop(s, point, samples=32, rng=None, tol=1e-10):
-    """Reference strong-bracket test: one covector at a time, first hit wins."""
+    """Reference strong-bracket test: one covector at a time, first hit
+    wins, over the basis covectors, then per eigenvalue mu of B^-1 A the
+    covector (1, -Re mu) for q = 2, or ``samples`` random ones for q >= 3."""
     C = structure_constants(s, point).C_vertical
     q = s.dim - s.k
     if q == 0:
         return True, None, 0
-    lams = [np.eye(q)[b] for b in range(q)]
-    while len(lams) < q + samples:
-        v = rng.normal(size=q)
-        if np.linalg.norm(v) > 1e-12:
-            lams.append(v / np.linalg.norm(v))
-    for lam in lams:
+
+    def covectors():
+        yield from np.eye(q)
+        if q == 2:
+            for mu in np.linalg.eigvals(np.linalg.solve(C[..., 1], C[..., 0])):
+                lam = np.array([1.0, -mu.real])
+                yield lam / np.sqrt(np.sum(lam * lam))
+        drawn = 0
+        while q > 2 and drawn < samples:
+            v = rng.normal(size=q)
+            if np.linalg.norm(v) > 1e-12:
+                drawn += 1
+                yield v / np.linalg.norm(v)
+
+    tested = q + {1: 0, 2: s.k}.get(q, samples)
+    for lam in covectors():
         M = np.tensordot(C, lam, axes=([2], [0]))
         scale = max(float(np.prod(np.linalg.norm(M, axis=1))), np.finfo(float).tiny)
         if abs(np.linalg.det(M)) <= tol * scale:
-            return False, lam, len(lams)
-    return True, None, len(lams)
+            return False, lam, tested
+    return True, None, tested
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(STEP2_TABLES))
 def test_batched_fatness_matches_covector_loop(name):
-    s = cached_structure(name)
+    s = _fatness_structure(name)
     for point in np.vstack([np.zeros(s.dim), sample_points(s, 3)]):
         for seed in (0, 7, 42):
             got = is_fat(s, point, rng=np.random.default_rng(seed))
@@ -611,7 +760,11 @@ def test_validate_rejects_degenerate_frame():
 
 
 def test_sample_lattice_includes_origin(contact):
+    # contact3torus's frame reads x2 only: 5 of the 125 lattice points
     pts = contact.sample_lattice(5)
-    assert pts.shape == (125, 3)
+    full = full_lattice(contact, 5)
+    index, _ = oracle_distinct_points(contact, full)
+    assert pts.shape == (5, 3)
+    assert pts.tobytes() == full[index].tobytes()
     assert np.allclose(pts[0], 0.0)
     assert np.max(pts) < 2 * np.pi

@@ -47,7 +47,7 @@ COMMANDS = (
         ("check", "carnot-step2", "--lattice", "4"),
         ("check", "engel", "--lattice", "3", "--samples", "7", "--seed", "3"),
         ("check", "martinet", "--samples", "5", "--seed", "9"),
-        # the distinct-point sweep across block edges, and the parity answer
+        # the lattice on the read axes across block edges, and the parity answer
         ("check", "carnot-step2", "--lattice", "6"),
         ("check", "carnot-step2", "--lattice", "5", "--samples", "40", "--seed", "7"),
         ("check", "engel", "--lattice", "6"),
