@@ -62,12 +62,11 @@ def _norms(r):
 class PointSolve:
     """Solution of the flatness system at one point or a batch.
 
-    A batch of n points puts its axis first on ``point``, ``A``,
-    ``residuals`` and ``condition_numbers``, and ``modes`` holds one list
-    per point; ``warnings`` runs over the points in order.
+    A batch of n points puts its axis first on ``A``, ``residuals`` and
+    ``condition_numbers``, and ``modes`` holds one list per point;
+    ``warnings`` runs over the points in order.
     """
 
-    point: np.ndarray
     A: np.ndarray  # (m-k, k)
     modes: list  # per b: "unique" | "least-squares"
     residuals: np.ndarray  # per b, norm of C A + F
@@ -120,7 +119,6 @@ def solve_canonical_complement(s, point):
     ]
     modes = np.where(unique, "unique", "least-squares").tolist()
     return PointSolve(
-        point=point,
         A=A,
         modes=modes,
         residuals=residuals,

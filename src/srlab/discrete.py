@@ -44,16 +44,15 @@ holds at once (``_weak_size``): per node its coefficient tables and
 vectors, per slab row its stencil tables.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
-``assemble_strong``) keeps its matrix in one stored form, the offset
-stencil on the grid: per slab row, the value of each stencil offset
-and whether the matrix stores it, with the columns given by the grid
-and the offsets.  The field and strong operators have no invariant
-axis: their slab is every node.  Shape, nonzero count and products
-come from those (S, K) tables; the (N, K) tables, the CSR matrix and
-with it ``scipy.sparse`` are built only when a caller asks for
-``SparseOperator.stencil`` or ``matrix``, as the dense and Lanczos
-eigensolvers and the Matrix Market writer do.  scipy is imported by
-the functions that need it, not with the module.
+``assemble_strong``) returns a ``SparseOperator``, the one record of
+its matrix: the value of each stencil offset per slab row, with the
+columns given by the grid and the offsets.  The matrix stores exactly
+the nonzero values.  The field and strong operators have no invariant
+axis: their slab is every node.  The CSR matrix, and with it
+``scipy.sparse``, is built only when a caller asks for
+``SparseOperator.matrix``, as the dense and Lanczos eigensolvers and
+the Matrix Market writer do; scipy is imported by the functions that
+need it, not with the module.
 """
 
 import functools
@@ -180,11 +179,6 @@ class Grid:
         wrapped = multi % np.array(self.shape)
         return np.ravel_multi_index(tuple(wrapped.T), self.shape)
 
-    def shifted(self, multi, axis, step):
-        out = multi.copy()
-        out[:, axis] = (out[:, axis] + step) % self.shape[axis]
-        return out
-
     def cell_volume(self):
         return float(np.prod(self.h))
 
@@ -219,40 +213,31 @@ def check_periodicity(e, grid, points=None):
 class SparseOperator:
     """Sparse grid operator stored as its offset stencil on a slab.
 
-    It is built from ``(offsets, values, stored)``: its K offsets in
-    {-1, 0, 1}^m, and (S, K) tables of the entry values of its S slab
-    rows at those offsets and of which of them the matrix stores (a weak
-    form or a strong operator stores its nonzero values, a field matrix
-    every entry).  ``slab`` (S,) holds the node of each slab row and
-    ``pos`` (N,) the slab row that each of the N rows repeats, so
+    ``SparseOperator((offsets, values), grid, exact=, slab=, pos=)`` is
+    the whole record: the K offsets in {-1, 0, 1}^m, the (S, K) values
+    of the S slab rows at them, ``slab`` (S,) the node of each slab row
+    and ``pos`` (N,) the slab row that each of the N rows repeats, so
     ``pos[slab]`` is ``arange(S)``; without a slab both are
-    ``arange(N)``, each row its own slab row.  The column of row i at
-    offset k is node i plus that offset on the periodic grid, so no
-    (N, K) table is held.  The operator is the one record of its slab:
-    the Fourier eigensolver and the certificates read it here.
+    ``arange(N)``.  The column of row i at offset k is node i plus that
+    offset on the periodic grid.  The matrix stores exactly the nonzero
+    values.
 
     ``shape``, ``nnz`` and ``matvec`` answer from these tables without
     scipy.  ``matvec`` adds one column rank at a time: the r-th entry of
     every row in ascending column order, as scipy's CSR product adds a
     row's terms, so for a finite v it equals ``matrix @ v`` bit for bit;
-    a block (N, c) gets that product column by column.
-    ``stencil`` expands the (N, K) tables ``(cols, values, stored)``,
-    rows sorted by column, on every access; ``matrix`` is the CSR matrix
-    of the stored entries, built from them on first access.
+    a block (N, c) gets that product column by column.  ``matrix``, the
+    CSR matrix, is built from the same ranks on first access.
     """
 
-    def __init__(
-        self, stencil, grid, *, symmetric=False, exact=None, slab=None, pos=None
-    ):
-        offsets, values, stored = stencil
+    def __init__(self, stencil, grid, *, exact=None, slab=None, pos=None):
+        offsets, values = stencil
         self._offsets = np.asarray(offsets, dtype=np.int64)
         self._values = np.ascontiguousarray(values)
-        self._stored = np.ascontiguousarray(stored)
         self._grid = grid
         if slab is None:
             slab = pos = np.arange(grid.size)
         self.slab, self.pos = slab, pos
-        self.symmetric = symmetric
         # ``exact`` is the dict ``self.exact`` or a function that builds it
         # on first access
         self._exact, self._build_exact = exact, None
@@ -263,33 +248,26 @@ class SparseOperator:
 
     @property
     def exact(self):
-        """{offset in {-1, 0, 1}^m: (cols (S,), parts (S, k))}, or None;
-        the entry of slab row r at cols[r], node slab[r] plus offset, is
-        exactly the sum of the floats parts[r].  Every other row's parts
-        are its slab image's (``pos``)."""
+        """{offset in {-1, 0, 1}^m: parts (S, k)}, or None; the entry of
+        slab row r at node slab[r] plus offset is exactly the sum of the
+        floats parts[r].  Every other row's parts are its slab image's
+        (``pos``)."""
         if self._build_exact is not None:
             self._exact, self._build_exact = self._build_exact(), None
         return self._exact
 
     @property
-    def stencil(self):
-        """(cols, values, stored): (N, K) tables, row i holding the columns
-        of its K entries in ascending order, their values and which of
-        them the matrix stores."""
-        shape = (self.shape[0], self._values.shape[1])
-        cols = np.empty(shape, dtype=np.int64)
-        values = np.empty(shape, dtype=self._values.dtype)
-        stored = np.empty(shape, dtype=bool)
-        for r, (at, c) in enumerate(self._ranks()):
-            cols[:, r] = c
-            values[:, r] = self._values.ravel()[at]
-            stored[:, r] = self._stored.ravel()[at]
-        return cols, values, stored
-
-    @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = _stencil_csr(*self.stencil)
+            import scipy.sparse as sp
+
+            # (N, K) tables of every row's entries in ascending column order
+            at, cols = (np.stack(t, axis=1) for t in zip(*self._ranks()))
+            N, K = at.shape
+            values = self._values.ravel()[at].ravel()
+            indptr = np.arange(0, N * K + 1, K)
+            self._matrix = sp.csr_matrix((values, cols.ravel(), indptr), shape=(N, N))
+            self._matrix.eliminate_zeros()
         return self._matrix
 
     @property
@@ -298,7 +276,7 @@ class SparseOperator:
 
     @property
     def nnz(self):
-        return int(np.sum(np.count_nonzero(self._stored, axis=1)[self.pos]))
+        return int(np.sum(np.count_nonzero(self._values, axis=1)[self.pos]))
 
     def matvec(self, v):
         """L v for a vector v (N,), or for each column of a block v (N, c):
@@ -329,11 +307,11 @@ class SparseOperator:
             yield base + order[cls], index + shift[cls]
 
     def _slab_tables(self):
-        """(cols, values, stored) of the slab rows: (S, K) tables, cols[r, k]
-        the node slab[r] plus offset k."""
+        """(cols, values) of the slab rows: (S, K) tables, cols[r, k] the
+        node slab[r] plus offset k."""
         node = _node_index(self._grid, self.slab)
         cols = np.stack([node(offset) for offset in self._offsets], axis=1)
-        return cols, self._values, self._stored
+        return cols, self._values
 
 
 def _wrap_classes(grid, offsets):
@@ -455,16 +433,6 @@ class WeakForm:
 # ---------------------------------------------------------------------------
 
 
-def _stencil_csr(cols, values, stored):
-    """N x N CSR matrix of the ``stored`` entries of a row-sorted stencil."""
-    import scipy.sparse as sp
-
-    N = len(cols)
-    indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    return sp.csr_matrix((values[stored], cols[stored], indptr), shape=(N, N))
-
-
 def assemble_field(X, grid):
     """Central-difference matrix of the first-order operator f -> X f.
 
@@ -474,7 +442,6 @@ def assemble_field(X, grid):
     m = grid.dim
     if X.dim != m:
         raise GridError("field dimension %d does not match grid %d" % (X.dim, m))
-    multi = grid.multi_indices()
     pts = grid.points()
     exact = {}
     for j in range(m):
@@ -483,16 +450,12 @@ def assemble_field(X, grid):
             continue
         vals = check_periodicity(coeff, grid, pts) / (2.0 * grid.h[j])
         step = tuple(int(a == j) for a in range(m))
-        exact[step] = (grid.ravel(grid.shifted(multi, j, +1)), vals[:, None])
-        exact[tuple(-a for a in step)] = (
-            grid.ravel(grid.shifted(multi, j, -1)), -vals[:, None]
-        )
-    nonzero = bool(exact)
-    if not nonzero:  # the zero field: one zero offset, no stored entry
-        exact[(0,) * m] = (np.arange(grid.size), np.zeros((grid.size, 1)))
-    values = np.hstack([parts for _, parts in exact.values()])
-    stencil = (list(exact), values, np.full(values.shape, nonzero))
-    return SparseOperator(stencil, grid, exact=exact)
+        exact[step] = vals[:, None]
+        exact[tuple(-a for a in step)] = -vals[:, None]
+    if not exact:  # the zero field: one zero offset
+        exact[(0,) * m] = np.zeros((grid.size, 1))
+    values = np.hstack(list(exact.values()))
+    return SparseOperator((list(exact), values), grid, exact=exact)
 
 
 def assemble_strong(spec, grid):
@@ -527,7 +490,7 @@ def assemble_strong(spec, grid):
     terms += [(spec.b[j], [(unit[j], half[j]), (-unit[j], -half[j])]) for j in range(m)]
 
     # offset -> (N,) entry values; the zero offset keeps a spec whose
-    # coefficients are all zero a stencil with one unstored column
+    # coefficients are all zero a stencil with one zero column
     sums = {(0,) * m: np.zeros(grid.size)}
     pts = grid.points()
     for coeff, weights in terms:
@@ -538,7 +501,7 @@ def assemble_strong(spec, grid):
             acc = sums.setdefault(tuple(offset.tolist()), np.zeros(grid.size))
             acc += vals * w
     values = np.stack(list(sums.values()), axis=1)
-    return SparseOperator((list(sums), values, values != 0), grid)
+    return SparseOperator((list(sums), values), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -662,17 +625,16 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     # the tables are invariant along the axes, so at any node they equal
     # their value at the node's slab image: only the slab's are built
     offsets, values = [], []
-    for offset, _, parts in _slab_parts(grid, V, node_weight, slab, pos):
+    for offset, parts in _slab_parts(grid, V, node_weight, slab, pos):
         if not np.all(np.isfinite(parts)):
             raise GridError("values out of the range of exact float products")
         offsets.append(offset)
         values.append(_fsum_rows(parts))
     values = np.array(values).T
     op = SparseOperator(
-        (offsets, values, values != 0),
+        (offsets, values),
         grid,
-        symmetric=True,
-        exact=functools.partial(_weak_exact, grid, V, node_weight, slab, pos),
+        exact=lambda: dict(_slab_parts(grid, V, node_weight, slab, pos)),
         slab=slab,
         pos=pos,
     )
@@ -784,10 +746,10 @@ def _invariant_node_axes(grid, tables):
 
 
 def _slab_parts(grid, V, node_weight, slab, pos):
-    """Yield (offset, cols, parts) over the weak stencil's offsets: row r
-    of parts holds the exact parts of entry (slab[r], cols[r]), cols[r]
-    the node slab[r] + offset.  The product tables are built at the slab
-    nodes, and pos maps every node to its slab image's row in them."""
+    """Yield (offset, parts) over the weak stencil's offsets: row r of
+    parts holds the exact parts of the entry of row slab[r] at the node
+    slab[r] + offset.  The product tables are built at the slab nodes,
+    and pos maps every node to its slab image's row in them."""
     node = _node_index(grid, slab)
     products = _product_tables(V, node_weight, slab)
     for offset, terms in _weak_stencil(grid.dim).items():
@@ -797,16 +759,7 @@ def _slab_parts(grid, V, node_weight, slab, pos):
             for P in products.get((l, l2), ())
         ]
         if blocks:
-            yield offset, node(offset), np.hstack(blocks)
-
-
-def _weak_exact(grid, V, node_weight, slab, pos):
-    """The exact parts {offset: (cols, parts)} of the slab rows of a weak
-    form (``_slab_parts``)."""
-    return {
-        offset: (cols, parts)
-        for offset, cols, parts in _slab_parts(grid, V, node_weight, slab, pos)
-    }
+            yield offset, np.hstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -817,13 +770,14 @@ def exact_symmetry_defect(op):
     """max |L_ij - L_ji| computed in exact arithmetic, as a float."""
     if op.exact is None:
         raise GridError("operator carries no exact entries")
+    node = _node_index(op._grid, op.slab)
     worst = 0.0
-    for offset, (cols, parts) in op.exact.items():
+    for offset, parts in op.exact.items():
         mirror = op.exact.get(tuple(-d for d in offset))
         if mirror is not None:
-            # entry (cols[r], row r) sits at the mirrored offset in row
-            # cols[r], whose parts are its slab image's
-            parts = np.hstack([parts, -mirror[1][op.pos[cols]]])
+            # entry (j, slab[r]), j = node(offset)[r], sits at the mirrored
+            # offset in row j, whose parts are its slab image's
+            parts = np.hstack([parts, -mirror[op.pos[node(offset)]]])
         worst = max(worst, *map(abs, _fsum_rows(parts)))
     return worst
 
@@ -832,7 +786,7 @@ def exact_constant_image(op):
     """max_i |sum_j L_ij| in exact arithmetic, as a float."""
     if op.exact is None:
         raise GridError("operator carries no exact entries")
-    sums = _fsum_rows(np.hstack([parts for _, parts in op.exact.values()]))
+    sums = _fsum_rows(np.hstack(list(op.exact.values())))
     return max(map(abs, sums))
 
 
@@ -853,7 +807,7 @@ def exact_green_defect(weak, e, f):
         raise GridError("operator carries no exact entries")
     e = np.asarray(e, dtype=float)
     f = np.asarray(f, dtype=float)
-    for _ in _pair_parts(weak, e, f, ((o, p) for o, (_, p) in op.exact.items())):
+    for _ in _pair_parts(weak, e, f, op.exact.items()):
         pass
     if weak._green_exact is None:
         weak._green_exact = _green_residual_vanishes(weak)
@@ -922,8 +876,9 @@ def _green_residual(weak):
                     (A[piece], parts[piece], sign)
                 )
 
-    for cols, parts in weak.operator.exact.values():
-        add(slab, cols, parts, 1.0)
+    node = _node_index(grid, slab)
+    for offset, parts in weak.operator.exact.items():
+        add(slab, node(offset), parts, 1.0)
     for fac in weak.factors:
         v = fac.values
         ends = ((-1.0, fac.lo), (1.0, fac.hi))
@@ -981,13 +936,9 @@ def write_matrix_market(path, op, comment=""):
     import scipy.sparse as sp
     from scipy.io import mmwrite
 
-    if isinstance(op, DiagonalMass):
-        mat, symmetric = sp.diags(op.diagonal), True
-    else:
-        mat, symmetric = op.matrix, op.symmetric
+    mat = sp.diags(op.diagonal) if isinstance(op, DiagonalMass) else op.matrix
     with open(path, "wb") as fh:  # a path would gain a ".mtx" suffix
         mmwrite(fh, mat, comment=comment, symmetry="general")
-    return symmetric
 
 
 def read_matrix_market(path):

@@ -258,15 +258,8 @@ class StructureData:
     points puts its axis first, table (n, m, m, m).
     """
 
-    point: np.ndarray
     k: int
     table: np.ndarray
-
-    @property
-    def C_horizontal(self):
-        """C_ij^a for horizontal i, j, a."""
-        k = self.k
-        return self.table[..., :k, :k, :k]
 
     @property
     def C_vertical(self):
@@ -291,7 +284,7 @@ def structure_constants(s, point):
             c = np.linalg.solve(F, w[..., None])[..., 0]
             table[..., u, v, :] = c
             table[..., v, u, :] = -c
-    return StructureData(point=point, k=s.k, table=table)
+    return StructureData(k=s.k, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +365,6 @@ def hausdorff_dimension(dims):
 @dataclass
 class RegularityReport:
     regular: bool
-    points: np.ndarray
     dims: np.ndarray  # (n, 6) int flag dims, padded with m
 
 
@@ -390,7 +382,7 @@ def is_regular(s, points=None):
     dims = _flag_ranks(s, points)
     dims[np.maximum.accumulate(dims == s.dim, axis=1)] = s.dim
     regular = len(dims) > 0 and bool(np.all(dims == dims[0]))
-    return RegularityReport(regular=regular, points=points, dims=dims)
+    return RegularityReport(regular=regular, dims=dims)
 
 
 @dataclass
@@ -405,7 +397,9 @@ def is_fat(s, point, rng=None):
 
     For every annihilator direction lambda, the matrix M(lambda)_ij =
     sum_b lambda_b C_ij^b must be invertible: M(lambda) is singular when
-    |det M| <= 1e-10 times the product of its row norms.  The q basis
+    its smallest singular value is at most 1e-10 times the Frobenius
+    norm of the whole pencil C, so a root is judged against the size of
+    C, not against rows of M that vanish there.  The q basis
     covectors are tested first.  For q = 1 that is every direction up to
     sign.  For q = 2, M(lambda) = lambda_0 A + lambda_1 B with B = M(e_1)
     invertible is singular exactly at lambda ~ (1, -mu) for a real
@@ -445,13 +439,13 @@ def is_fat(s, point, rng=None):
 
 
 def _first_singular(C, lams):
-    """The first lambda in ``lams`` whose M(lambda) is singular, or None."""
+    """The first lambda in ``lams`` whose M(lambda) has a smallest singular
+    value at most 1e-10 ||C||_F, or None."""
     q = C.shape[-1]
     # M[l] = M(lams[l]), one (k*k, q) @ (q, 1) product each as np.tensordot forms it
     M = (C.reshape(-1, q) @ np.stack(lams)[..., None]).reshape(-1, *C.shape[:2])
-    rows = np.linalg.norm(M, axis=-1)
-    scale = np.maximum(np.prod(rows, axis=-1), np.finfo(float).tiny)
-    singular = np.abs(np.linalg.det(M)) <= 1e-10 * scale
+    sigma_min = np.linalg.svd(M, compute_uv=False)[:, -1]
+    singular = sigma_min <= 1e-10 * np.linalg.norm(C)
     return lams[int(np.argmax(singular))] if singular.any() else None
 
 

@@ -30,13 +30,12 @@ operator and mass.  The Fourier path takes the invariant axes from the
 form (``WeakForm.invariance``), which only the assembler sets, from its
 node tables; a form built by hand or by ``dataclasses.replace`` carries
 none and goes by size.  The slab and every row's slab image are the
-operator's (``SparseOperator.slab``, ``pos``).  It reads the slab rows
-of the operator's stored (S, K) tables for its blocks and
-applies ``SparseOperator.matvec`` for its residuals, and uses numpy's
-LAPACK only, so it builds neither the (N, K) stencil tables, the CSR
-matrix, the exact entry parts nor the quadrature factors, and loads no
-scipy.  It builds at most 2^20 block entries at once
-(``_BLOCK_ENTRIES``).  The dense and Lanczos paths take
+operator's (``SparseOperator.slab``, ``pos``).  It reads the nonzero
+values of the operator's slab rows for its blocks and applies
+``SparseOperator.matvec`` for its residuals, and uses numpy's LAPACK
+only, so it builds neither the CSR matrix, the exact entry parts nor
+the quadrature factors, and loads no scipy.  It builds at most 2^20
+block entries at once (``_BLOCK_ENTRIES``).  The dense and Lanczos paths take
 ``SparseOperator.matrix``; scipy is imported by the functions that use
 it, on the first such solve, not with the module.
 """
@@ -400,7 +399,8 @@ def fourier_smallest(wf, count):
     index = np.indices(wf.grid.shape, sparse=True)
     at = np.stack([np.broadcast_to(index[a], wf.grid.shape).ravel() for a in inv], 1)
     s = 1.0 / np.sqrt(diag)
-    cols, values, stored = op._slab_tables()
+    cols, values = op._slab_tables()
+    stored = values != 0
     r, c = np.broadcast_to(slab[:, None], stored.shape)[stored], cols[stored]
     val = values[stored] * (s[r] * s[c])  # as in scaled_standard_form
     # entry (r, c) adds val * phase(k, at[c]) to block entry (pos[r], pos[c])

@@ -131,15 +131,21 @@ def _invariant_axes(op, diag, grid):
     """Grid axes under whose one-node shift the stencil of ``op`` and the
     mass diagonal ``diag`` are exactly invariant.
 
-    With perm the shift, row perm[i] of the column and value tables must
-    be row i moved to the columns perm[cols[i]], re-sorted: then
-    L[perm[i], perm[j]] = L[i, j] for every entry, stored or not.
+    The (N, K) tables are expanded here from the operator's offsets and
+    slab values: row i holds the columns of node i plus every offset, in
+    ascending order, and their values, read from row pos[i].  With perm
+    the shift, row perm[i] of the tables must be row i moved to the
+    columns perm[cols[i]], re-sorted: then L[perm[i], perm[j]] = L[i, j]
+    for every entry, zero or not.
     """
-    cols, values, _ = op.stencil
     multi = grid.multi_indices()
+    cols = np.stack([grid.ravel(multi + offset) for offset in op._offsets], axis=1)
+    order = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, order, 1)
+    values = np.take_along_axis(op._values[op.pos], order, 1)
     axes = []
     for a in range(grid.dim):
-        perm = grid.ravel(grid.shifted(multi, a, 1))
+        perm = grid.ravel(multi + np.eye(grid.dim, dtype=np.int64)[a])
         moved = perm[cols]
         order = np.argsort(moved, axis=1)
         if (

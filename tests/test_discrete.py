@@ -129,16 +129,6 @@ def test_grid_ravel_wraps_indices():
     assert np.array_equal(g.ravel(multi), [0, 3 * 6 + 1])
 
 
-def test_grid_shifted_wraps_along_axis():
-    g = Grid(shape=(4, 4), periods=(1.0, 1.0))
-    multi = g.multi_indices()
-    up = g.shifted(multi, 0, +1)
-    assert up[:, 0].max() == 3
-    assert np.array_equal(up[-1], [0, 3])
-    # original is untouched
-    assert multi[-1, 0] == 3
-
-
 # ---------------------------------------------------------------------------
 # node values and periodicity screening
 
@@ -281,8 +271,8 @@ def test_weak_horizontal_is_three_point_stencil():
     wf = assemble_weak_laplacian(s, g)
     A = wf.operator.matrix.toarray()
     multi = g.multi_indices()
-    up = g.ravel(g.shifted(multi, 0, +1))
-    dn = g.ravel(g.shifted(multi, 0, -1))
+    up = g.ravel(multi + [1, 0])
+    dn = g.ravel(multi - [1, 0])
     B = np.zeros((g.size, g.size))
     idx = np.arange(g.size)
     B[idx, idx] = 2.0
@@ -558,7 +548,7 @@ def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, dat
     rng = np.random.default_rng(seed)
     if mutation == "entry-ulp":
         offsets = sorted(wf.operator.exact)
-        _, parts = wf.operator.exact[offsets[rng.integers(len(offsets))]]
+        parts = wf.operator.exact[offsets[rng.integers(len(offsets))]]
         i, j = rng.choice(np.argwhere(parts != 0))
         parts[i, j] = np.nextafter(parts[i, j], np.inf)
     elif mutation == "factor-double":
@@ -606,9 +596,8 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
     op = wf.operator
     pos = op.pos
     assert sorted(exact) == sorted(op.exact)
-    for offset, (cols, parts) in exact.items():
-        assert np.array_equal(cols[op.slab], op.exact[offset][0])
-        assert parts.tobytes() == op.exact[offset][1][pos].tobytes()
+    for offset, (_, parts) in exact.items():
+        assert parts.tobytes() == op.exact[offset][pos].tobytes()
     assert exact_symmetry_defect(op) == oracle_symmetry(exact) == 0.0
     assert exact_constant_image(op) == oracle_constant(exact) == 0.0
     rng = np.random.default_rng(n)
@@ -621,7 +610,7 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
     assert green() == oracle_green(grid, exact, factors, weights, e, f) == (True, 0.0)
 
     offset = sorted(exact)[rng.integers(len(exact))]
-    parts = op.exact[offset][1]
+    parts = op.exact[offset]
     r, j = rng.choice(np.argwhere(parts != 0))
     parts[r, j] = np.nextafter(parts[r, j], np.inf)
     exact[offset][1][pos == r, j] = parts[r, j]
@@ -724,9 +713,8 @@ def test_matrix_market_round_trip_is_exact(contact):
     M = wf.operator.matrix
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "op.mtx")
-        symmetric = write_matrix_market(path, wf.operator, comment="weak form")
+        write_matrix_market(path, wf.operator, comment="weak form")
         back = read_matrix_market(path)
-    assert symmetric is True
     assert (back != M).nnz == 0
     # repr round-trip keeps every float bit-for-bit
     assert np.array_equal(np.sort(back.data), np.sort(M.data))
@@ -747,19 +735,19 @@ def test_matrix_market_rejects_foreign_header(tmp_path):
         read_matrix_market(str(path))
 
 
-def coo_reference(op, drop_zeros):
-    """Reference CSR matrix of an offset assembler's entries, built through
-    COO without the stencil: one column per offset of ``op.exact``, each
-    entry the fsum of its exact parts, the slab row's for a row it
-    repeats, zero values dropped if asked."""
+def coo_reference(op):
+    """Reference CSR matrix of an offset assembler's nonzero entries, built
+    through COO without the operator's values: one column per offset of
+    ``op.exact``, each entry the fsum of its exact parts, the slab row's
+    for a row it repeats."""
     N = op.shape[0]
     multi = op._grid.multi_indices()
     rows, cols, data = [], [], []
-    for offset, (_, parts) in op.exact.items():
+    for offset, parts in op.exact.items():
         col = op._grid.ravel(multi + offset)
         vals = np.array([math.fsum(row) for row in parts.tolist()])
         vals = vals[op.pos]
-        keep = vals != 0.0 if drop_zeros else np.ones(N, dtype=bool)
+        keep = vals != 0.0
         rows.append(np.flatnonzero(keep))
         cols.append(col[keep])
         data.append(vals[keep])
@@ -770,14 +758,16 @@ def coo_reference(op, drop_zeros):
 
 
 def assert_stencil_matches(op, ref):
-    """shape and nnz from the stencil without the CSR, the lazy CSR equal
-    to ``ref`` array by array, and matvec equal to its product bit for bit."""
+    """shape and nnz from the values without the CSR, the lazy CSR equal
+    to ``ref`` array by array and holding no zero, and matvec equal to its
+    product bit for bit."""
     assert op.shape == ref.shape
     assert op.nnz == ref.nnz
     assert op._matrix is None
     mat = op.matrix
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(mat, name), getattr(ref, name)), name
+    assert mat.nnz == op.nnz and np.all(mat.data != 0)
     for v in np.random.default_rng(5).standard_normal((3, op.shape[0])):
         assert op.matvec(v).tobytes() == (mat @ v).tobytes()
 
@@ -785,7 +775,7 @@ def assert_stencil_matches(op, ref):
 @pytest.mark.parametrize("name, density, n, eps", STENCIL_CASES)
 def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
     op = density_form(name, density, n, eps=eps).operator
-    assert_stencil_matches(op, coo_reference(op, drop_zeros=True))
+    assert_stencil_matches(op, coo_reference(op))
 
 
 @pytest.mark.parametrize(
@@ -856,7 +846,7 @@ def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
     assert axes == []
     assert np.array_equal(slab, np.arange(g.size))
     assert np.array_equal(pos, np.arange(g.size))
-    assert_stencil_matches(wf.operator, coo_reference(wf.operator, drop_zeros=True))
+    assert_stencil_matches(wf.operator, coo_reference(wf.operator))
 
 
 def test_fourier_solve_leaves_the_quadrature_unbuilt():
@@ -899,19 +889,19 @@ MATVEC_CASES = STENCIL_CASES + [
 
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(MATVEC_CASES), seed=st.integers(0, 2**32 - 1))
-def test_slab_matvec_and_stencil_match_the_matrix(case, seed):
+def test_slab_matvec_and_matrix_match_the_reference(case, seed):
     # rows repeated from the slab and columns from the grid give the
-    # product of the CSR matrix bit for bit, and the expanded stencil
-    # holds the entries of the reference built from the exact parts
+    # product of the CSR matrix bit for bit, and the CSR matrix holds the
+    # entries of the reference built from the exact parts, row by row in
+    # ascending column order
     op = density_form(*case).operator
     v = np.random.default_rng(seed).standard_normal(op.shape[0])
     assert op.matvec(v).tobytes() == (op.matrix @ v).tobytes()
-    cols, values, stored = op.stencil
-    ref = coo_reference(op, drop_zeros=True)
-    assert np.all(np.diff(cols, axis=1) > 0)
-    assert np.array_equal(np.count_nonzero(stored, axis=1), np.diff(ref.indptr))
-    assert np.array_equal(cols[stored], ref.indices)
-    assert values[stored].tobytes() == ref.data.tobytes()
+    mat, ref = op.matrix, coo_reference(op)
+    assert ref.has_sorted_indices
+    assert np.array_equal(mat.indptr, ref.indptr)
+    assert np.array_equal(mat.indices, ref.indices)
+    assert mat.data.tobytes() == ref.data.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -931,8 +921,7 @@ def test_block_matvec_gives_every_column_the_matrix_product(
     # apply.  Without the slab every row is its own slab row
     op = density_form(*case).operator
     if not slab:
-        tables = (op._offsets, op._values[op.pos], op._stored[op.pos])
-        op = SparseOperator(tables, op._grid)
+        op = SparseOperator((op._offsets, op._values[op.pos]), op._grid)
     N = op.shape[0]
     V = np.random.default_rng(seed).standard_normal((N, width))
     with mock.patch.object(discrete, "_MATVEC_ROWS", rows):
@@ -959,12 +948,35 @@ def test_fourier_solve_leaves_the_exact_parts_unbuilt():
 
 
 @pytest.mark.parametrize("name", GRID_NAMES)
-def test_field_stencil_matrix_keeps_stored_zeros(name):
+def test_every_assembler_stores_exactly_its_nonzero_entries(name):
+    # the field, strong and weak operators of a grid fixture, and a field
+    # whose coefficients sin and 1 - cos vanish on the nodes x0 = 0: nnz
+    # counts the nonzero values, the CSR matrix holds each of them and no
+    # zero, and matvec is its product bit for bit
     s = cached_structure(name)
     g = Grid(shape=(6,) * s.dim, periods=s.periods)
-    for X in list(s.horizontal) + list(s.complement):
-        op = assemble_field(X, g)
-        assert_stencil_matches(op, coo_reference(op, drop_zeros=False))
+    c = 2.0 * math.pi / s.periods[0]
+    vanishing = VectorField(
+        [ex.parse("sin(%r*x0)" % c, dim=s.dim)]
+        + [ex.ZERO] * (s.dim - 2)
+        + [ex.parse("1 - cos(%r*x0)" % c, dim=s.dim)]
+    )
+    fields = [assemble_field(X, g) for X in [*s.horizontal, *s.complement, vanishing]]
+    for op in fields:
+        assert_stencil_matches(op, coo_reference(op))
+    field = fields[-1]
+    assert 0 < field.nnz < field._values.size  # some values are zero
+    strong = [
+        assemble_strong(strong_spec(name, None, kind), g)
+        for kind in ("sublaplacian", "penalty", "riemannian")
+    ]
+    weak = [assemble_weak_laplacian(s, g, eps=eps).operator for eps in (None, 2.0)]
+    v = np.random.default_rng(1).standard_normal(g.size)
+    for op in fields + strong + weak:
+        mat = op.matrix
+        assert op.nnz == mat.nnz == np.count_nonzero(op._values[op.pos])
+        assert np.all(mat.data != 0)
+        assert op.matvec(v).tobytes() == (mat @ v).tobytes()
 
 
 # the sublaplacian, penalty (eps 0.7) and Riemannian operators of every grid
@@ -1005,7 +1017,9 @@ def strong_reference(spec, grid):
     N = grid.size
 
     def shift(axis, step):
-        cols = grid.ravel(grid.shifted(grid.multi_indices(), axis, step))
+        multi = grid.multi_indices()
+        multi[:, axis] += step
+        cols = grid.ravel(multi)
         return sp.csr_matrix((np.ones(N), cols, np.arange(N + 1)), shape=(N, N))
 
     def first(j):

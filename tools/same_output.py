@@ -7,8 +7,10 @@ defaults to the checkout that holds this script.  Every command of
 ``COMMANDS`` runs as ``python -m srlab`` in one temporary directory, with
 ``SRLAB_THREADS=1`` and ``PYTHONPATH=<tree>/src``, once per tree.  That
 directory holds ``d1.json`` and ``d2.json``: HEAD's contact3torus fixture
-with the density ``2 + cos(x0)`` and with ``3 + cos(x0) + cos(x1)``; and
-``singular.json``, a frame singular at a lattice point (``SINGULAR``).
+with the density ``2 + cos(x0)`` and with ``3 + cos(x0) + cos(x1)``;
+``singular.json``, a frame singular at a lattice point (``SINGULAR``);
+and ``notfat.json`` and ``notfat37.json``, two step-2 frames that are
+not fat (``NOTFAT``, ``NOTFAT37``).
 One line is printed per command whose stdout, stderr or exit code
 differs, and the exit code is 1 if any command differs.
 """
@@ -41,6 +43,32 @@ SINGULAR = {
     "complement": [["0", "0", "1"]],
 }
 
+
+def _step2(name, a, b):
+    """A step-2 frame on the unit 6-torus with [X0, X1] = T0 + a T1 and
+    [X2, X3] = T0 - b T1: M(lambda) is singular at lambda ~ (a, -1) and
+    (b, 1), at neither basis covector."""
+    return {
+        "name": name,
+        "dim": 6,
+        "periods": [1.0] * 6,
+        "horizontal": [
+            ["1", "0", "0", "0", "-x1/2", "-%s*x1/2" % a],
+            ["0", "1", "0", "0", "x0/2", "%s*x0/2" % a],
+            ["0", "0", "1", "0", "-x3/2", "%s*x3/2" % b],
+            ["0", "0", "0", "1", "x2/2", "-%s*x2/2" % b],
+        ],
+        "complement": [
+            ["0", "0", "0", "0", "1", "0"],
+            ["0", "0", "0", "0", "0", "1"],
+        ],
+    }
+
+
+NOTFAT = _step2("notfat", "1", "1")
+# a root where the rows of M(lambda) that vanish are rounding noise
+NOTFAT37 = _step2("notfat37", "3.7", "1.3")
+
 COMMANDS = (
     [("check", name) for name in FIXTURES]
     + [
@@ -52,6 +80,8 @@ COMMANDS = (
         ("check", "carnot-step2", "--lattice", "5", "--samples", "40", "--seed", "7"),
         ("check", "engel", "--lattice", "6"),
         ("check", "singular.json", "--lattice", "4"),
+        ("check", "notfat.json"),
+        ("check", "notfat37.json"),
     ]
     + [("canonicalize", name) for name in FIXTURES]
     + [("verify", name) for name in ("heisenberg", "carnot-step2", "engel", "martinet")]
@@ -100,7 +130,8 @@ def differences(base, head, commands=COMMANDS):
         for name, density in DENSITIES.items():
             cfg = dict(json.loads(fixture.read_text()), density=density)
             (Path(cwd) / name).write_text(json.dumps(cfg))
-        (Path(cwd) / "singular.json").write_text(json.dumps(SINGULAR))
+        for cfg in (SINGULAR, NOTFAT, NOTFAT37):
+            (Path(cwd) / (cfg["name"] + ".json")).write_text(json.dumps(cfg))
         for command in commands:
             a, b = run(base, command, cwd), run(head, command, cwd)
             parts = [
