@@ -16,9 +16,10 @@ about the stored floats, not approximate ones.
 The match, Green's identity f^T L e = sum_fields <B e, B f>_W, is
 bilinear in (e, f): its defect is |sum_ij f_i e_j D_ij| for the residual
 D between the exact entries and the quadrature rows.  So it holds for
-every pair exactly when every D_ij is zero, which one ``math.fsum`` per
-entry decides once per weak form; a form whose D is not zero gets each
-pair's defect summed exactly from the same tables of D.
+every pair exactly when every D_ij is zero.  All three certificates are
+one kind of answer, a max of exact sums: max |L_ij - L_ji|, max_i
+|sum_j L_ij| and max |D_ij|, each entry one ``math.fsum``, and 0.0 is
+the exact verdict.
 
 A weak form whose node tables (the exact parts of w v_l v_l2 for every
 field, the node weights and the mass diagonal) equal their one-node
@@ -37,11 +38,10 @@ first access, on the slab too: the exact parts of the slab rows
 (``SparseOperator.exact``) and the quadrature factors and weights of
 the slab cells (``WeakForm.factors``, ``weights``).  Every table the
 certificates read is invariant along the axes, so symmetry, the image
-of constants and the Green residual are decided on the slab rows; only
-a pair's products, which vary per node, are swept over every row, a
-block at a time.  The assembly budget counts the arrays the assembler
-holds at once (``_weak_size``): per node its coefficient tables and
-vectors, per slab row its stencil tables.
+of constants and the Green residual are decided on the slab rows alone.
+The assembly budget counts the arrays the assembler holds at once
+(``_weak_size``): per node its coefficient tables and vectors, per slab
+row its stencil tables.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) returns a ``SparseOperator``, the one record of
@@ -380,9 +380,8 @@ class WeakForm:
     origin node is in the slab, with global node numbers in ``lo`` and
     ``hi``; every other cell is a slab cell shifted along the invariant
     axes.  They are built together on first access to either: no solve
-    reads them, only the Green certificate and ``quadratic_form``.  The
-    slab and every row's slab image are the operator's
-    (``SparseOperator.slab``, ``pos``).
+    reads them, only the Green certificate.  The slab and every row's
+    slab image are the operator's (``SparseOperator.slab``, ``pos``).
     """
 
     grid: Grid
@@ -391,8 +390,6 @@ class WeakForm:
     eps: object = None
     # (factors, weights), or a function that builds them on first access
     _quadrature: object = field(default=None, repr=False)
-    # whether the Green residual is exactly zero, decided on first use
-    _green_exact: object = field(default=None, init=False, repr=False)
     # the grid axes along which the assembler found the form exactly
     # invariant, its slab the nodes at index 0 along them.  Not an init
     # field, so a form built by hand or by ``dataclasses.replace``
@@ -411,23 +408,6 @@ class WeakForm:
     @property
     def weights(self):
         return self._rows()[1]
-
-    def quadratic_form(self, f):
-        """sum_fields <B f, B f>_W over every cell: the slab cells' rows with
-        every endpoint shifted by each t along the invariant axes, the
-        nodes whose slab image is node 0."""
-        grid = self.grid
-        multi = grid.multi_indices()
-        total = 0.0
-        for t in multi[self.operator.pos == 0]:
-            for fac in self.factors:
-                lo, hi = (
-                    grid.ravel(multi[x.ravel()] + t).reshape(x.shape)
-                    for x in (fac.lo, fac.hi)
-                )
-                g = np.sum(fac.values * (f[hi] - f[lo]), axis=1)
-                total += float(np.sum(self.weights * g * g))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -790,61 +770,28 @@ def exact_constant_image(op):
     return max(map(abs, sums))
 
 
-def exact_green_defect(weak, e, f):
-    """|f^T L e - sum_fields <B e, B f>_W| in exact arithmetic, as a float.
+def exact_green_defect(weak):
+    """max |D_ij| over the Green residual D in exact arithmetic, as a float.
 
-    The defect is |sum_ij f_i e_j D_ij| for the bilinear Green residual D
-    (``_green_residual_vanishes``), so it is 0 for every pair exactly when
-    D is exactly zero.  That is decided once per weak form, on the first
-    call, and cached on it; a form whose D vanishes answers 0.0 for any
-    pair.  Otherwise the pair's defect is summed exactly from D
-    (``_green_pair_defect``).  Either way the entry parts of every row
-    times f and e are split exactly first, so a pair outside the range of
-    exact float products raises GridError instead of answering.
+    Green's identity f^T L e = sum_fields <B e, B f>_W is bilinear in
+    (e, f): its defect is |sum_ij f_i e_j D_ij| for the residual D between
+    the exact entries and the quadrature rows (``_green_residual``).  So
+    it holds for every pair exactly when every D_ij is zero, and a return
+    of 0.0 says so: each D_ij is one ``math.fsum`` of exact parts, and an
+    exact sum of floats that is not zero rounds to a float that is not
+    zero.
     """
-    op = weak.operator
-    if op.exact is None:
+    if weak.operator.exact is None:
         raise GridError("operator carries no exact entries")
-    e = np.asarray(e, dtype=float)
-    f = np.asarray(f, dtype=float)
-    for _ in _pair_parts(weak, e, f, op.exact.items()):
-        pass
-    if weak._green_exact is None:
-        weak._green_exact = _green_residual_vanishes(weak)
-    if weak._green_exact:
-        return 0.0
-    return _green_pair_defect(weak, e, f)
-
-
-def _pair_parts(weak, e, f, tables):
-    """Yield the exact parts of f_i e_j T_ij over every row i, one
-    (offset, T) of ``tables`` and a block of about 2^18 values at a time:
-    T holds the slab rows, row i reads row pos[i] of it, and j is node i
-    plus offset."""
-    grid = weak.grid
-    pos = weak.operator.pos
-    multi = grid.multi_indices()
-    for offset, table in tables:
-        cols = grid.ravel(multi + offset)
-        step = max(1, (1 << 18) // max(1, table.shape[1]))
-        for i in range(0, grid.size, step):
-            rows = slice(i, i + step)
-            parts = _times([table[pos[rows]]], f[rows, None])
-            yield from _times(parts, e[cols[rows], None])
-
-
-def _green_residual_vanishes(weak):
-    """Whether the bilinear Green residual D is exactly zero.
-
-    Each entry is one ``math.fsum`` of exact parts, and an exact sum of
-    floats that is not zero rounds to a float that is not zero.
-    """
-    return not any(any(_fsum_rows(table)) for _, table in _green_residual(weak))
+    worst = 0.0
+    for table in _green_residual(weak):
+        worst = max(worst, *map(abs, _fsum_rows(table)))
+    return worst
 
 
 def _green_residual(weak):
-    """Yield (offset, table) for the Green residual D on the slab rows,
-    one wrapped offset at a time.
+    """Yield the tables of the Green residual D on the slab rows, one
+    wrapped offset at a time.
 
     D_ij is the exact value of L_ij, from its entry parts, minus
     w * c_a * c_b summed over the quadrature rows of the field factors
@@ -890,14 +837,14 @@ def _green_residual(weak):
                     add(A[:, la], B[:, lb], P, -sa * sb)
 
     # one entry per row of a table whose columns hold each piece's parts
-    for code, pieces in runs.items():
+    for pieces in runs.values():
         table = np.zeros((S, sum(p.shape[1] for _, p, _ in pieces)))
         at = 0
         for nodes, parts, sign in pieces:
             rows = pos[nodes]
             table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
             at += parts.shape[1]
-        yield np.array(np.unravel_index(code, grid.shape)), table
+        yield table
 
 
 def _distinct_pieces(rows, N):
@@ -914,18 +861,6 @@ def _distinct_pieces(rows, N):
     ranked = rows[order]
     rank = np.arange(rows.size) - np.searchsorted(ranked, ranked)
     return [order[rank == k] for k in range(rank.max() + 1)]
-
-
-def _green_pair_defect(weak, e, f):
-    """The Green defect of one pair, summed exactly from D.
-
-    |sum_i f_i e[j] D[i, j]| over every row i and the tables of
-    ``_green_residual``: every product is split exactly and one
-    ``math.fsum`` rounds the whole sum.
-    """
-    products = _pair_parts(weak, e, f, _green_residual(weak))
-    parts = (p.ravel().tolist() for p in products)
-    return abs(math.fsum(itertools.chain.from_iterable(parts)))
 
 
 # ---------------------------------------------------------------------------

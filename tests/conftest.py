@@ -213,24 +213,21 @@ def oracle_constant(exact):
 
 
 def oracle_green_residual(grid, exact, factors, weights):
-    """Yield (cols, table) for the Green residual D over every row: row i
-    of a table holds exact parts that sum to D[i, cols[i]]."""
-    N = grid.size
-    multi = grid.multi_indices()
-    runs = {}
+    """The nonzero entries of the Green residual D over every row, each
+    the ``math.fsum`` of its exact parts: the entry parts of L minus
+    w * c_a * c_b over every quadrature row and pair of its edge endpoints
+    (col_a, c_a), (col_b, c_b), c = +v at hi and -v at lo.  Every part is
+    one (row, column, value) term, grouped by ``np.lexsort``."""
+    rows, cols, values = [], [], []
 
-    def add(rows, cols, parts, sign):
-        codes = grid.ravel(multi[cols] - multi[rows])
-        cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-        for a, b in zip(np.r_[0, cut], np.r_[cut, codes.size]):
-            for piece in discrete._distinct_pieces(rows[a:b], N):
-                piece = slice(a, b) if piece is None else a + piece
-                runs.setdefault(int(codes[a]), []).append(
-                    (rows[piece], parts[piece], sign)
-                )
+    def add(a, b, parts):
+        k = parts.shape[1]
+        rows.append(np.repeat(a, k))
+        cols.append(np.repeat(b, k))
+        values.append(parts.ravel())
 
-    for cols, parts in exact.values():
-        add(np.arange(N), cols, parts, 1.0)
+    for c, parts in exact.values():
+        add(np.arange(grid.size), c, parts)
     for fac in factors:
         v = fac.values
         ends = ((-1.0, fac.lo), (1.0, fac.hi))
@@ -241,28 +238,21 @@ def oracle_green_residual(grid, exact, factors, weights):
             )
             for la, lb in {(l, l2), (l2, l)}:
                 for (sa, A), (sb, B) in itertools.product(ends, repeat=2):
-                    add(A[:, la], B[:, lb], P, -sa * sb)
+                    add(A[:, la], B[:, lb], -sa * sb * P)
 
-    for code, pieces in runs.items():
-        table = np.zeros((N, sum(p.shape[1] for _, p, _ in pieces)))
-        at = 0
-        for rows, parts, sign in pieces:
-            table[rows, at : at + parts.shape[1]] = parts if sign > 0 else -parts
-            at += parts.shape[1]
-        offset = np.array(np.unravel_index(code, grid.shape))
-        yield grid.ravel(multi + offset), table
+    rows, cols, values = map(np.concatenate, (rows, cols, values))
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order].tolist()
+    cut = np.flatnonzero((np.diff(rows) != 0) | (np.diff(cols) != 0)) + 1
+    bounds = zip(np.r_[0, cut], np.r_[cut, len(values)])
+    sums = (math.fsum(values[a:b]) for a, b in bounds)
+    return [d for d in sums if d]
 
 
-def oracle_green(grid, exact, factors, weights, e, f):
-    """(whether D vanishes, the pair's defect |sum_ij f_i e_j D_ij|)."""
-    tables = list(oracle_green_residual(grid, exact, factors, weights))
-    vanishes = not any(any(discrete._fsum_rows(t)) for _, t in tables)
-    parts = (
-        p.ravel().tolist()
-        for cols, t in tables
-        for p in discrete._times(discrete._times([t], f[:, None]), e[cols][:, None])
-    )
-    return vanishes, abs(math.fsum(itertools.chain.from_iterable(parts)))
+def oracle_green(grid, exact, factors, weights):
+    """(whether D vanishes, max |D_ij|)."""
+    residual = oracle_green_residual(grid, exact, factors, weights)
+    return not residual, max(map(abs, residual), default=0.0)
 
 
 # ---------------------------------------------------------------------------

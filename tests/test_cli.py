@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,14 @@ from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.geometry import SubRiemannianStructure, is_regular
 from srlab.spectrum import dense_spectrum
 
-from conftest import DENSITY_CONFIGS, FIXTURE_NAMES, GRID_NAMES, write_config
+from conftest import (
+    DENSITY_CONFIGS,
+    FIXTURE_NAMES,
+    GRID_NAMES,
+    oracle_green,
+    oracle_tables,
+    write_config,
+)
 
 
 def run(capsys, *argv):
@@ -748,6 +756,31 @@ def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
     assert [f.grid.shape[0] for f in forms] == [4, 8]
     assert not callable(forms[0]._quadrature)
     assert callable(forms[1]._quadrature)
+
+
+def test_verify_fails_the_green_item_on_one_changed_part(capsys, monkeypatch):
+    # one exact part of the n grid's form one ulp off: the Green item
+    # prints the full-grid oracle's max |D_ij| and verify exits 1
+    import srlab.discrete as disc
+
+    expected = []
+
+    def assemble(*args, **kwargs):
+        wf = assemble_weak_laplacian(*args, **kwargs)
+        if wf.grid.shape[0] == 4:
+            exact, factors, weights = oracle_tables(wf)
+            offset = sorted(exact)[0]
+            parts = wf.operator.exact[offset]
+            r, j = np.argwhere(parts != 0)[0]
+            parts[r, j] = np.nextafter(parts[r, j], np.inf)
+            exact[offset][1][wf.operator.pos == r, j] = parts[r, j]
+            expected.append(oracle_green(wf.grid, exact, factors, weights)[1])
+        return wf
+
+    monkeypatch.setattr(disc, "assemble_weak_laplacian", assemble)
+    code, out, _ = run(capsys, "verify", "contact3torus", "-n", "4")
+    assert code == 1 and expected[0] > 0.0
+    assert "FAIL weak-exact-green (max defect = %r)" % expected[0] in out.splitlines()
 
 
 def test_verify_detects_tilted_complement(capsys, tmp_path):

@@ -371,12 +371,8 @@ def test_exact_constant_certificate(contact):
 
 
 def test_exact_green_certificate(contact):
-    g, wf = contact_weak(contact)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        e = rng.standard_normal(g.size)
-        f = rng.standard_normal(g.size)
-        assert exact_green_defect(wf, e, f) == 0.0
+    _, wf = contact_weak(contact)
+    assert exact_green_defect(wf) == 0.0
 
 
 def test_exact_certificates_with_penalty(contact):
@@ -454,18 +450,6 @@ def test_weak_stencil_shape(m):
     assert all(math.frexp(c)[0] == 0.5 for c in coefs)
 
 
-def test_green_certificate_rejects_inexact_products(contact):
-    # 1e-300 times any entry part falls below 2^-969, where the error of a
-    # float product is no longer a float: refuse rather than answer inexactly
-    g, wf = contact_weak(contact)
-    rng = np.random.default_rng(5)
-    e = rng.standard_normal(g.size)
-    f = rng.standard_normal(g.size)
-    f[3] = 1e-300
-    with pytest.raises(GridError, match="exact float products"):
-        exact_green_defect(wf, e, f)
-
-
 def _grid_form(name, n, eps, density_seed=None):
     s = cached_structure(name)
     g = Grid(shape=(n,) * s.dim, periods=s.periods)
@@ -480,33 +464,7 @@ def _grid_form(name, n, eps, density_seed=None):
 @pytest.mark.parametrize("eps", [None, 0.7, 25.0])
 @pytest.mark.parametrize("density_seed", [None, 3])
 def test_green_verdict_on_penalized_and_weighted_forms(name, n, eps, density_seed):
-    wf = _grid_form(name, n, eps, density_seed)
-    rng = np.random.default_rng(n)
-    e = rng.standard_normal(wf.grid.size)
-    f = rng.standard_normal(wf.grid.size)
-    assert exact_green_defect(wf, e, f) == 0.0
-    assert wf._green_exact is True
-
-
-def test_green_residual_is_decided_once_per_form(contact, monkeypatch):
-    calls = []
-    decide = discrete._green_residual_vanishes
-
-    def counted(weak):
-        calls.append(weak)
-        return decide(weak)
-
-    monkeypatch.setattr(discrete, "_green_residual_vanishes", counted)
-    g, wf = contact_weak(contact, eps=2)
-    rng = np.random.default_rng(8)
-    for _ in range(4):
-        e = rng.standard_normal(g.size)
-        f = rng.standard_normal(g.size)
-        assert exact_green_defect(wf, e, f) == 0.0
-    assert calls == [wf]
-    _, other = contact_weak(contact, eps=2)
-    assert exact_green_defect(other, e, f) == 0.0
-    assert calls == [wf, other]
+    assert exact_green_defect(_grid_form(name, n, eps, density_seed)) == 0.0
 
 
 @pytest.mark.parametrize("doubled", [False, True])
@@ -514,7 +472,7 @@ def test_green_verdict_reads_rows_in_any_order(contact, doubled):
     # the residual comes from the factor rows alone: shuffling them and
     # splitting each into two rows of half the weight keeps it zero, and
     # a doubled coefficient in one copy still shows
-    g, wf = contact_weak(contact, n=4, eps=2)
+    _, wf = contact_weak(contact, n=4, eps=2)
     rng = np.random.default_rng(4)
     order = np.repeat(rng.permutation(wf.weights.size), 2)
     factors = [
@@ -524,10 +482,7 @@ def test_green_verdict_reads_rows_in_any_order(contact, doubled):
     wf = dataclasses.replace(wf, _quadrature=(factors, wf.weights[order] / 2))
     if doubled:
         wf.factors[1].values[7, 2] *= 2.0
-    e = rng.standard_normal(g.size)
-    f = rng.standard_normal(g.size)
-    assert (exact_green_defect(wf, e, f) > 0.0) == doubled
-    assert wf._green_exact is not doubled
+    assert (exact_green_defect(wf) > 0.0) == doubled
 
 
 @settings(max_examples=24, deadline=None)
@@ -539,32 +494,33 @@ def test_green_verdict_reads_rows_in_any_order(contact, doubled):
     data=st.data(),
 )
 def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, data):
-    # both the cached verdict and the full per-pair sum must see a one-ulp
-    # change of one entry part and a doubled quadrature coefficient, and
-    # both must give exactly 0.0 on the form as assembled.  The tables
-    # changed are the slab rows', which every other row repeats
+    # a one-ulp change of one entry part and a doubled quadrature
+    # coefficient must both show, as the full-grid oracle's max |D_ij|,
+    # and the form as assembled must give exactly 0.0.  The tables changed
+    # are the slab rows' and the slab cells', which every other row and
+    # cell repeats, so the oracle changes every copy
     wf = _grid_form(name, n, eps)
+    exact, factors, weights = oracle_tables(wf)
+    pos = wf.operator.pos
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     if mutation == "entry-ulp":
-        offsets = sorted(wf.operator.exact)
-        parts = wf.operator.exact[offsets[rng.integers(len(offsets))]]
-        i, j = rng.choice(np.argwhere(parts != 0))
-        parts[i, j] = np.nextafter(parts[i, j], np.inf)
+        offset = sorted(exact)[rng.integers(len(exact))]
+        parts = wf.operator.exact[offset]
+        r, j = rng.choice(np.argwhere(parts != 0))
+        parts[r, j] = np.nextafter(parts[r, j], np.inf)
+        exact[offset][1][pos == r, j] = parts[r, j]
     elif mutation == "factor-double":
-        values = wf.factors[rng.integers(len(wf.factors))].values
+        k = rng.integers(len(wf.factors))
+        values = wf.factors[k].values
         i, j = rng.choice(np.argwhere(values != 0))
         values[i, j] *= 2.0
-    e = rng.standard_normal(wf.grid.size)
-    f = rng.standard_normal(wf.grid.size)
-    cached = exact_green_defect(wf, e, f)
-    full = discrete._green_pair_defect(wf, e, f)
-    if mutation is None:
-        assert cached == full == 0.0
-        assert wf._green_exact is True
-    else:
-        assert cached > 0.0 and full > 0.0
-        assert wf._green_exact is False
+        # row i is corner i // S of the slab cell at slab row i % S
+        corner, r = divmod(i, wf.operator.slab.size)
+        factors[k].values[corner * pos.size + np.flatnonzero(pos == r), j] *= 2.0
+    vanishes, worst = oracle_green(wf.grid, exact, factors, weights)
+    assert exact_green_defect(wf) == worst
+    assert vanishes == (mutation is None) == (worst == 0.0)
 
 
 def _oracle_density(s, grid, kind):
@@ -585,8 +541,8 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
     # the certificates read the slab rows; the oracle builds the exact
     # parts of every row and the quadrature rows of every cell.  Every
     # row's parts are its slab image's bit for bit, and the symmetry,
-    # constant and Green verdicts and a pair's Green defect agree, also
-    # once one slab part (and every row repeating it) is one ulp off
+    # constant and Green verdicts and max |D_ij| agree, also once one
+    # slab part (and every row repeating it) is one ulp off
     s = cached_structure(name)
     grid = Grid(shape=(n,) * s.dim, periods=s.periods)
     wf = assemble_weak_laplacian(
@@ -600,23 +556,18 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
         assert parts.tobytes() == op.exact[offset][pos].tobytes()
     assert exact_symmetry_defect(op) == oracle_symmetry(exact) == 0.0
     assert exact_constant_image(op) == oracle_constant(exact) == 0.0
+    assert oracle_green(grid, exact, factors, weights) == (True, 0.0)
+    assert exact_green_defect(wf) == 0.0
     rng = np.random.default_rng(n)
-    e, f = rng.standard_normal((2, grid.size))
-
-    def green():
-        pair = discrete._green_pair_defect(wf, e, f)
-        return discrete._green_residual_vanishes(wf), pair
-
-    assert green() == oracle_green(grid, exact, factors, weights, e, f) == (True, 0.0)
 
     offset = sorted(exact)[rng.integers(len(exact))]
     parts = op.exact[offset]
     r, j = rng.choice(np.argwhere(parts != 0))
     parts[r, j] = np.nextafter(parts[r, j], np.inf)
     exact[offset][1][pos == r, j] = parts[r, j]
-    vanishes, defect = green()
-    assert (vanishes, defect) == oracle_green(grid, exact, factors, weights, e, f)
-    assert vanishes is False and defect > 0.0
+    vanishes, worst = oracle_green(grid, exact, factors, weights)
+    assert exact_green_defect(wf) == worst > 0.0
+    assert vanishes is False
 
 
 def test_weak_assembly_rejects_inexact_products(contact):
@@ -625,16 +576,6 @@ def test_weak_assembly_rejects_inexact_products(contact):
     density[5] = 1e-300
     with pytest.raises(GridError, match="exact float products"):
         assemble_weak_laplacian(contact, g, density=density)
-
-
-def test_quadratic_form_matches_matrix(contact):
-    g, wf = contact_weak(contact)
-    rng = np.random.default_rng(7)
-    f = rng.standard_normal(g.size)
-    q = wf.quadratic_form(f)
-    ref = float(f @ wf.operator.matvec(f))
-    assert q >= 0.0
-    assert abs(q - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_mass_is_density_times_cell_volume(contact):
