@@ -758,9 +758,10 @@ def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
     assert callable(forms[1]._quadrature)
 
 
-def test_verify_fails_the_green_item_on_one_changed_part(capsys, monkeypatch):
-    # one exact part of the n grid's form one ulp off: the Green item
-    # prints the full-grid oracle's max |D_ij| and verify exits 1
+def _verify_with_changed_green_form(capsys, monkeypatch, change):
+    # change(wf, exact, factors) alters the n = 4 grid's form and the
+    # full-grid oracle tables alike; returns verify's exit code, its output
+    # and the oracle's max |D_ij| of the changed form
     import srlab.discrete as disc
 
     expected = []
@@ -769,18 +770,50 @@ def test_verify_fails_the_green_item_on_one_changed_part(capsys, monkeypatch):
         wf = assemble_weak_laplacian(*args, **kwargs)
         if wf.grid.shape[0] == 4:
             exact, factors, weights = oracle_tables(wf)
-            offset = sorted(exact)[0]
-            parts = wf.operator.exact[offset]
-            r, j = np.argwhere(parts != 0)[0]
-            parts[r, j] = np.nextafter(parts[r, j], np.inf)
-            exact[offset][1][wf.operator.pos == r, j] = parts[r, j]
+            change(wf, exact, factors)
             expected.append(oracle_green(wf.grid, exact, factors, weights)[1])
         return wf
 
     monkeypatch.setattr(disc, "assemble_weak_laplacian", assemble)
     code, out, _ = run(capsys, "verify", "contact3torus", "-n", "4")
-    assert code == 1 and expected[0] > 0.0
-    assert "FAIL weak-exact-green (max defect = %r)" % expected[0] in out.splitlines()
+    return code, out, expected[0]
+
+
+def test_verify_fails_the_green_item_on_one_changed_part(capsys, monkeypatch):
+    # one exact part of the n grid's form one ulp off: the Green item
+    # prints the full-grid oracle's max |D_ij| and verify exits 1
+    def change(wf, exact, factors):
+        offset = sorted(exact)[0]
+        parts = wf.operator.exact[offset]
+        r, j = np.argwhere(parts != 0)[0]
+        parts[r, j] = np.nextafter(parts[r, j], np.inf)
+        exact[offset][1][wf.operator.pos == r, j] = parts[r, j]
+
+    code, out, expected = _verify_with_changed_green_form(capsys, monkeypatch, change)
+    assert code == 1 and expected > 0.0
+    assert "FAIL weak-exact-green (max defect = %r)" % expected in out.splitlines()
+
+
+def test_verify_fails_the_green_item_on_one_doubled_coefficient(
+    capsys, monkeypatch
+):
+    # one quadrature coefficient of the n grid's form doubled: the entry
+    # parts, and so the symmetry and constant items, are unchanged, and
+    # only the Green item fails, with the full-grid oracle's max |D_ij|
+    def change(wf, exact, factors):
+        values = wf.factors[0].values
+        i, j = np.argwhere(values != 0)[0]
+        values[i, j] *= 2.0
+        # row i is corner i // S of the slab cell at slab row i % S
+        pos = wf.operator.pos
+        corner, r = divmod(i, wf.operator.slab.size)
+        factors[0].values[corner * pos.size + np.flatnonzero(pos == r), j] *= 2.0
+
+    code, out, expected = _verify_with_changed_green_form(capsys, monkeypatch, change)
+    assert code == 1 and expected > 0.0
+    lines = out.splitlines()
+    assert "FAIL weak-exact-green (max defect = %r)" % expected in lines
+    assert not [l for l in lines if l.startswith("FAIL") and "green" not in l]
 
 
 def test_verify_detects_tilted_complement(capsys, tmp_path):

@@ -578,6 +578,29 @@ def test_weak_assembly_rejects_inexact_products(contact):
         assemble_weak_laplacian(contact, g, density=density)
 
 
+@pytest.mark.parametrize("eps", [None, 2])
+def test_float_matrix_is_the_quadrature_form_of_every_cell(contact, eps):
+    # the matrix the solvers use, in floats, against sum_fields <B e, B f>_W
+    # from the quadrature rows of every cell: equal up to round-off, and
+    # f^T L f >= 0.  The exact certificate reads the entry parts, not the
+    # rounded matrix
+    g, wf = contact_weak(contact, eps=eps)
+    _, factors, weights = oracle_tables(wf)
+    rng = np.random.default_rng(7)
+    e, f = rng.standard_normal((2, g.size))
+
+    def B(fac, u):
+        return np.sum(fac.values * (u[fac.hi] - u[fac.lo]), axis=1)
+
+    green = sum(float(weights @ (B(fac, e) * B(fac, f))) for fac in factors)
+    energy = sum(float(weights @ B(fac, f) ** 2) for fac in factors)
+    Le, Lf = wf.operator.matvec(e), wf.operator.matvec(f)
+    assert energy >= 0.0
+    assert abs(float(f @ Lf) - energy) <= 1e-12 * max(1.0, energy)
+    assert abs(float(f @ Le) - green) <= 1e-12 * max(1.0, abs(green))
+    assert abs(float(e @ Lf) - green) <= 1e-12 * max(1.0, abs(green))
+
+
 def test_mass_is_density_times_cell_volume(contact):
     g, wf = contact_weak(contact)
     rho = volume_density_values(contact, g)
