@@ -211,8 +211,7 @@ def cmd_check(args):
     points = s.sample_lattice(lattice)
     s.validate(points)
     if args.samples:
-        rng = np.random.default_rng(args.seed)
-        points = np.vstack([points, s.sample_points(args.samples, rng=rng)])
+        points = np.vstack([points, s.sample_points(args.samples, seed=args.seed)])
 
     base = np.zeros(s.dim)
     flag = hormander_flag(s, base)
@@ -408,7 +407,7 @@ def _verify_items(s, density, grid, args):
     )
     from .spectrum import kernel_check
 
-    pts = s.sample_points(args.samples, rng=np.random.default_rng(args.seed))
+    pts = s.sample_points(args.samples, seed=args.seed)
     m, k = s.dim, s.k
 
     # 1. frame invertibility, scaled determinant

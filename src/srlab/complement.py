@@ -233,7 +233,7 @@ def _default_samples(s):
     """5^m lattice for small m, a seeded 125-point sample otherwise."""
     if 5 ** s.dim <= 5 ** 3:
         return s.sample_lattice(5)
-    return s.sample_points(125, rng=np.random.default_rng(7))
+    return s.sample_points(125, seed=7)
 
 
 def verify_flat_complement(s, ac, points=None):

@@ -187,9 +187,16 @@ class SubRiemannianStructure:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def sample_points(self, count, rng):
-        """Uniform sample inside the period box, drawn from ``rng``."""
-        return rng.uniform(0.0, self.periods, size=(count, self.dim))
+    def sample_points(self, count, seed):
+        """``count`` uniform points of the period box from the int ``seed``.
+
+        They are ``numpy.random.default_rng(seed).uniform(0, periods,
+        (count, dim))`` bit for bit, drawn without importing
+        ``numpy.random``.
+        """
+        from ._pcg64 import uniform
+
+        return uniform(seed, 0.0, self.periods, (count, self.dim))
 
     def validate(self, points=None):
         """Check the frame condition: invertible frame matrix at samples.

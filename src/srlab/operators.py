@@ -34,7 +34,7 @@ class FrameError(ValueError):
 def _frame_samples(s):
     """The origin and 9 points drawn with seed 3."""
     pts = [np.zeros(s.dim)]
-    pts.extend(s.sample_points(9, rng=np.random.default_rng(3)))
+    pts.extend(s.sample_points(9, seed=3))
     return np.stack(pts)
 
 
@@ -333,7 +333,7 @@ def mean_curvature_field(s):
 
     exprs = None
     pts = [np.zeros(s.dim)]
-    pts.extend(s.sample_points(6, rng=np.random.default_rng(5)))
+    pts.extend(s.sample_points(6, seed=5))
     vals = comps(np.stack(pts))
     if float(np.max(np.abs(vals - vals[0][None]))) <= 1e-10 * max(
         1.0, float(np.max(np.abs(vals[0])))

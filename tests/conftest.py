@@ -363,8 +363,7 @@ def oracle_lie_bracket(X, Y):
 
 
 def sample_points(s, count=30, seed=11):
-    rng = np.random.default_rng(seed)
-    return s.sample_points(count, rng=rng)
+    return s.sample_points(count, seed=seed)
 
 
 def write_config(path, cfg):

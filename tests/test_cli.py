@@ -1287,10 +1287,40 @@ def test_check_of_a_non_fat_structure_loads_no_random(tmp_path):
     """carnot-step2 has a singular basis covector at the origin, and
     heisenberg's one vertical direction is its only covector, so the
     fatness test draws no random covector and numpy.random stays unloaded;
-    ``--samples`` draws its points from it."""
+    ``--samples`` draws its uniform points without it."""
     assert "numpy.random" not in loaded_modules(tmp_path, ("check", "carnot-step2"))
     assert "numpy.random" not in loaded_modules(tmp_path, ("check", "heisenberg"))
     argv = ("check", "carnot-step2", "--samples", "2")
+    assert "numpy.random" not in loaded_modules(tmp_path, argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "contact3torus", "-n", "4"), ("canonicalize", "engel")]
+)
+def test_seeded_uniform_points_load_no_random(tmp_path, argv):
+    """verify's sample points, the operators' promotion points and the
+    seeded 125-point residual set of a 4-D canonicalize are uniform draws,
+    made without numpy.random."""
+    assert "numpy.random" not in loaded_modules(tmp_path, argv)
+
+
+def test_check_of_a_fat_frame_with_three_vertical_directions_loads_random(tmp_path):
+    """Left multiplication by i, j and k on the quaternions: q = 3 and no
+    basis covector is singular, so ``is_fat`` draws its 32 Gaussian
+    covectors from numpy.random."""
+    cfg = {
+        "name": "quat3",
+        "dim": 7,
+        "periods": [1.0] * 7,
+        "horizontal": [
+            ["1", "0", "0", "0", "x1/2", "x2/2", "x3/2"],
+            ["0", "1", "0", "0", "-x0/2", "-x3/2", "x2/2"],
+            ["0", "0", "1", "0", "x3/2", "-x0/2", "-x1/2"],
+            ["0", "0", "0", "1", "-x2/2", "x1/2", "-x0/2"],
+        ],
+        "complement": [[str(int(i == b)) for i in range(7)] for b in (4, 5, 6)],
+    }
+    argv = ("check", write_config(tmp_path / "quat3.json", cfg))
     assert "numpy.random" in loaded_modules(tmp_path, argv)
 
 

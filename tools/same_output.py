@@ -90,6 +90,8 @@ COMMANDS = (
         ("verify", "integrable", "-n", "4"),
         ("verify", "contact3torus", "-n", "8"),
         ("verify", "contact3torus", "-n", "4", "--samples", "11", "--seed", "5"),
+        # a seed past 2^64: three 32-bit words of entropy
+        ("verify", "contact3torus", "-n", "4", "--samples", "3", "--seed", "18446744073709551621"),
         ("verify", "d1.json", "-n", "8"),
         ("verify", "d2.json", "-n", "4"),
         ("spectrum", "contact3torus", "-n", "12", "--count", "6", "--eps", "2,4,8,16,32"),
