@@ -634,11 +634,12 @@ def cmd_verify(args):
     # assembly budget of the horizontal fields, fails before any item runs
     grid = None
     if args.n:
-        from .discrete import Grid, _check_budget, _weak_size
+        from .discrete import Grid, _check_budget, _unread_axes, _weak_size
 
         grid = Grid(shape=(args.n,) * s.dim, periods=s.periods)
+        read = s.dim - len(_unread_axes(s, density))
         for n in (args.n, 2 * args.n):
-            _check_budget(_weak_size(s.dim, s.k, n**s.dim, 0))
+            _check_budget(_weak_size(s.dim, s.k, n**s.dim, n**read))
     # with --out the report is written whole once the suite has run, so an
     # error midway writes no file; without it each line streams to stdout
     lines = []

@@ -21,27 +21,27 @@ one kind of answer, a max of exact sums: max |L_ij - L_ji|, max_i
 |sum_j L_ij| and max |D_ij|, each entry one ``math.fsum``, and 0.0 is
 the exact verdict.
 
-A weak form whose node tables (the exact parts of w v_l v_l2 for every
-field, the node weights and the mass diagonal) equal their one-node
-shift bit for bit along some grid axes has an invariant stencil and
-mass along them, since every entry is one fixed function of those
-tables at shifted nodes.  It is stored on its slab, the nodes at index
-0 along those axes: the tables are built at the slab nodes only, its
-entries are rounded once there, and every other row repeats its slab
-image's row; with no such axis the slab is every node.  The operator
-is the one record of the slab: it holds the slab nodes and every row's
-slab image (``SparseOperator.slab``, ``pos``).  The form carries only
-the decision, the invariant axes, as ``WeakForm.invariance``: it is
-made once, here, and the Fourier eigensolver reads it with the
-operator's slab.  What only the certificates read is built on
-first access, on the slab too: the exact parts of the slab rows
-(``SparseOperator.exact``) and the quadrature factors and weights of
-the slab cells (``WeakForm.factors``, ``weights``).  Every table the
-certificates read is invariant along the axes, so symmetry, the image
-of constants and the Green residual are decided on the slab rows alone.
-The assembly budget counts the arrays the assembler holds at once
-(``_weak_size``): per node its coefficient tables and vectors, per slab
-row its stencil tables.
+A weak form is invariant along the grid axes that no frame coefficient
+(horizontal or complement, which enters det F) and no density
+expression reads (``_unread_axes``): every node value it is built from
+is a function of the read coordinates alone, and every entry is one
+fixed function of those values at shifted nodes.  It is stored on its
+slab, the nodes at index 0 along those axes: its node values are
+evaluated there only, its entries are rounded once there, and every
+other row repeats its slab image's row; with no such axis the slab is
+every node.  The operator is the one record of the slab: it holds the
+slab nodes and every row's slab image (``SparseOperator.slab``,
+``pos``).  The form carries the axes as ``WeakForm.invariance``, which
+the Fourier eigensolver reads with the operator's slab.  What only the
+certificates read is built on first access, on the slab too: the exact
+parts of the slab rows (``SparseOperator.exact``) and the quadrature
+factors and weights of the slab cells (``WeakForm.factors``,
+``weights``).  Every table the certificates read is invariant along the
+axes, so symmetry, the image of constants and the Green residual are
+decided on the slab rows alone.  The assembly budget counts the arrays
+the assembler holds at once (``_weak_size``): per node the mass
+diagonal and the slab images, per slab row its node values and stencil
+tables.
 
 Every assembler (``assemble_weak_laplacian``, ``assemble_field``,
 ``assemble_strong``) returns a ``SparseOperator``, the one record of
@@ -184,12 +184,12 @@ class Grid:
 
 
 def check_periodicity(e, grid, points=None):
-    """Compare values at x and x + L_j e_j on the whole node set.
+    """Compare values at x and x + L_j e_j for x in ``points``, the
+    grid's nodes by default.
 
     A defect above 1e-8 * max(1, |values|) along any axis raises
-    PeriodicityError.  Returns the node values of ``e``.  ``points`` is
-    ``grid.points()``, passed in by a caller that screens several
-    coefficients so the nodes are built once.
+    PeriodicityError.  Returns the values of ``e`` at the points, which
+    a caller that screens several coefficients builds once.
     """
     pts = grid.points() if points is None else points
     base = ex.evaluate(e, pts)
@@ -390,10 +390,9 @@ class WeakForm:
     eps: object = None
     # (factors, weights), or a function that builds them on first access
     _quadrature: object = field(default=None, repr=False)
-    # the grid axes along which the assembler found the form exactly
-    # invariant, its slab the nodes at index 0 along them.  Not an init
-    # field, so a form built by hand or by ``dataclasses.replace``
-    # carries none.
+    # the grid axes that neither the frame nor the density reads, its slab
+    # the nodes at index 0 along them.  Not an init field, so a form built
+    # by hand or by ``dataclasses.replace`` carries none.
     invariance: object = field(default=None, init=False, repr=False)
 
     def _rows(self):
@@ -488,8 +487,8 @@ def assemble_strong(spec, grid):
 
 
 def volume_density_values(structure, grid, points=None):
-    """Nodal values of 1/|det F| for the structure's frame; ``points`` is
-    ``grid.points()`` when the caller holds it."""
+    """Values of 1/|det F| for the structure's frame at ``points``, the
+    grid's nodes by default."""
     F = structure.frame_matrix(grid.points() if points is None else points)
     det = np.abs(np.linalg.det(F))
     if np.any(det < 1e-14):
@@ -543,16 +542,16 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
     weight 1/eps (the penalty operator).  ``density`` optionally
     multiplies the geometric volume density on the nodes.
 
-    The stencil is stored on its slab: the nodes at index 0 along the axes
-    where the node tables are invariant (``_invariant_node_axes``).  Only
-    the slab rows are built and rounded by ``math.fsum``, into (S, K)
-    tables; every other row repeats its slab image's row, and its columns
-    come from the grid and the offsets (``SparseOperator``), which holds
-    the slab and every row's slab image.  The form carries the axes as
-    ``invariance``.  The operator's exact parts and the form's quadrature
-    factors and weights are built on first access, at the slab rows and
-    the slab cells.  A grid whose arrays (``_weak_size``) exceed the
-    budget raises GridError before they are built.
+    The form is stored on its slab: the nodes at index 0 along the axes
+    that nothing reads (``_unread_axes``).  The node values are evaluated
+    and the rows built and rounded by ``math.fsum`` at the slab only, into
+    (S, K) tables; every other row repeats its slab image's row, and its
+    columns come from the grid and the offsets (``SparseOperator``), which
+    holds the slab and every row's slab image.  The form carries the axes
+    as ``invariance``.  The operator's exact parts and the form's
+    quadrature factors and weights are built on first access, at the slab
+    rows and the slab cells.  A grid whose arrays (``_weak_size``) exceed
+    the budget raises GridError before any is built.
     """
     m = grid.dim
     if structure.dim != m:
@@ -565,12 +564,16 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         for T in structure.complement:
             fields.append(T)
             scales.append(1.0 / float(eps))
-    # before any node array is built; Grid.size is exact past int64
+    axes = _unread_axes(structure, density)
+    sub = [1 if a in axes else n for a, n in enumerate(grid.shape)]
+    # before any array is built; Grid.size is exact past int64
     N = grid.size
-    _check_budget(_weak_size(m, len(fields), N, 0))
-    # (N, m) scaled node values of every field, screened before the density;
-    # the node points are built once for every coefficient
-    pts = grid.points()
+    _check_budget(_weak_size(m, len(fields), N, math.prod(sub)))
+    multi = np.indices(sub).reshape(m, -1).T
+    slab = grid.ravel(multi)
+    pos = np.broadcast_to(np.arange(slab.size).reshape(sub), grid.shape).ravel()
+    # (S, m) scaled slab values of every field, screened before the density
+    pts = multi * np.asarray(grid.h)
     V = [
         np.stack(
             [check_periodicity(c, grid, points=pts) for c in f.coefficients], axis=1
@@ -588,22 +591,9 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
             if extra.shape != (N,):
                 raise GridError("density array must have one value per node")
         rho = rho * extra
-    del pts
-    mass = node_mass(grid, rho)
+    mass = DiagonalMass(diagonal=node_mass(grid, rho).diagonal[pos])
     node_weight = rho * (grid.cell_volume() / (1 << m))
 
-    # the product tables, one at a time, decide the axes; row i holds the
-    # values of row pos[i] of the slab, its image at index 0 along them
-    tables = (t for _, t in _node_products(V, node_weight))
-    axes = _invariant_node_axes(
-        grid, itertools.chain([mass.diagonal, node_weight], tables)
-    )
-    sub = [1 if a in axes else n for a, n in enumerate(grid.shape)]
-    pos = np.broadcast_to(np.arange(math.prod(sub)).reshape(sub), grid.shape).ravel()
-    slab = np.arange(N).reshape(grid.shape)[tuple(slice(0, n) for n in sub)].ravel()
-    _check_budget(_weak_size(m, len(fields), N, slab.size))
-    # the tables are invariant along the axes, so at any node they equal
-    # their value at the node's slab image: only the slab's are built
     offsets, values = [], []
     for offset, parts in _slab_parts(grid, V, node_weight, slab, pos):
         if not np.all(np.isfinite(parts)):
@@ -618,10 +608,23 @@ def assemble_weak_laplacian(structure, grid, eps=None, density=None):
         slab=slab,
         pos=pos,
     )
-    quadrature = functools.partial(_quadrature, grid, V, node_weight, slab)
+    quadrature = functools.partial(_quadrature, grid, V, node_weight, slab, pos)
     wf = WeakForm(grid=grid, operator=op, mass=mass, eps=eps, _quadrature=quadrature)
     wf.invariance = axes
     return wf
+
+
+def _unread_axes(structure, density):
+    """The axes, in order, that no frame coefficient and no ``density``
+    reads; an array density reads every axis, and an expression every
+    axis it names, even where its terms cancel."""
+    if density is None:
+        read = structure.read_axes
+    elif isinstance(density, Expr):
+        read = structure.read_axes | ex.variables(density)
+    else:
+        return []
+    return [a for a in range(structure.dim) if a not in read]
 
 
 def _check_budget(size):
@@ -634,21 +637,22 @@ def _check_budget(size):
 
 def _weak_size(m, fields, N, S):
     """Entries of the arrays a weak assembly of N nodes and S slab rows
-    holds at once, counted as float64s: per node, the m scaled
-    coefficients of each field, one table of four exact parts and four
-    vectors (density, mass, node weights, slab images); per slab row, the
-    value of every offset and the exact parts of one offset, four per
-    field and term.  The certificates' tables, built later per slab row,
-    are not counted."""
+    holds at once, counted as float64s: per node, the two arrays that
+    stay N long (the mass diagonal and the slab images); per slab row,
+    the m scaled coefficients of each field, the node weight, the value
+    of every offset and the exact parts of one offset, four per field and
+    term.  The certificates' tables, built later per slab row, are not
+    counted."""
     stencil = _weak_stencil(m)
     terms = max(len(t) for t in stencil.values())
-    return N * (fields * m + 8) + S * (len(stencil) + 4 * fields * terms)
+    return 2 * N + S * (fields * m + 1 + len(stencil) + 4 * fields * terms)
 
 
-def _quadrature(grid, V, node_weight, slab):
+def _quadrature(grid, V, node_weight, slab, pos):
     """(factors, weights) of the corner quadrature of the slab cells, the
     cells whose origin node is in ``slab``: one row per corner of each,
-    one ``FieldFactor`` per field's scaled node values V."""
+    one ``FieldFactor`` per field's scaled slab values V, read at each
+    corner's slab image ``pos``."""
     m = grid.dim
     node = _node_index(grid, slab)
     # rows: corner sigma of every cell; axis l runs forward from the corner
@@ -661,8 +665,9 @@ def _quadrature(grid, V, node_weight, slab):
         lo.append(np.stack([node(d) for d in sigma - sigma[:, None] * unit], 1))
         hi.append(np.stack([node(d) for d in sigma + (1 - sigma)[:, None] * unit], 1))
     corner, lo, hi = (np.concatenate(x) for x in (corner, lo, hi))
-    factors = [FieldFactor(lo=lo, hi=hi, values=v[corner]) for v in V]
-    return factors, node_weight[corner]
+    at = pos[corner]
+    factors = [FieldFactor(lo=lo, hi=hi, values=v[at]) for v in V]
+    return factors, node_weight[at]
 
 
 def _node_index(grid, rows):
@@ -680,58 +685,26 @@ def _node_index(grid, rows):
     return node
 
 
-def _node_products(V, node_weight, rows=slice(None)):
-    """Yield ((l, l2), table) per field and pair l <= l2 of the axes where
-    its (N, m) scaled coefficients V are not all zero: the (len(rows), 4)
-    exact parts of w v_l v_l2 at the nodes ``rows``."""
+def _product_tables(V, node_weight):
+    """{(l, l2): [table per field]} over the pairs l <= l2 of the axes
+    where a field's scaled values V are not all zero: the (len(V[0]), 4)
+    exact parts of w v_l v_l2 at every row of V and ``node_weight``."""
+    products = {}
     for v in V:
         live = [l for l in range(v.shape[1]) if np.any(v[:, l])]
         for l, l2 in itertools.combinations_with_replacement(live, 2):
-            parts = _times(_exact_product(v[rows, l], v[rows, l2]), node_weight[rows])
-            yield (l, l2), np.stack(parts, axis=1)
-
-
-def _product_tables(V, node_weight, rows=slice(None)):
-    """{(l, l2): the tables of ``_node_products``, one per field}."""
-    products = {}
-    for key, table in _node_products(V, node_weight, rows):
-        products.setdefault(key, []).append(table)
+            parts = _times(_exact_product(v[:, l], v[:, l2]), node_weight)
+            products.setdefault((l, l2), []).append(np.stack(parts, axis=1))
     return products
-
-
-def _invariant_node_axes(grid, tables):
-    """Grid axes along which every (N, ...) node table equals its one-node
-    shift bit for bit, so that +0.0 and -0.0 differ: along such an axis,
-    each slice of the table equals the next.  The tables are read one at
-    a time.
-
-    Every weak stencil value is one fixed function of the tables at
-    shifted nodes, so the stencil is invariant along these axes too, and
-    so is the mass when its diagonal is one of the tables.
-    """
-    axes = list(range(grid.dim))
-    for t in tables:
-        u = t.view(np.uint64).reshape(grid.shape + t.shape[1:])
-        axes = [
-            a
-            for a in axes
-            if np.array_equal(
-                u[(slice(None),) * a + (slice(1, None),)],
-                u[(slice(None),) * a + (slice(None, -1),)],
-            )
-        ]
-        if not axes:
-            break
-    return axes
 
 
 def _slab_parts(grid, V, node_weight, slab, pos):
     """Yield (offset, parts) over the weak stencil's offsets: row r of
     parts holds the exact parts of the entry of row slab[r] at the node
-    slab[r] + offset.  The product tables are built at the slab nodes,
-    and pos maps every node to its slab image's row in them."""
+    slab[r] + offset.  The product tables are built from the slab values
+    V and node_weight, and pos maps every node to its slab row in them."""
     node = _node_index(grid, slab)
-    products = _product_tables(V, node_weight, slab)
+    products = _product_tables(V, node_weight)
     for offset, terms in _weak_stencil(grid.dim).items():
         blocks = [
             coef * P[pos[node(shift)]]

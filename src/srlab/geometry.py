@@ -171,15 +171,20 @@ class SubRiemannianStructure:
         """Columns are the frame fields' coordinate components at ``point``."""
         return ex.evaluate_array(list(zip(*(f.coefficients for f in self.frame))), point)
 
+    @property
+    def read_axes(self):
+        """The axes some frame coefficient reads; the frame, its brackets
+        and det F are invariant along every other, here and on a grid."""
+        return set().union(*(ex.variables(c) for f in self.frame for c in f.coefficients))
+
     def sample_lattice(self, per_axis=5):
         """Uniform lattice i * L_j / per_axis including the origin.
 
-        Only the axes some frame coefficient reads get the per_axis
-        values; every other axis is 0.  The frame and its brackets read no
-        other axis, so this is one point per lattice point they can tell
-        apart, in lattice order.
+        Only the axes the frame reads (``read_axes``) get the per_axis
+        values; every other axis is 0.  This is one point per lattice
+        point the frame and its brackets can tell apart, in lattice order.
         """
-        read = set().union(*(ex.variables(c) for f in self.frame for c in f.coefficients))
+        read = self.read_axes
         axes = [
             np.arange(per_axis if j in read else 1) * (L / per_axis)
             for j, L in enumerate(self.periods)

@@ -1,9 +1,9 @@
 """Generalized eigensolvers for the discretized forms.
 
 Every solver works on the symmetrically scaled standard problem
-A~ = M^{-1/2} L M^{-1/2}.  A weak form whose assembler found its stencil
-and mass diagonal exactly invariant under the one-node shift along some
-grid axes is block-circulant along them: ``fourier_smallest`` splits
+A~ = M^{-1/2} L M^{-1/2}.  A weak form is block-circulant along the
+grid axes its frame and density do not read, where its stencil and mass
+are invariant under the one-node shift: ``fourier_smallest`` splits
 it into one small Hermitian block per wavevector of those axes
 (block-circulant diagonalization, the discrete Bloch-Floquet reduction)
 and solves all blocks in one batched ``numpy.linalg.eigvalsh``.
@@ -27,9 +27,9 @@ Each report's ``method`` names the path that produced it: "fourier",
 its solves.  Reported residuals are always the generalized
 ones, || L v - lambda M v || / || M v ||, computed from the original
 operator and mass.  The Fourier path takes the invariant axes from the
-form (``WeakForm.invariance``), which only the assembler sets, from its
-node tables; a form built by hand or by ``dataclasses.replace`` carries
-none and goes by size.  The slab and every row's slab image are the
+form (``WeakForm.invariance``), which only the assembler sets; a form
+built by hand or by ``dataclasses.replace`` carries none and goes by
+size.  The slab and every row's slab image are the
 operator's (``SparseOperator.slab``, ``pos``).  It reads the nonzero
 values of the operator's slab rows for its blocks and applies
 ``SparseOperator.matvec`` for its residuals, and uses numpy's LAPACK
@@ -370,8 +370,8 @@ def fourier_smallest(wf, count):
     its assembly (``WeakForm.invariance``) or its blocks would exceed
     FOURIER_BLOCK_LIMIT rows.
 
-    Along the axes I under whose shift the assembler found the matrix and
-    the mass exactly invariant, the modes u(x) = z(x_J) exp(i k.x_I) with
+    Along the axes I that the form's frame and density do not read, the
+    modes u(x) = z(x_J) exp(i k.x_I) with
     x_J the other coordinates reduce L u = lambda M u to one Hermitian
     block per wavevector k,
     B_k[r_J, c_J] = sum of L[r, c] exp(2 pi i sum_a k_a c_a / n_a) over the

@@ -158,16 +158,66 @@ def _invariant_axes(op, diag, grid):
 
 
 # ---------------------------------------------------------------------------
-# the exact certificates over every row of the grid, an oracle for the
-# slab rows they are computed on
+# the node values, the node criterion and the exact certificates over
+# every node of the grid, oracles for the slab the form is built on
 
 
-def oracle_tables(wf):
-    """(exact, factors, weights) of a weak form over every row and cell:
-    the (N, k) exact parts {offset: (cols, parts)} of every node's row
-    and the corner quadrature rows of every cell.  Read before the form
-    builds its own, from the node values its builders were given."""
-    grid, V, node_weight = wf._quadrature.args[:3]
+def oracle_node_values(s, grid, eps=None, density=None):
+    """(V, node_weight) of the weak form of ``s`` at every node of the
+    grid, from the structure itself: the (N, m) scaled values of each
+    field that enters, and w = rho * cellvolume / 2^m with rho the
+    volume density 1/|det F| times ``density`` (an expression or an
+    (N,) array), in the arithmetic the assembler uses on its slab."""
+    pts = grid.points()
+    fields, scales = list(s.horizontal), [1.0] * s.k
+    if eps is not None:
+        fields += s.complement
+        scales += [1.0 / float(eps)] * len(s.complement)
+    V = [
+        np.stack([ex.evaluate(c, pts) for c in f.coefficients], axis=1)
+        * (scale / np.asarray(grid.h))
+        for f, scale in zip(fields, scales)
+    ]
+    rho = 1.0 / np.abs(np.linalg.det(s.frame_matrix(pts)))
+    if isinstance(density, ex.Expr):
+        rho = rho * ex.evaluate(density, pts)
+    elif density is not None:
+        rho = rho * np.asarray(density, dtype=float)
+    return V, rho * (grid.cell_volume() / (1 << grid.dim))
+
+
+def oracle_node_axes(grid, V, node_weight):
+    """The node criterion: the grid axes along which every node table of
+    the form (the node weights, of which the mass diagonal is 2^m times,
+    and the exact parts of w v_l v_l2 for every field) equals its
+    one-node shift bit for bit, so that +0.0 and -0.0 differ.  Every
+    stencil value is one fixed function of the tables at shifted nodes,
+    so the form is invariant along these axes.  It can find an axis whose
+    values a coefficient reads and cancels, which the assembler, reading
+    the expressions' variables, does not take."""
+    tables = [node_weight] + [
+        t for ts in discrete._product_tables(V, node_weight).values() for t in ts
+    ]
+    axes = []
+    for a in range(grid.dim):
+        ahead = (slice(None),) * a + (slice(1, None),)
+        behind = (slice(None),) * a + (slice(None, -1),)
+        if all(
+            np.array_equal(u[ahead], u[behind])
+            for u in (t.view(np.uint64).reshape(grid.shape + t.shape[1:]) for t in tables)
+        ):
+            axes.append(a)
+    return axes
+
+
+def oracle_tables(wf, s, density=None):
+    """(exact, factors, weights) of a weak form of ``s`` over every row
+    and cell: the (N, k) exact parts {offset: (cols, parts)} of every
+    node's row and the corner quadrature rows of every cell, from node
+    values evaluated at every node (``oracle_node_values``), not from the
+    form's slab values."""
+    grid = wf.grid
+    V, node_weight = oracle_node_values(s, grid, wf.eps, density)
     multi = grid.multi_indices()
 
     def node(offset):

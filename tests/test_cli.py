@@ -198,10 +198,10 @@ def test_verify_out_flag_writes_nothing_when_the_suite_stops(
     capsys, tmp_path, monkeypatch
 ):
     # the budget admits the n = 4 weak form but not the n = 8 one of the
-    # two-grid item, so the suite stops after its first grid items
+    # two-grid item, so the suite stops before its first item
     import srlab.discrete as disc
 
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 14 + 4 * 91)
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 2 + 4 * 98)
     target = tmp_path / "report.txt"
     code, out, err = run(
         capsys, "verify", "contact3torus", "-n", "4", "--out", str(target)
@@ -722,19 +722,21 @@ def test_verify_kernel_check_needs_no_dense_solve(capsys, monkeypatch):
 
 
 def test_verify_grid_past_assembly_budget_is_usage_error(capsys, monkeypatch):
-    # the budget admits the n = 4 form (64 nodes of 2 * 3 + 8 entries for
-    # two fields in 3-D, 4 slab rows of 19 + 4 * 2 * 9) but not the n = 8
-    # one of the two-grid order item (512 nodes), which is refused before
-    # the first item runs
+    # the budget admits the n = 4 form (64 nodes of 2 entries, 4 slab rows
+    # of 2 * 3 + 1 + 19 + 4 * 2 * 9 entries for two fields in 3-D, 19
+    # offsets of at most 9 terms) but not the n = 8 one of the two-grid
+    # order item (512 nodes and 8 slab rows), which is refused before the
+    # first item runs, also when its nodes alone fit
     import srlab.discrete as disc
 
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 64 * 14 + 4 * 91)
-    code, out, err = run(capsys, "verify", "contact3torus", "-n", "4")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: weak assembly size 7168 exceeds the supported budget; "
-        "use a smaller grid\n"
-    )
+    for budget in (64 * 2 + 4 * 98, 512 * 2 + 8 * 98 - 1):
+        monkeypatch.setattr(disc, "_PAIR_BUDGET", budget)
+        code, out, err = run(capsys, "verify", "contact3torus", "-n", "4")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: weak assembly size 1808 exceeds the supported budget; "
+            "use a smaller grid\n"
+        )
 
 
 def test_verify_two_grid_item_builds_no_quadrature_on_the_fine_grid(
@@ -769,7 +771,7 @@ def _verify_with_changed_green_form(capsys, monkeypatch, change):
     def assemble(*args, **kwargs):
         wf = assemble_weak_laplacian(*args, **kwargs)
         if wf.grid.shape[0] == 4:
-            exact, factors, weights = oracle_tables(wf)
+            exact, factors, weights = oracle_tables(wf, args[0], kwargs["density"])
             change(wf, exact, factors)
             expected.append(oracle_green(wf.grid, exact, factors, weights)[1])
         return wf

@@ -10,6 +10,7 @@ are derived by direct computation and frozen below.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -44,7 +45,7 @@ from srlab.discrete import (
     volume_density_values,
     write_matrix_market,
 )
-from srlab.geometry import VectorField
+from srlab.geometry import SubRiemannianStructure, VectorField
 from srlab.operators import (
     penalty_laplacian,
     riemannian_laplacian,
@@ -62,6 +63,8 @@ from conftest import (
     density_form,
     oracle_constant,
     oracle_green,
+    oracle_node_axes,
+    oracle_node_values,
     oracle_symmetry,
     oracle_tables,
 )
@@ -166,22 +169,36 @@ def test_check_periodicity_evaluates_nodes_once(monkeypatch):
 
 
 def test_assemblies_build_the_node_points_once(monkeypatch, contact):
-    # every coefficient is screened on one (N, m) node array
-    calls = []
-    points = Grid.points
+    # the field and strong assemblers screen every coefficient on one
+    # (N, m) node array; the weak assembler builds none, and evaluates the
+    # coefficients, det F and the density at its 16 slab nodes only (x1
+    # is read by neither the frame nor the density)
+    calls, evaluated = [], []
+    points, evaluate = Grid.points, ex.evaluate
+    frame_matrix = SubRiemannianStructure.frame_matrix
 
     def counted(grid):
         calls.append(grid.size)
         return points(grid)
 
+    def counted_evaluate(e, pts):
+        evaluated.append(len(pts))
+        return evaluate(e, pts)
+
+    def counted_frame(s, pts):
+        evaluated.append(len(pts))
+        return frame_matrix(s, pts)
+
     monkeypatch.setattr(Grid, "points", counted)
+    monkeypatch.setattr(ex, "evaluate", counted_evaluate)
+    monkeypatch.setattr(SubRiemannianStructure, "frame_matrix", counted_frame)
     g = Grid(shape=(4, 4, 4), periods=contact.periods)
     density = ex.parse("2 + cos(x0)", dim=3)
     assemble_weak_laplacian(contact, g, eps=2.0, density=density)
-    assert calls == [g.size]
+    assert calls == [] and evaluated and set(evaluated) == {16}
     assemble_field(contact.horizontal[0], g)
     assemble_strong(sublaplacian(contact), g)
-    assert calls == [g.size] * 3
+    assert calls == [g.size] * 2
 
 
 def test_check_periodicity_accepts_periodic_coefficient():
@@ -254,8 +271,6 @@ def test_field_matrix_rejects_dimension_mismatch():
 
 
 def flat_line_structure():
-    from srlab.geometry import SubRiemannianStructure
-
     return SubRiemannianStructure(
         dim=2,
         periods=(1.0, 1.0),
@@ -340,9 +355,11 @@ def test_weak_rejects_nonperiodic_structure(heisenberg):
 def test_pair_budget_guard(monkeypatch):
     import srlab.discrete as disc
 
-    # one entry short of the 16 nodes of 1 * 2 + 8 entries (one field in
-    # 2-D), so the grid is refused before any node array is built
-    monkeypatch.setattr(disc, "_PAIR_BUDGET", 16 * 10 - 1)
+    # one entry short of the 16 nodes of 2 entries and the one slab row
+    # (the frame reads no axis) of 1 * 2 + 1 + 9 + 4 * 1 * 6 entries (one
+    # field in 2-D, 9 offsets of at most 6 terms), so the grid is refused
+    # before any node array is built
+    monkeypatch.setattr(disc, "_PAIR_BUDGET", 16 * 2 + 1 * 36 - 1)
     s = flat_line_structure()
     g = Grid(shape=(4, 4), periods=(1.0, 1.0))
     with pytest.raises(GridError, match="budget"):
@@ -500,7 +517,7 @@ def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, dat
     # are the slab rows' and the slab cells', which every other row and
     # cell repeats, so the oracle changes every copy
     wf = _grid_form(name, n, eps)
-    exact, factors, weights = oracle_tables(wf)
+    exact, factors, weights = oracle_tables(wf, cached_structure(name))
     pos = wf.operator.pos
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rng = np.random.default_rng(seed)
@@ -524,12 +541,13 @@ def test_green_certificate_detects_one_changed_value(name, n, eps, mutation, dat
 
 
 def _oracle_density(s, grid, kind):
-    """None, a random node density (no invariant axis), or 2 + cos along
-    axis 0 (invariant along the others where the frame is)."""
+    """None, a random node density (an array: no invariant axis), or the
+    expression 2 + cos along axis 0 (invariant along the others where
+    the frame is)."""
     if kind == "random":
         return np.random.default_rng(3).uniform(0.05, 20.0, grid.size)
     if kind == "cos":
-        return 2.0 + np.cos(2.0 * np.pi * grid.points()[:, 0] / s.periods[0])
+        return ex.parse("2 + cos(%r*x0)" % (2.0 * np.pi / s.periods[0]), dim=s.dim)
     return None
 
 
@@ -545,10 +563,9 @@ def test_slab_certificates_match_the_full_grid_oracle(name, n, eps, density):
     # slab part (and every row repeating it) is one ulp off
     s = cached_structure(name)
     grid = Grid(shape=(n,) * s.dim, periods=s.periods)
-    wf = assemble_weak_laplacian(
-        s, grid, eps=eps, density=_oracle_density(s, grid, density)
-    )
-    exact, factors, weights = oracle_tables(wf)
+    rho = _oracle_density(s, grid, density)
+    wf = assemble_weak_laplacian(s, grid, eps=eps, density=rho)
+    exact, factors, weights = oracle_tables(wf, s, rho)
     op = wf.operator
     pos = op.pos
     assert sorted(exact) == sorted(op.exact)
@@ -585,7 +602,7 @@ def test_float_matrix_is_the_quadrature_form_of_every_cell(contact, eps):
     # f^T L f >= 0.  The exact certificate reads the entry parts, not the
     # rounded matrix
     g, wf = contact_weak(contact, eps=eps)
-    _, factors, weights = oracle_tables(wf)
+    _, factors, weights = oracle_tables(wf, contact)
     rng = np.random.default_rng(7)
     e, f = rng.standard_normal((2, g.size))
 
@@ -750,17 +767,41 @@ def test_weak_stencil_matrix_matches_coo_reference(name, density, n, eps):
         for name, density in DENSITY_CONFIGS
         for n in (4, 8)
         for eps in (None, 2.0)
-    ],
+    ]
+    + [(name, None, 8, eps) for name in GRID_NAMES for eps in (None, 2.0)],
 )
 def test_node_criterion_finds_the_invariant_axes_of_the_form(name, density, n, eps):
+    # the axes that neither the frame nor the density reads are exactly
+    # those of the node criterion, on node values evaluated at every node,
+    # and those under whose shift the stencil and the mass are invariant
     wf = density_form(name, density, n, eps)
+    s, rho = build_structure(dict(load_config(name), density=density))
     axes, slab, pos = wf.invariance, wf.operator.slab, wf.operator.pos
+    assert axes == oracle_node_axes(wf.grid, *oracle_node_values(s, wf.grid, eps, rho))
     assert axes == _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid)
     # slab[pos[i]] is node i moved to index 0 along the axes
     image = wf.grid.multi_indices()
     image[:, axes] = 0
     assert np.array_equal(wf.grid.multi_indices()[slab[pos]], image)
     assert slab.size == wf.grid.size // math.prod(wf.grid.shape[a] for a in axes)
+
+
+@pytest.mark.parametrize("eps", [None, 2.0])
+def test_a_complement_that_reads_an_axis_leaves_no_invariance_along_it(eps):
+    # T = (2 + cos(x0)) d1 enters det F, so the volume density varies
+    # along x0 even without the complement's own field (eps None), though
+    # no horizontal coefficient reads x0
+    s = SubRiemannianStructure(
+        dim=2,
+        periods=(TWO_PI, TWO_PI),
+        horizontal=(VectorField((ex.Const(1), ex.Const(0))),),
+        complement=(VectorField((ex.Const(0), ex.parse("2 + cos(x0)", dim=2))),),
+    )
+    g = Grid(shape=(6, 6), periods=s.periods)
+    wf = assemble_weak_laplacian(s, g, eps=eps)
+    assert wf.invariance == [1]
+    assert oracle_node_axes(g, *oracle_node_values(s, g, eps)) == [1]
+    assert _invariant_axes(wf.operator, wf.mass.diagonal, g) == [1]
 
 
 @pytest.mark.parametrize("name", GRID_NAMES)
@@ -799,11 +840,12 @@ def test_the_operator_is_the_one_record_of_its_slab(name, n, eps, density):
 
 def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
     # a slab that covered the changed node's row would copy a value that
-    # the fsum of its exact parts does not give
+    # the fsum of its exact parts does not give.  An array density reads
+    # every axis, so its form has no invariant axis
     g = Grid(shape=(6, 6, 6), periods=contact.periods)
-    density = np.ones(g.size)
-    wf = assemble_weak_laplacian(contact, g, density=density)
+    wf = assemble_weak_laplacian(contact, g, density=ex.parse("1", dim=3))
     assert wf.invariance == [0, 1]
+    density = np.ones(g.size)
     density[37] = np.nextafter(1.0, np.inf)
     wf = assemble_weak_laplacian(contact, g, density=density)
     axes, slab, pos = wf.invariance, wf.operator.slab, wf.operator.pos
@@ -825,14 +867,31 @@ def test_fourier_solve_leaves_the_quadrature_unbuilt():
     assert not callable(wf._quadrature)
 
 
+def _held_arrays(objects):
+    """The numpy arrays among ``objects``, in lists and tuples too."""
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            yield from _held_arrays(obj)
+
+
 def test_invariant_form_holds_its_stencil_on_the_slab():
     # no (N, K) table: what the operator holds for its products is
-    # bounded by a multiple of S K + N, before and after a product
+    # bounded by a multiple of S K + N, before and after a product.  No
+    # (N, m) field table either: the lazy builders of the exact parts and
+    # of the quadrature hold slab values, and pos as their one N-long array
     for density, n in [(None, 16), ("2 + cos(x0)", 8)]:
         wf = density_form("contact3torus", density, n, eps=2.0)
         op = wf.operator
         N, (S, K) = wf.grid.size, op._values.shape
         assert S == op.slab.size < N
+        cells = [c.cell_contents for c in op._build_exact.__closure__]
+        for lazy in (cells, wf._quadrature.args):
+            held = list(_held_arrays(lazy))
+            assert any(a is op.pos for a in held)
+            assert all(a.size <= N for a in held)
+            assert sum(a.nbytes for a in held) <= 24 * (S * K + N)
         for _ in range(2):
             held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
             held += [a for a in op._order or () if isinstance(a, np.ndarray)]
@@ -840,6 +899,22 @@ def test_invariant_form_holds_its_stencil_on_the_slab():
             assert sum(a.nbytes for a in held) <= 24 * (S * K + N)
             op.matvec(np.ones(N))
         assert op._exact is None and op._matrix is None
+
+
+def test_weak_assembly_peak_memory_scales_with_the_slab():
+    # contact3torus at n = 48: 110,592 nodes and a 48-row slab.  The node
+    # values, product tables and stencil are built on the slab; the mass
+    # diagonal and pos are the only N-long arrays, about 0.9 MB each
+    s = cached_structure("contact3torus")
+    grid = Grid(shape=(48,) * 3, periods=s.periods)
+    tracemalloc.start()
+    try:
+        wf = assemble_weak_laplacian(s, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wf.operator.slab.size == 48
+    assert peak <= 4 * 2**20
 
 
 # the stencil cases and every density config, at both grid sizes

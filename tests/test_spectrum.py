@@ -424,6 +424,23 @@ def test_one_ulp_of_mass_breaks_invariance(contact):
     assert fourier_smallest(bumped, 4) is None
 
 
+@pytest.mark.parametrize("eps", [None, 2.0])
+def test_a_density_that_names_an_axis_leaves_no_invariance_along_it(eps):
+    # 2 + (sin(x0) - sin(x0)) is exactly 2 at every node, so the stencil
+    # and the mass are invariant along x0 too; but the density reads x0,
+    # so the form is invariant along x1 only, on a slab of n^2 rows.  Its
+    # spectrum is plain contact3torus's, whose stencil and mass it doubles
+    n, count = 8, 6
+    wf = density_form("contact3torus", "2 + (sin(x0) - sin(x0))", n, eps=eps)
+    assert wf.invariance == [1] and wf.operator.slab.size == n * n
+    assert _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid) == [0, 1]
+    plain = density_form("contact3torus", None, n, eps=eps)
+    assert plain.invariance == [0, 1]
+    got, want = (solve_weak_form(w, count, 1e-10, 0) for w in (wf, plain))
+    assert got.method == want.method == "fourier"
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-10
+
+
 def test_a_replaced_form_carries_no_decision_and_goes_by_size(contact):
     # the assembler proved the invariance from its own tables; a rebuilt
     # form, even with the same parts, is solved by size

@@ -107,7 +107,7 @@ COMMANDS = (
         ("spectrum", "heisenberg", "-n", "4"),
         ("check", "trivial", "--seed", "-1"),
         ("spectrum", "contact3torus", "-n", "5"),
-        ("verify", "contact3torus", "-n", "54"),
+        ("verify", "contact3torus", "-n", "100"),
     ]
 )
 
