@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,28 +16,19 @@ from srlab.cli import build_structure, load_config
 from srlab.discrete import FieldFactor, Grid, assemble_weak_laplacian
 from srlab.geometry import VectorField
 
-FIXTURE_NAMES = [
-    "heisenberg",
-    "carnot-step2",
-    "contact3torus",
-    "engel",
-    "martinet",
-    "trivial",
-    "integrable",
-]
+# the command table and its scratch configs (tools/commands.py)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from commands import DENSITIES  # noqa: E402
+from commands import FIXTURES as FIXTURE_NAMES  # noqa: E402
 
 # fixtures whose frame coefficients are periodic on their torus, so they
 # can be evaluated on grids
 GRID_NAMES = ["contact3torus", "trivial", "integrable"]
 
-# (fixture, density) of configs whose density varies: they leave the weak
-# form of contact3torus invariant along x1 only or along no axis, and that
-# of integrable along x1 and x2
-DENSITY_CONFIGS = [
-    ("contact3torus", "2 + cos(x0)"),
-    ("contact3torus", "3 + cos(x0) + cos(x1)"),
-    ("integrable", "2 + cos(6.283185307179586*x0)"),
-]
+# (fixture, density) of the table's configs whose density varies, and the
+# densities of d1.json and d2.json, both on contact3torus
+DENSITY_CONFIGS = list(DENSITIES.values())
+D1, D2 = DENSITIES["d1.json"][1], DENSITIES["d2.json"][1]
 
 # (fixture, density, n, eps) of the weak forms the stencil tests cover:
 # every grid fixture, and the two contact3torus densities

@@ -24,7 +24,9 @@ from srlab.discrete import Grid, assemble_weak_laplacian
 from srlab.geometry import SubRiemannianStructure, is_regular
 from srlab.spectrum import dense_spectrum
 
+from commands import NOTFAT
 from conftest import (
+    D2,
     DENSITY_CONFIGS,
     FIXTURE_NAMES,
     GRID_NAMES,
@@ -265,19 +267,7 @@ def test_check_point_limit_counts_lattice_and_samples(capsys, monkeypatch):
 def test_check_reports_a_witness_between_the_basis_covectors(capsys, tmp_path):
     # [X0, X1] = T0 + T1 and [X2, X3] = T0 - T1: M(lambda) is singular at
     # lambda ~ (1, -1), though at neither basis covector
-    cfg = {
-        "name": "notfat",
-        "dim": 6,
-        "periods": [1.0] * 6,
-        "horizontal": [
-            ["1", "0", "0", "0", "-x1/2", "-x1/2"],
-            ["0", "1", "0", "0", "x0/2", "x0/2"],
-            ["0", "0", "1", "0", "-x3/2", "x3/2"],
-            ["0", "0", "0", "1", "x2/2", "-x2/2"],
-        ],
-        "complement": [["0", "0", "0", "0", "1", "0"], ["0", "0", "0", "0", "0", "1"]],
-    }
-    code, out, _ = run(capsys, "check", write_config(tmp_path / "notfat.json", cfg))
+    code, out, _ = run(capsys, "check", write_config(tmp_path / "notfat.json", NOTFAT))
     record = json.loads(out)
     assert code == 0 and record["bracket_generating"] is True
     assert record["fat"] is False
@@ -434,7 +424,7 @@ def test_spectrum_seeded_runs_are_byte_identical(capsys, tmp_path):
     b = tmp_path / "b.csv"
     args = (
         "spectrum",
-        str(bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")),
+        str(bumped_config(tmp_path, "contact3torus", D2)),
         "-n",
         "8",
         "--count",
@@ -526,7 +516,7 @@ def test_spectrum_dense_beyond_dense_limit_is_usage_error(
         return assemble_weak_laplacian(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "assemble_weak_laplacian", assemble)
-    config = bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")
+    config = bumped_config(tmp_path, "contact3torus", D2)
     code, out, err = run(capsys, "spectrum", config, "-n", "18", "--count", "500")
     assert (code, out) == (2, "")
     assert assembled == [(18, 18, 18)]
@@ -572,7 +562,7 @@ def test_spectrum_dense_accepts_count_above_lanczos_limit(capsys):
 def test_spectrum_json_names_the_chosen_solver(capsys, tmp_path, n, count, solver):
     # contact3torus is invariant along x0 and x1 and takes the Fourier path;
     # a density varying along both leaves it to the size rule's ``solver``
-    bumped = bumped_config(tmp_path, "contact3torus", "3 + cos(x0) + cos(x1)")
+    bumped = bumped_config(tmp_path, "contact3torus", D2)
     for config, want in [("contact3torus", "fourier"), (bumped, solver)]:
         code, out, _ = run(
             capsys, "spectrum", config, "-n", n, "--count", count,
@@ -1285,17 +1275,6 @@ def test_every_public_name_resolves_to_its_defining_module():
         srlab.no_such_name
 
 
-def test_check_of_a_non_fat_structure_loads_no_random(tmp_path):
-    """carnot-step2 has a singular basis covector at the origin, and
-    heisenberg's one vertical direction is its only covector, so the
-    fatness test draws no random covector and numpy.random stays unloaded;
-    ``--samples`` draws its uniform points without it."""
-    assert "numpy.random" not in loaded_modules(tmp_path, ("check", "carnot-step2"))
-    assert "numpy.random" not in loaded_modules(tmp_path, ("check", "heisenberg"))
-    argv = ("check", "carnot-step2", "--samples", "2")
-    assert "numpy.random" not in loaded_modules(tmp_path, argv)
-
-
 @pytest.mark.parametrize(
     "argv", [("verify", "contact3torus", "-n", "4"), ("canonicalize", "engel")]
 )
@@ -1330,7 +1309,7 @@ def test_lanczos_path_loads_the_sparse_solvers(tmp_path):
     # x0 and x1 in the density, x2 in the frame: no invariant axis, and
     # N = 512 > 360 nodes for two pairs takes Lanczos
     cfg = load_config("contact3torus")
-    cfg["density"] = "3 + cos(x0) + cos(x1)"
+    cfg["density"] = D2
     path = write_config(tmp_path / "bumped.json", cfg)
     argv = ("spectrum", path, "-n", "8", "--count", "2")
     assert "scipy.sparse.linalg" in loaded_modules(tmp_path, argv)

@@ -55,6 +55,7 @@ from srlab.operators import (
 from srlab.spectrum import fourier_smallest, solve_weak_form
 
 from conftest import (
+    D1,
     DENSITY_CONFIGS,
     GRID_NAMES,
     STENCIL_CASES,
@@ -193,7 +194,7 @@ def test_assemblies_build_the_node_points_once(monkeypatch, contact):
     monkeypatch.setattr(ex, "evaluate", counted_evaluate)
     monkeypatch.setattr(SubRiemannianStructure, "frame_matrix", counted_frame)
     g = Grid(shape=(4, 4, 4), periods=contact.periods)
-    density = ex.parse("2 + cos(x0)", dim=3)
+    density = ex.parse(D1, dim=3)
     assemble_weak_laplacian(contact, g, eps=2.0, density=density)
     assert calls == [] and evaluated and set(evaluated) == {16}
     assemble_field(contact.horizontal[0], g)
@@ -856,7 +857,7 @@ def test_one_ulp_of_density_leaves_no_row_to_copy(contact):
 
 
 def test_fourier_solve_leaves_the_quadrature_unbuilt():
-    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    wf = density_form("contact3torus", D1, 6, eps=2.0)
     assert solve_weak_form(wf, 4, 1e-9, 0).method == "fourier"
     assert callable(wf._quadrature)
     # the first read builds factors and weights together, once
@@ -881,7 +882,7 @@ def test_invariant_form_holds_its_stencil_on_the_slab():
     # bounded by a multiple of S K + N, before and after a product.  No
     # (N, m) field table either: the lazy builders of the exact parts and
     # of the quadrature hold slab values, and pos as their one N-long array
-    for density, n in [(None, 16), ("2 + cos(x0)", 8)]:
+    for density, n in [(None, 16), (D1, 8)]:
         wf = density_form("contact3torus", density, n, eps=2.0)
         op = wf.operator
         N, (S, K) = wf.grid.size, op._values.shape
@@ -976,7 +977,7 @@ def test_block_matvec_gives_every_column_the_matrix_product(
 
 
 def test_fourier_solve_leaves_the_exact_parts_unbuilt():
-    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    wf = density_form("contact3torus", D1, 6, eps=2.0)
     assert solve_weak_form(wf, 4, 1e-9, 0).method == "fourier"
     op = wf.operator
     assert op._exact is None

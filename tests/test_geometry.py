@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from srlab import expr as ex
 from srlab import geometry
-from srlab.cli import main
+from srlab.cli import build_structure, main
 from srlab.expr import render
 from srlab.geometry import (
     FlagResult,
@@ -26,6 +26,7 @@ from srlab.geometry import (
     structure_constants,
 )
 
+from commands import SINGULAR
 from conftest import (
     _FRACTIONS,
     FIXTURE_NAMES,
@@ -319,12 +320,7 @@ def test_validate_names_the_first_singular_point_of_a_later_block():
 def _singular_structure():
     """det F = cos(x0) on the 2 pi torus: singular on x0 = pi / 2, a point
     of every lattice with a multiple of 4 points per axis."""
-    return SubRiemannianStructure(
-        dim=3,
-        periods=(2 * np.pi,) * 3,
-        horizontal=(_vf("1", "0", "0"), _vf("0", "cos(x0)", "sin(x0)")),
-        complement=(_vf("0", "0", "1"),),
-    )
+    return build_structure(SINGULAR)[0]
 
 
 @st.composite

@@ -26,7 +26,7 @@ def load_tool():
 
 
 def test_tool_lists_the_commands_it_compares():
-    assert len(load_tool().COMMANDS) == 45
+    assert len(load_tool().COMMANDS) == 80
 
 
 def test_checkout_matches_itself():

@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    D1,
+    D2,
     GRID_NAMES,
     STENCIL_CASES,
     _invariant_axes,
@@ -185,7 +187,7 @@ def test_rayleigh_quotient_of_eigenvector():
     v = rep.vectors[:, 1]
     assert abs(rayleigh(sp.csr_matrix(A), diag, v) - rep.eigenvalues[1]) < 1e-9
     # a weak form's quotient comes from its stencil, without the CSR matrix
-    wf = density_form("contact3torus", "2 + cos(x0)", 4)
+    wf = density_form("contact3torus", D1, 4)
     v = np.random.default_rng(3).standard_normal(wf.grid.size)
     q = rayleigh(wf.operator, wf.mass, v)
     assert wf.operator._matrix is None
@@ -309,7 +311,7 @@ def test_lanczos_validates_inputs():
 
 def test_lanczos_matches_dense_above_32_pairs():
     # 40 pairs of 512 nodes (above 12 * 40 = 480); no invariant axis
-    wf = density_form("contact3torus", "3 + cos(x0) + cos(x1)", 8)
+    wf = density_form("contact3torus", D2, 8)
     assert fourier_smallest(wf, 40) is None
     lan = lanczos_smallest(wf.operator, wf.mass, 40, tol=1e-10, seed=0)
     assert lan.method == "lanczos"
@@ -393,7 +395,7 @@ def test_fourier_path_with_one_invariant_axis(n):
     # a density varying along x0 leaves contact3torus invariant along x1
     # only: blocks of n^2 rows over (x0, x2)
     for eps in [None, 2.0]:
-        wf = density_form("contact3torus", "2 + cos(x0)", n, eps=eps)
+        wf = density_form("contact3torus", D1, n, eps=eps)
         assert _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid) == [1]
         for count in range(1, 9):
             rep = solve_weak_form(wf, count, 1e-10, 0)
@@ -405,7 +407,7 @@ def test_fourier_path_with_one_invariant_axis(n):
 @pytest.mark.parametrize("n, count", [(6, 6), (8, 4)])
 def test_form_with_no_invariant_axis_goes_by_size(n, count):
     # x0 and x1 in the density, x2 in the frame
-    wf = density_form("contact3torus", "3 + cos(x0) + cos(x1)", n, eps=2.0)
+    wf = density_form("contact3torus", D2, n, eps=2.0)
     assert _invariant_axes(wf.operator, wf.mass.diagonal, wf.grid) == []
     assert fourier_smallest(wf, count) is None
     rep = solve_weak_form(wf, count, 1e-10, 0)
@@ -494,7 +496,7 @@ def test_one_ulp_of_a_stored_value_breaks_invariance(contact):
 def test_fourier_blocks_by_chunk_and_up_to_block_limit(monkeypatch):
     import srlab.spectrum as spec
 
-    wf = density_form("contact3torus", "2 + cos(x0)", 6, eps=2.0)
+    wf = density_form("contact3torus", D1, 6, eps=2.0)
     whole = fourier_smallest(wf, 7)
     monkeypatch.setattr(spec, "_BLOCK_ENTRIES", 1)  # one block at a time
     chunked = fourier_smallest(wf, 7)
@@ -686,8 +688,8 @@ def test_epsilon_sweep_requires_ascending_eps(trivial):
     [(name, None, n, "fourier") for name in GRID_NAMES for n in (4, 6, 8)]
     + [
         # x0 and x1 in the density, x2 in the frame: no invariant axis
-        ("contact3torus", "3 + cos(x0) + cos(x1)", 4, "dense"),
-        ("contact3torus", "3 + cos(x0) + cos(x1)", 8, "lanczos"),
+        ("contact3torus", D2, 4, "dense"),
+        ("contact3torus", D2, 8, "lanczos"),
     ],
 )
 def test_kernel_check_agrees_with_dense_reference(monkeypatch, name, density, n, method):
